@@ -18,10 +18,11 @@ import numpy as np
 
 from . import data as data_mod
 from . import simulator, wire
-from .errors import WireError
+from .errors import ProtocolError
 from .federation import ModelBlob, blob_from_head
 from .nn import gradient_check, init_head
 from .runtime import Agent, RoundPolicy, configure_logging, parse_endpoint, serve
+from .runtime.protocol import MAX_DEVICE_ID
 
 log = logging.getLogger("fedhead.cli")
 
@@ -186,6 +187,10 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    try:
+        wire.frame_count(wire.encoded_size(args.dim, args.classes))
+    except ProtocolError as exc:
+        raise _UsageError(f"--dim {args.dim} --classes {args.classes}: {exc}") from None
     endpoint = parse_endpoint(args.listen)
     policy = RoundPolicy.parse(args.policy)
     validation = None
@@ -207,11 +212,11 @@ def _cmd_serve(args) -> int:
 
 def _cmd_agent(args) -> int:
     endpoint = parse_endpoint(args.connect)
+    limit = min(args.num_devices, MAX_DEVICE_ID + 1)
+    if not 0 <= args.device_id < limit:
+        raise _UsageError(f"--device-id must be in [0, {limit}) to pick one of --num-devices "
+                          f"shards and fit the message header's device byte")
     dataset = data_mod.load_dataset(args.data)
-    if not 0 <= args.device_id < args.num_devices:
-        raise _UsageError(
-            f"--device-id must be in [0, {args.num_devices}) to pick a shard"
-        )
     stream = data_mod.partition(dataset, args.num_devices, args.partition_seed)[args.device_id]
     _log_config("agent", {
         "connect": args.connect, "device_id": args.device_id, "data": args.data,

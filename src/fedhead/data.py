@@ -25,7 +25,6 @@ from .nn import EmbeddingSample
 
 DATASET_MAGIC = b"FTED"
 _HEADER = struct.Struct("<4sIII")
-_RECORD_PREFIX = struct.Struct("<BBH")  # split_tag, label, pad (written as zero)
 
 SPLIT_TRAIN = 0
 SPLIT_VALIDATION = 1
@@ -77,24 +76,26 @@ class EmbeddingDataset:
     def validation_indices(self) -> np.ndarray:
         return np.flatnonzero(self.splits == SPLIT_VALIDATION)
 
-    def train_samples(self) -> list[EmbeddingSample]:
-        return [self.sample(i) for i in self.train_indices()]
-
     def validation_samples(self) -> list[EmbeddingSample]:
         return [self.sample(i) for i in self.validation_indices()]
+
+
+def _record_dtype(dim: int) -> np.dtype:
+    """One file record; the pad field is written as zero and ignored on read."""
+    return np.dtype([("split", "u1"), ("label", "u1"), ("pad", "<u2"), ("features", "<f4", (dim,))])
 
 
 def save_dataset(dataset: EmbeddingDataset, path) -> None:
     """Write a dataset in the binary format above."""
     if dataset.num_classes > 256:
         raise DatasetFormatError("file format stores labels as u8; num_classes must be <= 256")
-    n = len(dataset)
-    feats = np.ascontiguousarray(dataset.features, dtype="<f4")
+    records = np.zeros(len(dataset), dtype=_record_dtype(dataset.embedding_dim))
+    records["split"] = dataset.splits
+    records["label"] = dataset.labels
+    records["features"] = dataset.features
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(DATASET_MAGIC, dataset.embedding_dim, dataset.num_classes, n))
-        for i in range(n):
-            fh.write(_RECORD_PREFIX.pack(int(dataset.splits[i]), int(dataset.labels[i]), 0))
-            fh.write(feats[i].tobytes())
+        fh.write(_HEADER.pack(DATASET_MAGIC, dataset.embedding_dim, dataset.num_classes, len(dataset)))
+        records.tofile(fh)
 
 
 def load_dataset(path, name: str | None = None) -> EmbeddingDataset:
@@ -110,34 +111,29 @@ def load_dataset(path, name: str | None = None) -> EmbeddingDataset:
         raise DatasetFormatError("header declares embedding_dim < 1")
     if classes < 1:
         raise DatasetFormatError("header declares num_classes < 1")
-    record_size = _RECORD_PREFIX.size + 4 * dim
-    expected = _HEADER.size + count * record_size
+    record = _record_dtype(dim)
+    expected = _HEADER.size + count * record.itemsize
     if len(raw) != expected:
         raise DatasetFormatError(
             f"file is {len(raw)} bytes, header implies {expected} "
-            f"({count} records of {record_size} bytes)"
+            f"({count} records of {record.itemsize} bytes)"
         )
-    features = np.empty((count, dim), dtype=np.float32)
-    labels = np.empty(count, dtype=np.int64)
-    splits = np.empty(count, dtype=np.uint8)
-    offset = _HEADER.size
-    for i in range(count):
-        split_tag, label, _pad = _RECORD_PREFIX.unpack_from(raw, offset)
-        if split_tag not in (SPLIT_TRAIN, SPLIT_VALIDATION):
-            raise DatasetFormatError(f"record {i} (offset {offset}): bad split tag {split_tag}")
-        if label >= classes:
-            raise DatasetFormatError(
-                f"record {i} (offset {offset}): label {label} out of range for {classes} classes"
-            )
-        splits[i] = split_tag
-        labels[i] = label
-        features[i] = np.frombuffer(raw, dtype="<f4", count=dim, offset=offset + _RECORD_PREFIX.size)
-        offset += record_size
+    records = np.frombuffer(raw, dtype=record, count=count, offset=_HEADER.size)
+    bad_split = (records["split"] != SPLIT_TRAIN) & (records["split"] != SPLIT_VALIDATION)
+    bad_label = records["label"] >= classes
+    bad = np.flatnonzero(bad_split | bad_label)
+    if bad.size:
+        i = int(bad[0])
+        problem = (
+            f"bad split tag {records['split'][i]}" if bad_split[i]
+            else f"label {records['label'][i]} out of range for {classes} classes"
+        )
+        raise DatasetFormatError(f"record {i} (offset {_HEADER.size + i * record.itemsize}): {problem}")
     return EmbeddingDataset(
         name=name if name is not None else str(path),
-        features=features,
-        labels=labels,
-        splits=splits,
+        features=records["features"].astype(np.float32),
+        labels=records["label"].astype(np.int64),
+        splits=records["split"].copy(),
         num_classes=classes,
     )
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import DeviceStream
 from .errors import DataExhaustedError, ShapeError
-from .nn import DenseHead, EmbeddingSample, init_head, train_batch
+from .nn import DenseHead, EmbeddingSample, batch_logits, init_head, train_batch
 
 
 @dataclass(eq=False)
@@ -128,8 +128,7 @@ def _head_accuracy(head: DenseHead, samples: list[EmbeddingSample]) -> float:
             f"samples have dim {feats.shape[1]}, head expects {head.embedding_dim}"
         )
     labels = np.asarray([s.label for s in samples])
-    logits = feats @ head.weights.T + head.bias
-    preds = np.argmax(logits, axis=1)  # argmax takes the lowest index on ties
+    preds = np.argmax(batch_logits(head, feats), axis=1)  # argmax takes the lowest index on ties
     return float(np.mean(preds == labels))
 
 

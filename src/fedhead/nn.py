@@ -14,12 +14,6 @@ import numpy as np
 
 from .errors import ShapeError
 
-# Known extractor output shapes: (embedding_dim, num_classes).
-SHAPE_PRESETS: dict[str, tuple[int, int]] = {
-    "tf-mobilenet": (1280, 2),
-    "perf-mobilenet": (256, 2),
-}
-
 # Probability clamp for the loss; keeps -log finite on confident mistakes.
 PROB_CLAMP = 1e-12
 
@@ -104,12 +98,18 @@ def forward(head: DenseHead, x: np.ndarray) -> np.ndarray:
     return head.weights @ x + head.bias
 
 
+def batch_logits(head: DenseHead, x: np.ndarray) -> np.ndarray:
+    """Logits of stacked inputs: (n, E) features give (n, C) logits."""
+    return x @ head.weights.T + head.bias
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax (max-subtracted before exponentiation)."""
+    """Numerically stable softmax over the last axis (max-subtracted before
+    exponentiation), so a (n, C) array gives one distribution per row."""
     logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max()
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum()
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def cross_entropy(probs: np.ndarray, label: int) -> float:
@@ -168,25 +168,31 @@ def train_batch(
 ) -> DenseHead:
     """Train on one batch for `local_episodes` passes.
 
-    Each episode computes every per-sample gradient on the current head,
-    averages them (left-to-right accumulation, so results are deterministic),
-    and applies a single SGD step. Running L episodes here is bitwise
-    identical to L calls with local_episodes=1 on the same batch.
+    The batch is stacked once into features X (n, E) and one-hot labels Y.
+    Each episode is one SGD step with the mean gradient on the current head:
+    (P - Y)^T X / n for the weights and the column mean of P - Y for the
+    bias, P being the row softmax. This matches averaging `sample_gradients`
+    up to summation order, and L episodes here are bitwise identical to L
+    calls with local_episodes=1. Every sample is checked before the first step.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
     if local_episodes < 1:
         raise ValueError(f"local_episodes must be >= 1, got {local_episodes}")
+    if {s.features.shape for s in batch} != {(head.embedding_dim,)}:
+        raise ShapeError(f"batch features must all have shape ({head.embedding_dim},)")
+    x = np.array([s.features for s in batch], dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError("input features must be finite")
+    labels = np.array([s.label for s in batch])
+    if labels.min() < 0 or labels.max() >= head.num_classes:
+        raise IndexError(f"labels must lie in [0, {head.num_classes}), got {labels.tolist()}")
     n = len(batch)
+    onehot = np.zeros((n, head.num_classes))
+    onehot[np.arange(n), labels] = 1.0
     for _ in range(local_episodes):
-        first = sample_gradients(head, batch[0])
-        dw = first.d_weights
-        db = first.d_bias
-        for sample in batch[1:]:
-            g = sample_gradients(head, sample)
-            dw = dw + g.d_weights
-            db = db + g.d_bias
-        head = sgd_step(head, Gradients(dw / n, db / n), lr)
+        delta = softmax(batch_logits(head, x)) - onehot
+        head = sgd_step(head, Gradients(delta.T @ x / n, delta.sum(axis=0) / n), lr)
     return head
 
 

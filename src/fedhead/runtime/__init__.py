@@ -12,7 +12,7 @@ from .protocol import (
     parse_endpoint,
 )
 from .server import RoundPolicy, RoundRecord, Server, serve
-from .agent import Agent, agent, replay_training
+from .agent import Agent, replay_training
 
 __all__ = [
     "HEADER_SIZE",
@@ -30,6 +30,5 @@ __all__ = [
     "Server",
     "serve",
     "Agent",
-    "agent",
     "replay_training",
 ]

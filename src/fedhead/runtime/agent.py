@@ -29,6 +29,7 @@ from ..errors import DataExhaustedError, ProtocolError, ShapeError, WireError
 from ..federation import ModelBlob, blob_from_head, head_from_blob
 from ..nn import DenseHead, train_batch
 from .protocol import (
+    MAX_DEVICE_ID,
     Message,
     MessageBuffer,
     MessageType,
@@ -84,6 +85,8 @@ class Agent:
             raise ValueError(f"sync_batch must be >= 1, got {sync_batch}")
         if push_every is not None and push_every < 1:
             raise ValueError(f"push_every must be >= 1, got {push_every}")
+        if not 0 <= device_id <= MAX_DEVICE_ID:
+            raise ValueError(f"device_id must be in [0, {MAX_DEVICE_ID}], got {device_id}")
         self.host = host
         self.port = port
         self.device_id = device_id
@@ -300,26 +303,3 @@ class Agent:
             self._push_model()
             self._since_push = 0
         return True
-
-
-def agent(
-    endpoint: tuple[str, int],
-    device_id: int,
-    stream,
-    *,
-    learning_rate: float = 0.01,
-    local_episodes: int = 20,
-    sync_batch: int | None = None,
-    push_every: int | None = None,
-) -> Agent:
-    """Run an agent in the calling thread until stopped; returns its state."""
-    worker = Agent(
-        endpoint[0], endpoint[1], device_id, stream,
-        learning_rate=learning_rate, local_episodes=local_episodes,
-        sync_batch=sync_batch, push_every=push_every,
-    )
-    try:
-        worker.run()
-    except KeyboardInterrupt:
-        log.info("interrupted; shutting down")
-    return worker

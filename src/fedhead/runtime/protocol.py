@@ -28,6 +28,9 @@ HEADER_SIZE = _HEADER.size  # 8
 # Body size cap; a desk-scale model is a few KB, real ones a few MB.
 MAX_BODY = 1 << 28
 
+# Device ids travel in the u8 header field.
+MAX_DEVICE_ID = 0xFF
+
 # ASCII status placed in an ACK or ERROR body. Plain ACKs are empty.
 STATUS_DATA_EXHAUSTED = b"DATA_EXHAUSTED"
 
@@ -48,7 +51,7 @@ class Message:
     body: bytes = b""
 
     def __post_init__(self) -> None:
-        if not 0 <= self.device_id <= 0xFF:
+        if not 0 <= self.device_id <= MAX_DEVICE_ID:
             raise ProtocolError(f"device_id {self.device_id} outside u8 range")
         if len(self.body) > MAX_BODY:
             raise ProtocolError(f"body of {len(self.body)} bytes exceeds cap {MAX_BODY}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from ..errors import ShapeError, WireError
 from ..federation import ModelBlob, average_blobs, evaluate
-from ..wire import encode_model
+from ..wire import encode_model, encoded_size, frame_count
 from .protocol import (
     Message,
     MessageBuffer,
@@ -102,6 +102,8 @@ class Server:
     history: list[RoundRecord] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        # Fail before binding if the model can never be framed (u16 frame seq).
+        frame_count(encoded_size(self.initial_blob.embedding_dim, self.initial_blob.num_classes))
         self.global_blob = self.initial_blob
         self._sel = selectors.DefaultSelector()
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -344,7 +346,8 @@ class Server:
             record.index, len(record.participants), checksum,
             "" if acc is None else f", val_acc {acc:.4f}",
         )
-        for conn in self._devices.values():
+        # A failed send drops its device from the dict, so iterate a copy.
+        for conn in list(self._devices.values()):
             self._push_global(conn)
 
 

@@ -113,12 +113,6 @@ class SweepResult:
     points: list[SweepPoint]
 
 
-def _resolve_dataset(cfg: ExperimentConfig, rep_seed) -> data_mod.EmbeddingDataset:
-    if isinstance(cfg.dataset, SyntheticSpec):
-        return cfg.dataset.build(rep_seed)
-    return data_mod.load_dataset(cfg.dataset)
-
-
 def _point_config(cfg: ExperimentConfig, value) -> tuple[RoundConfig, str]:
     """Apply one sweep value, returning the round config and init mode."""
     fields = {
@@ -162,14 +156,14 @@ def make_pretrained_blob(embedding_dim: int, num_classes: int, seed) -> ModelBlo
 
 def _run_repetition(
     round_cfg: RoundConfig,
-    cfg: ExperimentConfig,
+    source: SyntheticSpec | data_mod.EmbeddingDataset,
     init_mode: str,
     rep_seed: int,
     pretrained: ModelBlob | None,
 ) -> RunResult:
     root = np.random.SeedSequence([rep_seed])
     data_ss, part_ss, init_ss = root.spawn(3)
-    dataset = _resolve_dataset(cfg, data_ss)
+    dataset = source.build(data_ss) if isinstance(source, SyntheticSpec) else source
     parts = data_mod.partition(dataset, round_cfg.num_devices, part_ss)
     val = dataset.validation_samples()
     if init_mode == "pretrained":
@@ -182,14 +176,13 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     needs_pretrained = cfg.init_mode == "pretrained" or (
         cfg.sweep_param == "init_mode" and "pretrained" in [str(v) for v in cfg.sweep_values]
     )
+    # A file dataset is the same for every repetition, so it is read once.
+    source = cfg.dataset
+    if not isinstance(source, SyntheticSpec):
+        source = data_mod.load_dataset(source)
     pretrained = None
     if needs_pretrained:
-        if isinstance(cfg.dataset, SyntheticSpec):
-            e, c = cfg.dataset.embedding_dim, cfg.dataset.num_classes
-        else:
-            probe = data_mod.load_dataset(cfg.dataset)
-            e, c = probe.embedding_dim, probe.num_classes
-        pretrained = make_pretrained_blob(e, c, cfg.base_seed)
+        pretrained = make_pretrained_blob(source.embedding_dim, source.num_classes, cfg.base_seed)
     points = []
     for value in cfg.sweep_values:
         round_cfg, init_mode = _point_config(cfg, value)
@@ -198,7 +191,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
         for r in range(cfg.repetitions):
             try:
                 result = _run_repetition(
-                    round_cfg, cfg, init_mode, cfg.base_seed + r, pretrained
+                    round_cfg, source, init_mode, cfg.base_seed + r, pretrained
                 )
             except DataExhaustedError as exc:
                 raise DataExhaustedError(

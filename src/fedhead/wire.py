@@ -114,14 +114,21 @@ class Frame:
         return _FRAME_HEADER.pack(self.seq, self.flags, len(self.payload)) + self.payload
 
 
+def frame_count(nbytes: int) -> int:
+    """Frames that carry an nbytes-long message; ProtocolError if u16
+    sequence numbers cannot number them all."""
+    count = max(1, -(-nbytes // FRAME_PAYLOAD))
+    if count > MAX_FRAMES:
+        raise ProtocolError(
+            f"{nbytes} bytes need {count} frames; u16 sequence numbers allow {MAX_FRAMES}"
+        )
+    return count
+
+
 def frame_stream(data: bytes) -> list[Frame]:
     """Chop bytes into ceil(len/4) frames. Empty input still produces one
     (empty, last-flagged) frame so the receiver sees an explicit end."""
-    count = max(1, -(-len(data) // FRAME_PAYLOAD))
-    if count > MAX_FRAMES:
-        raise ProtocolError(
-            f"{len(data)} bytes need {count} frames; u16 sequence numbers allow {MAX_FRAMES}"
-        )
+    count = frame_count(len(data))
     frames = []
     for seq in range(count):
         chunk = data[seq * FRAME_PAYLOAD : (seq + 1) * FRAME_PAYLOAD]

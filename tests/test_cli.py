@@ -212,6 +212,31 @@ def test_agent_device_id_must_select_a_shard(tmp_path, capsys):
     assert "--device-id" in capsys.readouterr().err
 
 
+def test_agent_device_id_beyond_header_byte_is_a_usage_error(tmp_path, capsys):
+    # Rejected before the dataset is read: the file does not exist.
+    rc = main([
+        "agent", "--connect", "127.0.0.1:1", "--data", str(tmp_path / "absent.ds"),
+        "--device-id", "300", "--num-devices", "400",
+    ])
+    assert rc == 1
+    assert "--device-id" in capsys.readouterr().err
+
+
+def test_serve_rejects_a_model_too_large_to_frame(capsys):
+    rc = {}
+    thread = threading.Thread(
+        target=lambda: rc.setdefault("rc", main([
+            "serve", "--listen", "127.0.0.1:0", "--dim", "1280", "--classes", "64",
+        ])),
+        daemon=True,
+    )
+    thread.start()
+    thread.join(10.0)
+    assert not thread.is_alive(), "serve started instead of failing at startup"
+    assert rc["rc"] == 1
+    assert "frames" in capsys.readouterr().err
+
+
 def test_resolved_config_is_logged(tmp_path, caplog):
     caplog.set_level(logging.INFO, logger="fedhead.cli")
     data = tmp_path / "toy.ds"

@@ -97,6 +97,33 @@ def test_load_rejects_bad_split_tag(tmp_path):
     assert "record 1" in str(err.value)
 
 
+def test_load_names_the_first_bad_record(tmp_path):
+    data = bytearray(golden_file_bytes())
+    data[16 + 2 * 20 + 1] = 7  # third record's label byte
+    data[16 + 20] = 9  # second record's split byte
+    path = tmp_path / "two-bad.ds"
+    path.write_bytes(bytes(data))
+    with pytest.raises(DatasetFormatError) as err:
+        load_dataset(path)
+    assert "record 1 (offset 36): bad split tag 9" in str(err.value)
+
+
+def per_record_file_bytes(ds):
+    """The format written one record at a time with struct, as the spec reads."""
+    out = [struct.pack("<4sIII", b"FTED", ds.embedding_dim, ds.num_classes, len(ds))]
+    for i in range(len(ds)):
+        out.append(struct.pack("<BBH", int(ds.splits[i]), int(ds.labels[i]), 0))
+        out.append(ds.features[i].astype("<f4").tobytes())
+    return b"".join(out)
+
+
+def test_save_matches_per_record_writer_at_mobilenet_width(tmp_path):
+    ds = synth_separable(1280, 3, 40, 4.0, 7, val_fraction=0.25)
+    path = tmp_path / "e1280.ds"
+    save_dataset(ds, path)
+    assert path.read_bytes() == per_record_file_bytes(ds)
+
+
 def test_header_shape_error_names_offset(tmp_path):
     path = tmp_path / "hdr.ds"
     path.write_bytes(golden_file_bytes()[:10])

@@ -280,6 +280,62 @@ def test_episode_count_equals_repeated_single_episode_bitwise():
     assert np.array_equal(multi.bias, single.bias)
 
 
+def reference_train_batch(head, batch, lr, local_episodes):
+    """The per-sample path: mean of sample_gradients, then sgd_step, per episode."""
+    for _ in range(local_episodes):
+        grads = [sample_gradients(head, s) for s in batch]
+        mean = Gradients(
+            np.mean([g.d_weights for g in grads], axis=0),
+            np.mean([g.d_bias for g in grads], axis=0),
+        )
+        head = sgd_step(head, mean, lr)
+    return head
+
+
+@pytest.mark.parametrize("n", [1, 5, 20])
+@pytest.mark.parametrize("e,c,episodes", [(1, 2, 1), (6, 3, 4), (16, 2, 5), (1280, 2, 2), (40, 10, 3)])
+def test_train_batch_matches_per_sample_reference(n, e, c, episodes):
+    rng = np.random.default_rng(1000 * n + e + c)
+    head = random_head(rng, e, c)
+    batch = [EmbeddingSample(rng.normal(size=e), int(rng.integers(c))) for _ in range(n)]
+    got = train_batch(head, batch, 0.05, episodes)
+    want = reference_train_batch(head, batch, 0.05, episodes)
+    assert np.max(np.abs(got.weights - want.weights)) <= 1e-12
+    assert np.max(np.abs(got.bias - want.bias)) <= 1e-12
+
+
+def test_train_batch_keeps_all_zero_feature_columns_frozen():
+    rng = np.random.default_rng(13)
+    head = random_head(rng, 12, 3)
+    dead = [0, 5, 11]
+    batch = []
+    for i in range(9):
+        x = rng.normal(size=12)
+        x[dead] = 0.0
+        batch.append(EmbeddingSample(x, i % 3))
+    out = train_batch(head, batch, 0.5, 6)
+    assert np.array_equal(out.weights[:, dead], head.weights[:, dead])
+    live = [d for d in range(12) if d not in dead]
+    assert not np.array_equal(out.weights[:, live], head.weights[:, live])
+
+
+@pytest.mark.parametrize("batch,lr,error", [
+    ([EmbeddingSample(np.zeros(3), 0), EmbeddingSample(np.zeros(2), 1)], 0.1, ShapeError),
+    ([EmbeddingSample(np.zeros(2), 0), EmbeddingSample(np.array([0.0, np.inf]), 1)], 0.1, ValueError),
+    ([EmbeddingSample(np.zeros(2), 0), EmbeddingSample(np.zeros(2), 2)], 0.1, IndexError),
+    ([EmbeddingSample(np.zeros(2), 0)], float("nan"), ValueError),
+    ([EmbeddingSample(np.zeros(2), 0)], -0.1, ValueError),
+])
+def test_train_batch_rejects_bad_input_like_the_per_sample_path(batch, lr, error):
+    head = make_head([[1.0, 2.0], [3.0, 4.0]], [0.5, -0.5])
+    with pytest.raises(error):
+        train_batch(head, batch, lr, 2)
+    with pytest.raises(error):
+        reference_train_batch(head, batch, lr, 2)
+    assert np.array_equal(head.weights, [[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(head.bias, [0.5, -0.5])
+
+
 def test_training_is_deterministic():
     def run():
         head = init_head(8, 2, "random", seed=123)

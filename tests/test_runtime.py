@@ -454,6 +454,62 @@ def test_server_replaces_reregistered_device_connection():
         second.close()
 
 
+class FailingPushSocket:
+    """A server-side socket whose PUSH_MODEL sends raise, as on a dead link."""
+
+    def __init__(self, sock):
+        self._sock = sock
+
+    def sendall(self, data):
+        if data[0] == MessageType.PUSH_MODEL:
+            raise OSError("injected send failure")
+        self._sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def test_server_survives_a_failed_push_of_the_new_global():
+    initial = make_blob(15)
+    blobs = {1: make_blob(16), 0: make_blob(17)}
+    with running_server(initial, RoundPolicy("count", 1)) as (server, thread):
+        # Device 1 registers first, so the post-round push reaches it first.
+        devs = {}
+        for device_id in (1, 0):
+            devs[device_id] = ScriptedPeer.connect(server.address)
+            devs[device_id].send(Message(MessageType.HELLO, device_id))
+            devs[device_id].expect_push()
+        conn = server._devices[1]
+        conn.sock = FailingPushSocket(conn.sock)
+
+        devs[0].send(Message(MessageType.PUSH_MODEL, 0))
+        devs[0].send(Message(MessageType.MODEL_DATA, 0, model_data_body(blobs[0])))
+        for device_id, dev in devs.items():
+            dev.expect(MessageType.PULL_MODEL)
+            dev.send(Message(MessageType.MODEL_DATA, device_id, model_data_body(blobs[device_id])))
+        pushed = blob_from_model_data(devs[0].expect_push().body)
+        assert np.allclose(pushed.values, (blobs[0].values + blobs[1].values) / 2, atol=1e-6)
+        assert devs[1].sock.recv(65536) == b""  # the failed device was dropped
+
+        # The server keeps serving: the surviving device runs a round alone.
+        devs[0].send(Message(MessageType.PUSH_MODEL, 0))
+        devs[0].send(Message(MessageType.MODEL_DATA, 0, model_data_body(blobs[0])))
+        devs[0].expect(MessageType.PULL_MODEL)
+        devs[0].send(Message(MessageType.MODEL_DATA, 0, model_data_body(blobs[0])))
+        devs[0].expect_push()
+        assert thread.is_alive()
+        assert [r.participants for r in server.history] == [(0, 1), (0,)]
+        for dev in devs.values():
+            dev.close()
+
+
+def test_server_rejects_a_model_too_large_to_frame():
+    # E=1280, C=64 encodes to 327,952 bytes: 81,988 four-byte frames.
+    blob = ModelBlob(np.zeros(64 * 1280 + 64), 1280, 64)
+    with pytest.raises(ProtocolError, match="81988 frames"):
+        Server("127.0.0.1", 0, blob, RoundPolicy("count", 1))
+
+
 # -- agent against a scripted server -----------------------------------------------
 
 
@@ -610,6 +666,12 @@ def test_agent_gives_up_after_bounded_reconnects_but_trains_offline():
         worker.run()
     assert time.monotonic() - start < 5.0
     assert worker.samples_trained == 12  # offline training during backoff
+
+
+def test_agent_rejects_device_id_outside_header_byte():
+    for device_id in (-1, 256, 300):
+        with pytest.raises(ValueError, match="device_id"):
+            Agent("h", 1, device_id, make_stream(4))
 
 
 def test_agent_validates_mode_arguments():

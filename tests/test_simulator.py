@@ -111,6 +111,23 @@ def test_init_mode_sweep_runs_both_modes():
     assert all(len(p.epochs) == 3 for p in result.points)
 
 
+def test_file_dataset_is_read_once_per_sweep(tmp_path, monkeypatch):
+    import fedhead.data as data_mod
+
+    path = tmp_path / "task.ds"
+    data_mod.save_dataset(SMALL_SPEC.build(0), path)
+    reads = []
+    load = data_mod.load_dataset
+    monkeypatch.setattr(data_mod, "load_dataset", lambda *a, **kw: reads.append(a) or load(*a, **kw))
+    cfg = small_config(
+        dataset=str(path), sweep_param="init_mode", sweep_values=["random", "pretrained"],
+        repetitions=3, epochs=2,
+    )
+    result = run_sweep(cfg)
+    assert len(reads) == 1
+    assert [len(p.epochs) for p in result.points] == [2, 2]
+
+
 def test_exhaustion_error_names_the_sweep_point():
     spec = dataclasses.replace(SMALL_SPEC, samples=30)  # 24 train samples
     cfg = small_config(dataset=spec, sweep_values=[1], epochs=10, repetitions=1)
