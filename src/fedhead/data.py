@@ -15,6 +15,7 @@ dimensions ever carry signal (the rest are exactly zero).
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -99,26 +100,29 @@ def save_dataset(dataset: EmbeddingDataset, path) -> None:
 
 
 def load_dataset(path, name: str | None = None) -> EmbeddingDataset:
-    """Read and validate a dataset file; errors carry the failing record/offset."""
+    """Read and validate a dataset file; errors carry the failing record/offset.
+
+    The records are read straight into one array and the features stay a
+    float32 view of it, so loading holds about one copy of the file."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise DatasetFormatError(f"file is {len(raw)} bytes; header needs {_HEADER.size}")
-    magic, dim, classes, count = _HEADER.unpack_from(raw, 0)
-    if magic != DATASET_MAGIC:
-        raise DatasetFormatError(f"bad magic {magic!r} at offset 0, expected {DATASET_MAGIC!r}")
-    if dim < 1:
-        raise DatasetFormatError("header declares embedding_dim < 1")
-    if classes < 1:
-        raise DatasetFormatError("header declares num_classes < 1")
-    record = _record_dtype(dim)
-    expected = _HEADER.size + count * record.itemsize
-    if len(raw) != expected:
-        raise DatasetFormatError(
-            f"file is {len(raw)} bytes, header implies {expected} "
-            f"({count} records of {record.itemsize} bytes)"
-        )
-    records = np.frombuffer(raw, dtype=record, count=count, offset=_HEADER.size)
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size:
+            raise DatasetFormatError(f"file is {size} bytes; header needs {_HEADER.size}")
+        magic, dim, classes, count = _HEADER.unpack(fh.read(_HEADER.size))
+        if magic != DATASET_MAGIC:
+            raise DatasetFormatError(f"bad magic {magic!r} at offset 0, expected {DATASET_MAGIC!r}")
+        if dim < 1:
+            raise DatasetFormatError("header declares embedding_dim < 1")
+        if classes < 1:
+            raise DatasetFormatError("header declares num_classes < 1")
+        record = _record_dtype(dim)
+        expected = _HEADER.size + count * record.itemsize
+        if size != expected:
+            raise DatasetFormatError(
+                f"file is {size} bytes, header implies {expected} "
+                f"({count} records of {record.itemsize} bytes)"
+            )
+        records = np.fromfile(fh, dtype=record, count=count)
     bad_split = (records["split"] != SPLIT_TRAIN) & (records["split"] != SPLIT_VALIDATION)
     bad_label = records["label"] >= classes
     bad = np.flatnonzero(bad_split | bad_label)
@@ -131,7 +135,7 @@ def load_dataset(path, name: str | None = None) -> EmbeddingDataset:
         raise DatasetFormatError(f"record {i} (offset {_HEADER.size + i * record.itemsize}): {problem}")
     return EmbeddingDataset(
         name=name if name is not None else str(path),
-        features=records["features"].astype(np.float32),
+        features=records["features"],
         labels=records["label"].astype(np.int64),
         splits=records["split"].copy(),
         num_classes=classes,

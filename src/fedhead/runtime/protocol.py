@@ -98,12 +98,12 @@ class MessageBuffer:
 
 def model_data_body(blob: ModelBlob) -> bytes:
     """Encode and frame a blob into a MODEL_DATA body."""
-    return wire.frames_to_bytes(wire.frame_stream(wire.encode_model(blob)))
+    return wire.frame_bytes(wire.encode_model(blob))
 
 
 def blob_from_model_data(body: bytes) -> ModelBlob:
     """Inverse of model_data_body; raises WireError subclasses on bad bytes."""
-    return wire.decode_model(wire.unframe_stream(wire.frames_from_bytes(body)))
+    return wire.decode_model(wire.unframe_bytes(body))
 
 
 def parse_endpoint(text: str) -> tuple[str, int]:

@@ -8,7 +8,9 @@ order, install the mean as the new global, and push it back to everyone.
 Devices that miss the collection deadline are marked stale and excluded
 until they next speak; a device whose MODEL_DATA fails wire validation gets
 an ERROR reply and drops out of that round only. Writes use blocking
-sendall: messages here are a few KB against default 64 KB socket buffers.
+sendall, although a MODEL_DATA message is already 20,536 bytes at E=1280,
+C=2 and about 102 KB at C=10, larger than a default 64 KB socket buffer,
+so a peer that stops reading can stall the loop.
 """
 from __future__ import annotations
 

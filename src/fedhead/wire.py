@@ -16,6 +16,10 @@ Frames model a serial link that moves 32 bits at a time. Every frame except
 possibly the last carries exactly 4 payload bytes; sequence numbers are
 dense from 0; bit 0 of the flags byte marks the final frame. On-the-wire
 frame layout: u16 seq | u8 flags | u8 len | len payload bytes.
+
+`Frame` and its stream functions are the byte-layout reference. The runtime
+frames a whole message at once with `frame_bytes`/`unframe_bytes`, which
+produce and accept the same bytes and raise the same errors.
 """
 from __future__ import annotations
 
@@ -114,10 +118,15 @@ class Frame:
         return _FRAME_HEADER.pack(self.seq, self.flags, len(self.payload)) + self.payload
 
 
+def _frames_for(nbytes: int) -> int:
+    # ceil(nbytes / 4), and one frame for empty input.
+    return max(1, -(-nbytes // FRAME_PAYLOAD))
+
+
 def frame_count(nbytes: int) -> int:
     """Frames that carry an nbytes-long message; ProtocolError if u16
     sequence numbers cannot number them all."""
-    count = max(1, -(-nbytes // FRAME_PAYLOAD))
+    count = _frames_for(nbytes)
     if count > MAX_FRAMES:
         raise ProtocolError(
             f"{nbytes} bytes need {count} frames; u16 sequence numbers allow {MAX_FRAMES}"
@@ -183,5 +192,44 @@ def frames_from_bytes(data: bytes) -> list[Frame]:
 
 def framed_size(nbytes: int) -> int:
     """Bytes on the wire after framing an nbytes-long message."""
-    count = max(1, -(-nbytes // FRAME_PAYLOAD))
-    return count * FRAME_HEADER_SIZE + nbytes
+    return _frames_for(nbytes) * FRAME_HEADER_SIZE + nbytes
+
+
+# One wire frame as a record; a full frame is 8 bytes.
+_FRAME_DTYPE = np.dtype(
+    [("seq", "<u2"), ("flags", "u1"), ("len", "u1"), ("payload", "u1", (FRAME_PAYLOAD,))]
+)
+
+
+def frame_bytes(data: bytes) -> bytes:
+    """The wire form of frame_stream(data), built as one record array."""
+    count = frame_count(len(data))
+    frames = np.zeros(count, dtype=_FRAME_DTYPE)
+    frames["seq"] = np.arange(count)
+    frames["len"] = FRAME_PAYLOAD
+    frames["len"][-1] = len(data) - FRAME_PAYLOAD * (count - 1)
+    frames["flags"][-1] = FLAG_LAST
+    payload = np.zeros(count * FRAME_PAYLOAD, dtype=np.uint8)
+    payload[: len(data)] = np.frombuffer(data, np.uint8)
+    frames["payload"] = payload.reshape(count, FRAME_PAYLOAD)
+    # A short last frame sends only its len payload bytes.
+    return frames.tobytes()[: framed_size(len(data))]
+
+
+def unframe_bytes(body: bytes) -> bytes:
+    """unframe_stream(frames_from_bytes(body)), checked as one record array.
+
+    Bodies of full frames in order are unpacked here. Anything else, a
+    short last frame included, goes through the Frame reference, which
+    returns its bytes or raises its error."""
+    count, rest = divmod(len(body), _FRAME_DTYPE.itemsize)
+    if not rest and 0 < count <= MAX_FRAMES:
+        frames = np.frombuffer(body, dtype=_FRAME_DTYPE)
+        if (
+            (frames["seq"] == np.arange(count)).all()
+            and not frames["flags"][:-1].any()
+            and frames["flags"][-1] == FLAG_LAST
+            and (frames["len"] == FRAME_PAYLOAD).all()
+        ):
+            return frames["payload"].tobytes()
+    return unframe_stream(frames_from_bytes(body))

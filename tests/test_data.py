@@ -1,5 +1,6 @@
 """Dataset file format, partitioning, one-shot streams, synthetic tasks."""
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +130,23 @@ def test_header_shape_error_names_offset(tmp_path):
     path.write_bytes(golden_file_bytes()[:10])
     with pytest.raises(DatasetFormatError):
         load_dataset(path)
+
+
+def test_load_holds_about_one_copy_of_the_file(tmp_path):
+    ds = synth_separable(1280, 2, 1000, 4.0, 3)
+    path = tmp_path / "e1280.ds"
+    save_dataset(ds, path)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        back = load_dataset(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * size
+    assert np.array_equal(back.features, ds.features)
+    assert np.array_equal(back.labels, ds.labels)
+    assert np.array_equal(back.splits, ds.splits)
 
 
 # -- partition ---------------------------------------------------------------

@@ -215,6 +215,19 @@ def test_model_data_body_round_trip_and_size():
     assert np.array_equal(back.values, blob.values)
 
 
+def test_model_data_path_makes_no_frame_objects(monkeypatch):
+    from fedhead import wire
+
+    def per_frame_path(*args):
+        raise AssertionError("MODEL_DATA bodies must not go through per-frame objects")
+
+    for name in ("frame_stream", "frames_to_bytes", "frames_from_bytes", "unframe_stream"):
+        monkeypatch.setattr(wire, name, per_frame_path)
+    blob = make_blob(1, e=1280, c=2)
+    back = blob_from_model_data(model_data_body(blob))
+    assert np.array_equal(back.values, blob.values)
+
+
 def test_parse_endpoint():
     assert parse_endpoint("127.0.0.1:7700") == ("127.0.0.1", 7700)
     assert parse_endpoint(":9000") == ("0.0.0.0", 9000)

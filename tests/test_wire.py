@@ -18,14 +18,17 @@ from fedhead.federation import ModelBlob
 from fedhead.wire import (
     FLAG_LAST,
     FRAME_PAYLOAD,
+    MAX_FRAMES,
     Frame,
     decode_model,
     encode_model,
     encoded_size,
+    frame_bytes,
     frame_stream,
     framed_size,
     frames_from_bytes,
     frames_to_bytes,
+    unframe_bytes,
     unframe_stream,
 )
 
@@ -234,3 +237,97 @@ def test_full_model_transfer_round_trip():
     assert len(wire_bytes) == (2072 // 4) * 8
     back = decode_model(unframe_stream(frames_from_bytes(wire_bytes)))
     assert np.array_equal(back.values, blob.values.astype(np.float32).astype(np.float64))
+
+
+# -- array frame codec against the Frame reference --------------------------------
+
+
+def reference_unframe(body):
+    return unframe_stream(frames_from_bytes(body))
+
+
+def outcome(unframe, body):
+    """What unframing returns, or the type and message of what it raises."""
+    try:
+        return unframe(body)
+    except Exception as err:  # the exception itself is compared
+        return type(err), str(err)
+
+
+def mobilenet_model_bytes():
+    rng = np.random.default_rng(5)
+    return encode_model(blob_of(rng.normal(size=2 * 1280 + 2), 1280, 2))
+
+
+@settings(max_examples=300)
+@given(st.binary(max_size=64))
+def test_frame_bytes_matches_reference_and_round_trips(data):
+    body = frame_bytes(data)
+    assert body == frames_to_bytes(frame_stream(data))
+    assert unframe_bytes(body) == data
+
+
+def test_frame_bytes_matches_reference_for_mobilenet_model():
+    encoded = mobilenet_model_bytes()
+    body = frame_bytes(encoded)
+    assert body == frames_to_bytes(frame_stream(encoded))
+    assert len(body) == framed_size(len(encoded)) == 20528
+    assert unframe_bytes(body) == encoded
+
+
+@settings(max_examples=300)
+@given(
+    st.binary(min_size=1, max_size=48),
+    st.data(),
+)
+def test_unframe_bytes_matches_reference_on_damaged_bodies(data, draw):
+    body = bytearray(frame_bytes(data))
+    damage = draw.draw(st.sampled_from(["flip", "truncate", "append"]))
+    if damage == "flip":
+        at = draw.draw(st.integers(0, len(body) - 1))
+        body[at] ^= draw.draw(st.integers(1, 255))
+    elif damage == "truncate":
+        del body[draw.draw(st.integers(0, len(body) - 1)) :]
+    else:
+        body += draw.draw(st.binary(min_size=1, max_size=16))
+    body = bytes(body)
+    assert outcome(unframe_bytes, body) == outcome(reference_unframe, body)
+
+
+def test_unframe_bytes_matches_reference_on_every_byte_flip_of_a_model():
+    body = frame_bytes(encode_model(blob_of(np.arange(6) - 2.5, 2, 2)))
+    for at in range(len(body)):
+        for mask in (0x01, 0x02, 0x80):
+            damaged = bytearray(body)
+            damaged[at] ^= mask
+            damaged = bytes(damaged)
+            assert outcome(unframe_bytes, damaged) == outcome(reference_unframe, damaged)
+
+
+def full_frames(count):
+    """count full frames numbered mod 2**16, the last one flagged last."""
+    seq = np.arange(count) % MAX_FRAMES
+    flags = np.zeros(count, dtype=np.uint8)
+    flags[-1] = FLAG_LAST
+    return b"".join(
+        struct.pack("<HBB", int(s), int(f), FRAME_PAYLOAD) + b"wxyz" for s, f in zip(seq, flags)
+    )
+
+
+def test_unframe_bytes_at_the_sequence_number_limit():
+    at_limit = full_frames(MAX_FRAMES)
+    assert unframe_bytes(at_limit) == b"wxyz" * MAX_FRAMES
+    over = full_frames(MAX_FRAMES + 1)
+    expected = (FrameSequenceError, f"expected seq {MAX_FRAMES}, got 0")
+    assert outcome(unframe_bytes, over) == outcome(reference_unframe, over) == expected
+
+
+def test_frame_bytes_rejects_stream_too_long_for_sequence_numbers():
+    data = b"\x00" * (FRAME_PAYLOAD * MAX_FRAMES + 1)
+    with pytest.raises(ProtocolError) as err:
+        frame_bytes(data)
+    with pytest.raises(ProtocolError) as ref:
+        frame_stream(data)
+    assert str(err.value) == str(ref.value)
+    # the modelled wire size stays defined past the limit
+    assert framed_size(len(data)) == (MAX_FRAMES + 1) * 4 + len(data)
