@@ -195,7 +195,12 @@ def _cmd_serve(args) -> int:
     policy = RoundPolicy.parse(args.policy)
     validation = None
     if args.data:
-        validation = data_mod.load_dataset(args.data).validation_samples()
+        dataset = data_mod.load_dataset(args.data)
+        if dataset.embedding_dim != args.dim:
+            raise _UsageError(
+                f"--data {args.data} has embedding dim {dataset.embedding_dim}, --dim is {args.dim}"
+            )
+        validation = dataset.validation_samples()
     blob = blob_from_head(init_head(args.dim, args.classes, args.init, seed=args.seed))
     _log_config("serve", {
         "listen": args.listen, "policy": args.policy, "dim": args.dim,

@@ -121,19 +121,34 @@ class RoundResult:
     train_accuracies: list[float]
 
 
-def _head_accuracy(head: DenseHead, samples: list[EmbeddingSample]) -> float:
+def stack_samples(samples: list[EmbeddingSample]) -> tuple[np.ndarray, np.ndarray]:
+    """Stack samples into float64 features (n, E) and their labels (n,).
+
+    `evaluate` takes the pair in place of the list, so a caller that scores
+    the same set every round stacks it once.
+    """
+    if not samples:
+        raise ValueError("cannot stack an empty sample list")
     feats = np.asarray([s.features for s in samples], dtype=np.float64)
+    labels = np.asarray([s.label for s in samples])
+    return feats, labels
+
+
+def _head_accuracy(head: DenseHead, samples) -> float:
+    feats, labels = samples if isinstance(samples, tuple) else stack_samples(samples)
     if feats.shape[1] != head.embedding_dim:
         raise ShapeError(
             f"samples have dim {feats.shape[1]}, head expects {head.embedding_dim}"
         )
-    labels = np.asarray([s.label for s in samples])
     preds = np.argmax(batch_logits(head, feats), axis=1)  # argmax takes the lowest index on ties
     return float(np.mean(preds == labels))
 
 
-def evaluate(blob: ModelBlob, samples: list[EmbeddingSample]) -> float:
-    """Fraction of samples whose argmax prediction matches the label."""
+def evaluate(blob: ModelBlob, samples) -> float:
+    """Fraction of samples whose argmax prediction matches the label.
+
+    `samples` is a list of EmbeddingSample or a pair from `stack_samples`.
+    """
     if not samples:
         raise ValueError("cannot evaluate on an empty sample list")
     return _head_accuracy(head_from_blob(blob), samples)

@@ -12,7 +12,7 @@ from .protocol import (
     parse_endpoint,
 )
 from .server import RoundPolicy, RoundRecord, Server, serve
-from .agent import Agent, replay_training
+from .agent import Agent
 
 __all__ = [
     "HEADER_SIZE",
@@ -30,5 +30,4 @@ __all__ = [
     "Server",
     "serve",
     "Agent",
-    "replay_training",
 ]

@@ -26,7 +26,7 @@ import time
 from collections import deque
 
 from ..errors import DataExhaustedError, ProtocolError, ShapeError, WireError
-from ..federation import ModelBlob, blob_from_head, head_from_blob
+from ..federation import blob_from_head, head_from_blob
 from ..nn import DenseHead, train_batch
 from .protocol import (
     MAX_DEVICE_ID,
@@ -40,29 +40,6 @@ from .protocol import (
 )
 
 log = logging.getLogger("fedhead.runtime.agent")
-
-
-def replay_training(
-    blob: ModelBlob,
-    samples: list,
-    *,
-    learning_rate: float,
-    local_episodes: int,
-    batch_size: int = 1,
-) -> ModelBlob:
-    """Offline replay of what an agent does to an installed blob.
-
-    Feeding the same samples in the same order reproduces the agent's head
-    bitwise, so a pushed model can be checked against this oracle.
-    """
-    if len(samples) % batch_size != 0:
-        raise ValueError(
-            f"{len(samples)} samples do not divide into batches of {batch_size}"
-        )
-    head = head_from_blob(blob)
-    for i in range(0, len(samples), batch_size):
-        head = train_batch(head, samples[i : i + batch_size], learning_rate, local_episodes)
-    return blob_from_head(head)
 
 
 class Agent:
@@ -182,8 +159,8 @@ class Agent:
 
     # -- socket I/O ------------------------------------------------------------
 
-    def _send(self, msg: Message) -> None:
-        self._sock.sendall(encode_message(msg))
+    def _send(self, *msgs: Message) -> None:
+        self._sock.sendall(b"".join(encode_message(m) for m in msgs))
 
     def _drain(self, sel) -> bool:
         """Read and handle everything available; False if the link dropped."""
@@ -260,12 +237,15 @@ class Agent:
         self._send(Message(MessageType.ACK, self.device_id, status))
         log.debug("device %d installed global #%d", self.device_id, self.installs)
 
+    def _model_message(self) -> Message:
+        return Message(MessageType.MODEL_DATA, self.device_id, model_data_body(blob_from_head(self.head)))
+
     def _send_model(self) -> None:
-        self._send(Message(MessageType.MODEL_DATA, self.device_id, model_data_body(blob_from_head(self.head))))
+        self._send(self._model_message())
 
     def _push_model(self) -> None:
-        self._send(Message(MessageType.PUSH_MODEL, self.device_id))
-        self._send_model()
+        # One write: the server wakes once for the announcement and its model.
+        self._send(Message(MessageType.PUSH_MODEL, self.device_id), self._model_message())
 
     # -- training ----------------------------------------------------------------
 

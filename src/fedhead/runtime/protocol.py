@@ -6,9 +6,13 @@ Every message is a fixed 8-byte header followed by the body:
 
 MODEL_DATA bodies carry a framed encoded model (wire module). A MODEL_DATA
 is meaningful only in context: it either answers the receiver's PULL_MODEL
-or follows the sender's PUSH_MODEL announcement. Both sides keep a FIFO of
-pending purposes per peer so the two cases never get confused, which works
-because the transport is ordered and each side writes sequentially.
+or follows the sender's PUSH_MODEL announcement. Each side writes an
+announcement and its MODEL_DATA in one write, so a receiver labels a
+MODEL_DATA as a push exactly when it directly follows a PUSH_MODEL and as a
+pull reply otherwise. One write also wakes the receiver once per transfer,
+not once per message. The server counts its unanswered pulls per
+device, since a push can cross its PULL_MODEL on the way; the agent only
+ever receives pushes, and keeps a FIFO of announcements.
 """
 from __future__ import annotations
 
@@ -62,10 +66,15 @@ def encode_message(msg: Message) -> bytes:
 
 
 class MessageBuffer:
-    """Incremental decoder over an ordered byte stream."""
+    """Incremental decoder over an ordered byte stream.
 
-    def __init__(self) -> None:
+    `pop` raises ProtocolError as soon as a header declares a body longer
+    than `max_body`, without waiting for that body to arrive.
+    """
+
+    def __init__(self, max_body: int = MAX_BODY) -> None:
         self._buf = bytearray()
+        self._max_body = max_body
 
     def feed(self, data: bytes) -> None:
         self._buf.extend(data)
@@ -81,8 +90,8 @@ class MessageBuffer:
             mtype = MessageType(mtype)
         except ValueError:
             raise ProtocolError(f"unknown message type {mtype}") from None
-        if length > MAX_BODY:
-            raise ProtocolError(f"declared body of {length} bytes exceeds cap {MAX_BODY}")
+        if length > self._max_body:
+            raise ProtocolError(f"declared body of {length} bytes exceeds cap {self._max_body}")
         if len(self._buf) < HEADER_SIZE + length:
             return None
         body = bytes(self._buf[HEADER_SIZE : HEADER_SIZE + length])

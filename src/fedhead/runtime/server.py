@@ -1,13 +1,21 @@
 """Global-model server: registers device agents, runs aggregation rounds.
 
 Single-threaded selector loop. A round is triggered by policy (every K
-device pushes, or a timer), then proceeds: PULL_MODEL to every live
-registered device, collect the MODEL_DATA replies, average them in device-id
-order, install the mean as the new global, and push it back to everyone.
+device pushes, or a timer), then proceeds: take each live registered
+device's contribution, average the contributions in device-id order,
+install the mean as the new global, and push it back to everyone.
+
+A device's contribution is its latest validated push made after it ACKed
+the current global, so a sync agent uploads its model once per round. Live
+devices without such a push (timer rounds, free-run agents that have not
+pushed, pushes made before the ACK) get a PULL_MODEL and contribute their
+MODEL_DATA reply.
 
 Devices that miss the collection deadline are marked stale and excluded
 until they next speak; a device whose MODEL_DATA fails wire validation gets
-an ERROR reply and drops out of that round only. Writes use blocking
+an ERROR reply and drops out of that round only. A declared message body
+longer than the session's framed model is a protocol error that drops the
+connection. Writes use blocking
 sendall, although a MODEL_DATA message is already 20,536 bytes at E=1280,
 C=2 and about 102 KB at C=10, larger than a default 64 KB socket buffer,
 so a peer that stops reading can stall the loop.
@@ -19,12 +27,11 @@ import selectors
 import socket
 import time
 import zlib
-from collections import deque
 from dataclasses import dataclass, field
 
 from ..errors import ShapeError, WireError
-from ..federation import ModelBlob, average_blobs, evaluate
-from ..wire import encode_model, encoded_size, frame_count
+from ..federation import ModelBlob, average_blobs, evaluate, stack_samples
+from ..wire import encode_model, encoded_size, frame_count, framed_size
 from .protocol import (
     Message,
     MessageBuffer,
@@ -72,14 +79,19 @@ class RoundRecord:
 
 
 class _Conn:
-    def __init__(self, sock: socket.socket, addr) -> None:
+    def __init__(self, sock: socket.socket, addr, max_body: int) -> None:
         self.sock = sock
         self.addr = addr
-        self.buf = MessageBuffer()
+        self.buf = MessageBuffer(max_body)
         self.device_id: int | None = None
         self.stale = False
-        # Meaning of each not-yet-received MODEL_DATA from this device, FIFO.
-        self.expect: deque[str] = deque()
+        self.announced = False  # the previous message was PUSH_MODEL
+        self.pulls = 0  # PULL_MODELs not yet answered by MODEL_DATA or ERROR NO_MODEL
+        # Globals pushed and not yet ACKed. A counter, not a flag, so that a
+        # late ACK of an older global does not vouch for a push trained on it.
+        self.unacked = 0
+        # Latest push validated with no global unacked: the next contribution.
+        self.pushed: ModelBlob | None = None
 
 
 class _PendingRound:
@@ -105,7 +117,16 @@ class Server:
 
     def __post_init__(self) -> None:
         # Fail before binding if the model can never be framed (u16 frame seq).
-        frame_count(encoded_size(self.initial_blob.embedding_dim, self.initial_blob.num_classes))
+        e, c = self.initial_blob.embedding_dim, self.initial_blob.num_classes
+        frame_count(encoded_size(e, c))
+        # No legitimate message body is larger than a MODEL_DATA of this model.
+        self._max_body = framed_size(encoded_size(e, c))
+        # Stacked once: evaluate scores the same set after every round.
+        self._validation = stack_samples(self.validation) if self.validation else None
+        if self._validation is not None and self._validation[0].shape[1] != e:
+            raise ShapeError(
+                f"validation samples have dim {self._validation[0].shape[1]}, model expects {e}"
+            )
         self.global_blob = self.initial_blob
         self._sel = selectors.DefaultSelector()
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -164,7 +185,7 @@ class Server:
         # Rounds are chains of small sequential messages; Nagle + delayed ACK
         # would add ~40ms to every exchange.
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        conn = _Conn(sock, addr)
+        conn = _Conn(sock, addr, self._max_body)
         self._sel.register(sock, selectors.EVENT_READ, conn)
         log.debug("connection from %s", addr)
 
@@ -180,9 +201,9 @@ class Server:
             if self._pending is not None:
                 self._pending.expected.discard(conn.device_id)
 
-    def _send(self, conn: _Conn, msg: Message) -> bool:
+    def _send(self, conn: _Conn, *msgs: Message) -> bool:
         try:
-            conn.sock.sendall(encode_message(msg))
+            conn.sock.sendall(b"".join(encode_message(m) for m in msgs))
             return True
         except OSError as exc:
             log.warning("send to %s failed: %s", conn.addr, exc)
@@ -217,20 +238,24 @@ class Server:
         if conn.stale:
             conn.stale = False
             log.info("device %s is live again", conn.device_id)
+        # The agent writes PUSH_MODEL and its MODEL_DATA in one write, so a
+        # MODEL_DATA that does not directly follow one answers a pull.
+        announced, conn.announced = conn.announced, msg.type is MessageType.PUSH_MODEL
         if msg.type is MessageType.HELLO:
             self._register(conn, msg.device_id)
         elif msg.type is MessageType.PUSH_MODEL:
-            conn.expect.append("push")
+            pass
         elif msg.type is MessageType.MODEL_DATA:
-            self._on_model_data(conn, msg)
+            self._on_model_data(conn, msg, announced)
         elif msg.type is MessageType.ACK:
+            conn.unacked = max(0, conn.unacked - 1)
             if msg.body == STATUS_DATA_EXHAUSTED:
                 log.info("device %s reports data exhausted", conn.device_id)
         elif msg.type is MessageType.ERROR:
             log.warning("device %s sent ERROR: %s", conn.device_id, msg.body.decode(errors="replace"))
-            if msg.body == b"NO_MODEL" and "pull" in conn.expect:
-                # The device answered our oldest pull with an error, not a model.
-                conn.expect.remove("pull")
+            if msg.body == b"NO_MODEL" and conn.pulls:
+                # The device answered a pull with an error, not a model.
+                conn.pulls -= 1
                 if self._pending is not None:
                     self._pending.expected.discard(conn.device_id)
         else:  # PULL_MODEL has no meaning in the device->server direction
@@ -249,15 +274,19 @@ class Server:
         self._push_global(conn)
 
     def _push_global(self, conn: _Conn) -> None:
-        if self._send(conn, Message(MessageType.PUSH_MODEL, 0)):
-            self._send(conn, Message(MessageType.MODEL_DATA, 0, model_data_body(self.global_blob)))
+        conn.pushed = None  # trained on an older global
+        conn.unacked += 1
+        # One write: the agent wakes once for the announcement and its model.
+        self._send(conn, Message(MessageType.PUSH_MODEL, 0),
+                   Message(MessageType.MODEL_DATA, 0, model_data_body(self.global_blob)))
 
-    def _on_model_data(self, conn: _Conn, msg: Message) -> None:
-        if not conn.expect:
-            log.warning("MODEL_DATA from device %s with no pending pull or push", conn.device_id)
-            self._send(conn, Message(MessageType.ERROR, 0, b"UNEXPECTED_MODEL_DATA"))
-            return
-        purpose = conn.expect.popleft()
+    def _on_model_data(self, conn: _Conn, msg: Message, is_push: bool) -> None:
+        if not is_push:
+            if not conn.pulls:
+                log.warning("MODEL_DATA from device %s with no pending pull or push", conn.device_id)
+                self._send(conn, Message(MessageType.ERROR, 0, b"UNEXPECTED_MODEL_DATA"))
+                return
+            conn.pulls -= 1
         try:
             blob = blob_from_model_data(msg.body)
             if (blob.embedding_dim, blob.num_classes) != (
@@ -270,11 +299,13 @@ class Server:
         except (WireError, ShapeError) as exc:
             log.warning("bad MODEL_DATA from device %s: %s", conn.device_id, exc)
             self._send(conn, Message(MessageType.ERROR, 0, type(exc).__name__.encode()))
-            if purpose == "pull" and self._pending is not None:
+            if not is_push and self._pending is not None:
                 self._pending.expected.discard(conn.device_id)
             return
-        if purpose == "push":
+        if is_push:
             self._updates += 1
+            if not conn.unacked:
+                conn.pushed = blob
             log.debug("device %s pushed an update (%d pending)", conn.device_id, self._updates)
         else:
             if self._pending is not None and conn.device_id in self._pending.expected:
@@ -314,11 +345,14 @@ class Server:
     def _start_round(self, now: float) -> None:
         live = self._live_devices()
         self._pending = _PendingRound(set(live), now + self.round_timeout)
-        log.debug("round %d: pulling from %s", len(self.history) + 1, sorted(live))
-        for device_id in sorted(live):
-            conn = live[device_id]
-            if self._send(conn, Message(MessageType.PULL_MODEL, 0)):
-                conn.expect.append("pull")
+        for device_id, conn in sorted(live.items()):
+            if conn.pushed is not None:
+                self._pending.blobs[device_id] = conn.pushed
+                conn.pushed = None
+            elif self._send(conn, Message(MessageType.PULL_MODEL, 0)):
+                conn.pulls += 1
+        log.debug("round %d: pushes from %s, pulls for the rest of %s",
+                  len(self.history) + 1, sorted(self._pending.blobs), sorted(live))
 
     def _finish_round(self) -> None:
         pending = self._pending
@@ -327,14 +361,14 @@ class Server:
         self._last_round = time.monotonic()
         collected = pending.blobs
         if not collected:
-            log.warning("round aborted: no device answered the pull")
+            log.warning("round aborted: no device contributed a model")
             return
         ordered = [collected[d] for d in sorted(collected)]
         self.global_blob = average_blobs(ordered)
         checksum = zlib.crc32(encode_model(self.global_blob))
         acc = None
-        if self.validation:
-            acc = evaluate(self.global_blob, self.validation)
+        if self._validation is not None:
+            acc = evaluate(self.global_blob, self._validation)
         record = RoundRecord(
             index=len(self.history) + 1,
             blob=self.global_blob,

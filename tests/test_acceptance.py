@@ -27,7 +27,7 @@ from fedhead.nn import (
     sample_gradients,
     train_batch,
 )
-from fedhead.runtime import Agent, RoundPolicy, Server, replay_training
+from fedhead.runtime import Agent, RoundPolicy, Server
 from fedhead.simulator import default_presets, run_sweep
 from fedhead.wire import (
     decode_model,
@@ -156,11 +156,9 @@ def test_acceptance_05_footprint_constant_over_streamed_samples():
         head0.param_count,
         head0.weights.size + head0.bias.size,
     )
-    trained = replay_training(
-        blob_from_head(head0), stream.take(10000),
-        learning_rate=0.01, local_episodes=1, batch_size=1,
-    )
-    head1 = head_from_blob(trained)
+    head1 = head0
+    for sample in stream.take(10000):
+        head1 = train_batch(head1, [sample], 0.01, 1)
     after = (
         footprint_bytes(head1.embedding_dim, head1.num_classes),
         head1.param_count,

@@ -237,6 +237,24 @@ def test_serve_rejects_a_model_too_large_to_frame(capsys):
     assert "frames" in capsys.readouterr().err
 
 
+def test_serve_rejects_validation_data_of_another_dim(tmp_path, capsys):
+    data = tmp_path / "toy.ds"  # E=8
+    assert main(["gen-data", *TINY, "--seed", "3", "--out", str(data)]) == 0
+    rc = {}
+    thread = threading.Thread(
+        target=lambda: rc.setdefault("rc", main([
+            "serve", "--listen", "127.0.0.1:0", "--dim", "16", "--classes", "2",
+            "--data", str(data),
+        ])),
+        daemon=True,
+    )
+    thread.start()
+    thread.join(10.0)
+    assert not thread.is_alive(), "serve started instead of failing at startup"
+    assert rc["rc"] == 1
+    assert "embedding dim 8, --dim is 16" in capsys.readouterr().err
+
+
 def test_resolved_config_is_logged(tmp_path, caplog):
     caplog.set_level(logging.INFO, logger="fedhead.cli")
     data = tmp_path / "toy.ds"

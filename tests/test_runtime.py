@@ -4,6 +4,7 @@ Server tests script a fake device against a threaded Server; agent tests
 script a fake server against a threaded Agent. Every socket has a timeout,
 so a wedged exchange fails the test instead of hanging it.
 """
+import collections
 import contextlib
 import logging
 import socket
@@ -16,9 +17,11 @@ import numpy as np
 import pytest
 
 from fedhead.data import partition, synth_separable
-from fedhead.errors import ProtocolError
-from fedhead.federation import ModelBlob, blob_from_head, evaluate, run_training, RoundConfig
-from fedhead.nn import init_head
+from fedhead.errors import ProtocolError, ShapeError
+from fedhead.federation import (
+    ModelBlob, RoundConfig, blob_from_head, evaluate, head_from_blob, run_training,
+)
+from fedhead.nn import init_head, train_batch
 from fedhead.runtime import (
     Agent,
     Message,
@@ -32,8 +35,8 @@ from fedhead.runtime import (
     encode_message,
     model_data_body,
     parse_endpoint,
-    replay_training,
 )
+from fedhead.runtime import server as server_module
 from fedhead.runtime.protocol import MAX_BODY
 from fedhead.wire import decode_model, encode_model, encoded_size, framed_size
 
@@ -47,6 +50,15 @@ def make_stream(n, seed=0, e=8):
     ds = synth_separable(e, 2, n, 4.0, seed, val_fraction=0.0)
     (stream,) = partition(ds, 1, seed)
     return stream
+
+
+def replay_training(blob, samples, *, learning_rate, local_episodes, batch_size=1):
+    """What an agent does to an installed blob: train_batch over consecutive
+    batches. The same samples in the same order reproduce its head bitwise."""
+    head = head_from_blob(blob)
+    for i in range(0, len(samples), batch_size):
+        head = train_batch(head, samples[i : i + batch_size], learning_rate, local_episodes)
+    return blob_from_head(head)
 
 
 def wait_until(pred, timeout=5.0):
@@ -91,6 +103,10 @@ class ScriptedPeer:
     def expect_push(self):
         self.expect(MessageType.PUSH_MODEL)
         return self.expect(MessageType.MODEL_DATA)
+
+    def push(self, device_id, blob):
+        self.send(Message(MessageType.PUSH_MODEL, device_id))
+        self.send(Message(MessageType.MODEL_DATA, device_id, model_data_body(blob)))
 
     def close(self):
         self.sock.close()
@@ -272,11 +288,9 @@ def test_server_single_device_round():
         greeting = dev.expect_push()
         assert greeting.body == model_data_body(initial)
 
-        dev.send(Message(MessageType.PUSH_MODEL, 3))
-        dev.send(Message(MessageType.MODEL_DATA, 3, model_data_body(mine)))
-        dev.expect(MessageType.PULL_MODEL)
-        dev.send(Message(MessageType.MODEL_DATA, 3, model_data_body(mine)))
-
+        dev.send(Message(MessageType.ACK, 3))
+        dev.push(3, mine)
+        # The push is the device's contribution: no PULL_MODEL comes first.
         result = dev.expect_push()  # averaged global comes back
         assert result.body == model_data_body(mine)
         thread.join(5.0)
@@ -288,7 +302,7 @@ def test_server_single_device_round():
     assert record.participants == (3,)
     assert np.array_equal(record.blob.values, mine.values)  # mean of one blob
     assert record.checksum == zlib.crc32(encode_model(mine))
-    assert record.val_accuracy is not None and 0.0 <= record.val_accuracy <= 1.0
+    assert record.val_accuracy == evaluate(mine, ds.validation_samples())
 
 
 def test_server_averages_opposite_models_to_zero():
@@ -301,13 +315,10 @@ def test_server_averages_opposite_models_to_zero():
             dev = ScriptedPeer.connect(server.address)
             dev.send(Message(MessageType.HELLO, device_id))
             dev.expect_push()
-            dev.send(Message(MessageType.PUSH_MODEL, device_id))
-            dev.send(Message(MessageType.MODEL_DATA, device_id, model_data_body(blob)))
-            devs.append((dev, blob))
-        for dev, blob in devs:
-            dev.expect(MessageType.PULL_MODEL)
-            dev.send(Message(MessageType.MODEL_DATA, 0, model_data_body(blob)))
-        for dev, _ in devs:
+            dev.send(Message(MessageType.ACK, device_id))
+            dev.push(device_id, blob)
+            devs.append(dev)
+        for dev in devs:
             dev.expect_push()
             dev.close()
         thread.join(5.0)
@@ -322,6 +333,7 @@ def test_server_drops_corrupt_reply_from_round_then_forgives():
     corrupt = bytearray(model_data_body(good))
     corrupt[36] ^= 0xFF  # a model payload byte inside frame 4
     with running_server(initial, RoundPolicy("count", 1), max_rounds=2) as (server, thread):
+        # Device 1 pushes its contribution; device 2 never pushes, so it is pulled.
         d1 = ScriptedPeer.connect(server.address)
         d1.send(Message(MessageType.HELLO, 1))
         d1.expect_push()
@@ -329,10 +341,8 @@ def test_server_drops_corrupt_reply_from_round_then_forgives():
         d2.send(Message(MessageType.HELLO, 2))
         d2.expect_push()
 
-        d1.send(Message(MessageType.PUSH_MODEL, 1))
-        d1.send(Message(MessageType.MODEL_DATA, 1, model_data_body(good)))
-        d1.expect(MessageType.PULL_MODEL)
-        d1.send(Message(MessageType.MODEL_DATA, 1, model_data_body(good)))
+        d1.send(Message(MessageType.ACK, 1))
+        d1.push(1, good)
         d2.expect(MessageType.PULL_MODEL)
         d2.send(Message(MessageType.MODEL_DATA, 2, bytes(corrupt)))
 
@@ -344,10 +354,8 @@ def test_server_drops_corrupt_reply_from_round_then_forgives():
         assert server.history[0].participants == (1,)
 
         # Round 2: the offender answers cleanly and participates again.
-        d1.send(Message(MessageType.PUSH_MODEL, 1))
-        d1.send(Message(MessageType.MODEL_DATA, 1, model_data_body(good)))
-        d1.expect(MessageType.PULL_MODEL)
-        d1.send(Message(MessageType.MODEL_DATA, 1, model_data_body(good)))
+        d1.send(Message(MessageType.ACK, 1))
+        d1.push(1, good)
         d2.expect(MessageType.PULL_MODEL)
         d2.send(Message(MessageType.MODEL_DATA, 2, model_data_body(good)))
         d1.expect_push()
@@ -372,10 +380,8 @@ def test_server_marks_silent_device_stale_until_it_speaks():
         d2.send(Message(MessageType.HELLO, 2))
         d2.expect_push()
 
-        d1.send(Message(MessageType.PUSH_MODEL, 1))
-        d1.send(Message(MessageType.MODEL_DATA, 1, model_data_body(mine)))
-        d1.expect(MessageType.PULL_MODEL)
-        d1.send(Message(MessageType.MODEL_DATA, 1, model_data_body(mine)))
+        d1.send(Message(MessageType.ACK, 1))
+        d1.push(1, mine)
         d2.expect(MessageType.PULL_MODEL)  # never answered
 
         d1.expect_push()  # round 1 closes at the deadline without device 2
@@ -385,10 +391,8 @@ def test_server_marks_silent_device_stale_until_it_speaks():
 
         # Round 2 must not pull the stale device: its next message after the
         # round-1 result is the round-2 result, with no PULL in between.
-        d1.send(Message(MessageType.PUSH_MODEL, 1))
-        d1.send(Message(MessageType.MODEL_DATA, 1, model_data_body(mine)))
-        d1.expect(MessageType.PULL_MODEL)
-        d1.send(Message(MessageType.MODEL_DATA, 1, model_data_body(mine)))
+        d1.send(Message(MessageType.ACK, 1))
+        d1.push(1, mine)
         d1.expect_push()
         d2.expect_push()
         thread.join(5.0)
@@ -409,10 +413,8 @@ def test_server_handles_no_model_reply():
         d2.send(Message(MessageType.HELLO, 2))
         d2.expect_push()
 
-        d1.send(Message(MessageType.PUSH_MODEL, 1))
-        d1.send(Message(MessageType.MODEL_DATA, 1, model_data_body(mine)))
-        d1.expect(MessageType.PULL_MODEL)
-        d1.send(Message(MessageType.MODEL_DATA, 1, model_data_body(mine)))
+        d1.send(Message(MessageType.ACK, 1))
+        d1.push(1, mine)
         d2.expect(MessageType.PULL_MODEL)
         d2.send(Message(MessageType.ERROR, 2, b"NO_MODEL"))
 
@@ -482,6 +484,50 @@ class FailingPushSocket:
         return getattr(self._sock, name)
 
 
+class RecordingSocket:
+    """A socket wrapper that keeps every sendall payload and passes it on."""
+
+    def __init__(self, sock=None):
+        self._sock = sock
+        self.writes = []
+
+    def sendall(self, data):
+        self.writes.append(bytes(data))
+        if self._sock is not None:
+            self._sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def message_types(data):
+    buf = MessageBuffer()
+    buf.feed(data)
+    return [m.type for m in buf.pop_all()]
+
+
+def test_model_transfers_are_one_write_each():
+    # Written as two calls, a transfer wakes its receiver twice.
+    transfer = [MessageType.PUSH_MODEL, MessageType.MODEL_DATA]
+    initial, mine = make_blob(52), make_blob(53)
+    with running_server(initial, RoundPolicy("count", 1)) as (server, thread):
+        dev = ScriptedPeer.connect(server.address)
+        dev.send(Message(MessageType.HELLO, 0))
+        dev.expect_push()
+        rec = server._devices[0].sock = RecordingSocket(server._devices[0].sock)
+        dev.send(Message(MessageType.ACK, 0))
+        dev.push(0, mine)
+        dev.expect_push()
+        dev.close()
+    assert [message_types(w) for w in rec.writes] == [transfer]
+
+    agent = Agent("127.0.0.1", 1, 0, make_stream(1))
+    agent.head = head_from_blob(mine)
+    agent._sock = RecordingSocket()
+    agent._push_model()
+    assert [message_types(w) for w in agent._sock.writes] == [transfer]
+
+
 def test_server_survives_a_failed_push_of_the_new_global():
     initial = make_blob(15)
     blobs = {1: make_blob(16), 0: make_blob(17)}
@@ -495,25 +541,175 @@ def test_server_survives_a_failed_push_of_the_new_global():
         conn = server._devices[1]
         conn.sock = FailingPushSocket(conn.sock)
 
-        devs[0].send(Message(MessageType.PUSH_MODEL, 0))
-        devs[0].send(Message(MessageType.MODEL_DATA, 0, model_data_body(blobs[0])))
-        for device_id, dev in devs.items():
-            dev.expect(MessageType.PULL_MODEL)
-            dev.send(Message(MessageType.MODEL_DATA, device_id, model_data_body(blobs[device_id])))
+        # Device 0 pushes its contribution; device 1 is pulled for its own.
+        devs[0].send(Message(MessageType.ACK, 0))
+        devs[0].push(0, blobs[0])
+        devs[1].expect(MessageType.PULL_MODEL)
+        devs[1].send(Message(MessageType.MODEL_DATA, 1, model_data_body(blobs[1])))
         pushed = blob_from_model_data(devs[0].expect_push().body)
         assert np.allclose(pushed.values, (blobs[0].values + blobs[1].values) / 2, atol=1e-6)
         assert devs[1].sock.recv(65536) == b""  # the failed device was dropped
 
         # The server keeps serving: the surviving device runs a round alone.
-        devs[0].send(Message(MessageType.PUSH_MODEL, 0))
-        devs[0].send(Message(MessageType.MODEL_DATA, 0, model_data_body(blobs[0])))
-        devs[0].expect(MessageType.PULL_MODEL)
-        devs[0].send(Message(MessageType.MODEL_DATA, 0, model_data_body(blobs[0])))
+        devs[0].send(Message(MessageType.ACK, 0))
+        devs[0].push(0, blobs[0])
         devs[0].expect_push()
         assert thread.is_alive()
         assert [r.participants for r in server.history] == [(0, 1), (0,)]
         for dev in devs.values():
             dev.close()
+
+
+def test_server_pulls_a_device_whose_push_came_before_its_ack():
+    initial = make_blob(32)
+    early, reply = make_blob(33), make_blob(34)
+    with running_server(initial, RoundPolicy("count", 1), max_rounds=1) as (server, thread):
+        dev = ScriptedPeer.connect(server.address)
+        dev.send(Message(MessageType.HELLO, 1))
+        dev.expect_push()
+        dev.push(1, early)  # counts toward count:1, but the global is not ACKed
+        dev.expect(MessageType.PULL_MODEL)
+        dev.send(Message(MessageType.MODEL_DATA, 1, model_data_body(reply)))
+        dev.expect_push()
+        thread.join(5.0)
+        dev.close()
+    assert np.array_equal(server.history[0].blob.values, reply.values)
+
+
+def test_server_does_not_take_a_late_ack_of_an_older_global_for_the_newest():
+    initial = make_blob(35)
+    mine, stale_push, reply = make_blob(36), make_blob(37), make_blob(38)
+    with running_server(
+        initial, RoundPolicy("count", 1), round_timeout=0.3, max_rounds=2
+    ) as (server, thread):
+        d1 = ScriptedPeer.connect(server.address)
+        d1.send(Message(MessageType.HELLO, 1))
+        d1.expect_push()  # global 0, not yet ACKed
+        d2 = ScriptedPeer.connect(server.address)
+        d2.send(Message(MessageType.HELLO, 2))
+        d2.expect_push()
+        d2.send(Message(MessageType.ACK, 2))
+        d2.push(2, mine)
+        d1.expect(MessageType.PULL_MODEL)  # round 1 closes without device 1
+        d1.expect_push()  # global 1
+        d2.expect_push()
+
+        # Device 1 acknowledges global 0 only, then pushes a model trained on
+        # it: the push triggers round 2 but device 1 must be pulled.
+        d1.send(Message(MessageType.ACK, 1))
+        d1.push(1, stale_push)
+        d1.expect(MessageType.PULL_MODEL)
+        d1.send(Message(MessageType.MODEL_DATA, 1, model_data_body(reply)))
+        d2.expect(MessageType.PULL_MODEL)  # no push since global 1
+        d2.send(Message(MessageType.MODEL_DATA, 2, model_data_body(mine)))
+        d1.expect_push()
+        d2.expect_push()
+        thread.join(5.0)
+        d1.close()
+        d2.close()
+    assert server.history[1].participants == (1, 2)
+    expected = (reply.values + mine.values) / 2
+    assert np.array_equal(server.history[1].blob.values, expected)
+
+
+def test_server_takes_a_free_run_devices_latest_push():
+    initial = make_blob(39)
+    first, latest = make_blob(40), make_blob(41)
+    with running_server(initial, RoundPolicy("count", 2), max_rounds=1) as (server, thread):
+        dev = ScriptedPeer.connect(server.address)
+        dev.send(Message(MessageType.HELLO, 1))
+        dev.expect_push()
+        dev.send(Message(MessageType.ACK, 1))
+        dev.push(1, first)
+        dev.push(1, latest)
+        result = dev.expect_push()  # no PULL_MODEL: the latest push is used
+        assert result.body == model_data_body(latest)
+        thread.join(5.0)
+        dev.close()
+    assert np.array_equal(server.history[0].blob.values, latest.values)
+
+
+def test_server_labels_a_push_that_crosses_its_pull():
+    initial = make_blob(42)
+    m1, m2, m3 = make_blob(43), make_blob(44), make_blob(45)
+    with running_server(initial, RoundPolicy("count", 1), max_rounds=1) as (server, thread):
+        dev = ScriptedPeer.connect(server.address)
+        dev.send(Message(MessageType.HELLO, 1))
+        dev.expect_push()
+        dev.push(1, m1)  # before the ACK, so the round pulls
+        dev.expect(MessageType.PULL_MODEL)
+        # The server sees a second push arrive after its PULL and before the
+        # reply, as when a device pushes before it reads the PULL.
+        dev.push(1, m2)
+        dev.send(Message(MessageType.MODEL_DATA, 1, model_data_body(m3)))
+        dev.expect_push()
+        thread.join(5.0)
+        dev.close()
+    assert np.array_equal(server.history[0].blob.values, m3.values)
+
+
+def test_count_round_of_two_sync_agents_uploads_each_model_once(monkeypatch):
+    # Count at the server's two byte boundaries, where a benchmark counts too.
+    moved = collections.Counter()  # bytes in both directions, by rounds finished
+    sent_types = []
+    encode = server_module.encode_message
+
+    def counted_encode(msg):
+        data = encode(msg)
+        sent_types.append(msg.type)
+        moved[len(server.history)] += len(data)
+        return data
+
+    class CountedBuffer(server_module.MessageBuffer):
+        def feed(self, data):
+            moved[len(server.history)] += len(data)
+            super().feed(data)
+
+    monkeypatch.setattr(server_module, "encode_message", counted_encode)
+    monkeypatch.setattr(server_module, "MessageBuffer", CountedBuffer)
+    ds = synth_separable(1280, 2, 40, 4.0, 50, val_fraction=0.0)
+    streams = partition(ds, 2, 50)
+    blob0 = make_blob(51, e=1280, c=2)
+    with running_server(blob0, RoundPolicy("count", 2), max_rounds=3) as (server, thread):
+        with running_agent(server.address, 0, streams[0], sync_batch=2, local_episodes=1):
+            with running_agent(server.address, 1, streams[1], sync_batch=2, local_episodes=1):
+                thread.join(30.0)
+                assert not thread.is_alive()
+
+    assert [r.participants for r in server.history] == [(0, 1)] * 3
+    assert MessageType.PULL_MODEL not in sent_types
+    # Per device and round: one upload (PUSH_MODEL 8 + MODEL_DATA 20,536),
+    # the new global (8 + 20,536) and its ACK (8): 41,096 bytes.
+    assert moved[1] == moved[2] == 2 * 41_096 == 82_192
+
+
+def test_server_drops_a_connection_declaring_a_body_over_the_model_size():
+    initial = make_blob(46)
+    mine = make_blob(47)
+    cap = framed_size(encoded_size(8, 2))  # a whole MODEL_DATA body of this model
+    with running_server(initial, RoundPolicy("count", 1), max_rounds=1) as (server, thread):
+        dev = ScriptedPeer.connect(server.address)
+        dev.send(Message(MessageType.HELLO, 1))
+        dev.expect_push()
+        rogue = ScriptedPeer.connect(server.address)
+        rogue.sock.sendall(struct.pack("<BBHI", MessageType.MODEL_DATA, 9, 0, cap + 1))
+        assert f"exceeds cap {cap}".encode() in rogue.expect(MessageType.ERROR).body
+        assert rogue.sock.recv(65536) == b""  # dropped
+        rogue.close()
+
+        dev.send(Message(MessageType.ACK, 1))
+        dev.push(1, mine)  # a body of exactly the cap still passes
+        dev.expect_push()
+        thread.join(5.0)
+        dev.close()
+    assert server.history[0].participants == (1,)
+
+
+def test_server_rejects_validation_samples_of_another_dim():
+    ds = synth_separable(8, 2, 20, 4.0, 1, val_fraction=0.5)
+    with pytest.raises(ShapeError, match="dim 8, model expects 16"):
+        Server("127.0.0.1", 0, make_blob(1, e=16), RoundPolicy("count", 1),
+               validation=ds.validation_samples())
 
 
 def test_server_rejects_a_model_too_large_to_frame():
