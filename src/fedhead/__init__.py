@@ -22,6 +22,7 @@ from .nn import (
     DenseHead,
     EmbeddingSample,
     Gradients,
+    StackedSamples,
     footprint_bytes,
     gradient_check,
     init_head,
@@ -63,6 +64,7 @@ __all__ = [
     "DenseHead",
     "EmbeddingSample",
     "Gradients",
+    "StackedSamples",
     "footprint_bytes",
     "gradient_check",
     "init_head",

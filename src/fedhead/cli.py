@@ -200,7 +200,7 @@ def _cmd_serve(args) -> int:
             raise _UsageError(
                 f"--data {args.data} has embedding dim {dataset.embedding_dim}, --dim is {args.dim}"
             )
-        validation = dataset.validation_samples()
+        validation = dataset.stacked_validation()
     blob = blob_from_head(init_head(args.dim, args.classes, args.init, seed=args.seed))
     _log_config("serve", {
         "listen": args.listen, "policy": args.policy, "dim": args.dim,

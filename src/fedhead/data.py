@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataExhaustedError, DatasetFormatError
-from .nn import EmbeddingSample
+from .nn import EmbeddingSample, StackedSamples
 
 DATASET_MAGIC = b"FTED"
 _HEADER = struct.Struct("<4sIII")
@@ -79,6 +79,13 @@ class EmbeddingDataset:
 
     def validation_samples(self) -> list[EmbeddingSample]:
         return [self.sample(i) for i in self.validation_indices()]
+
+    def stack(self, indices) -> StackedSamples:
+        """The samples at `indices`, stacked straight from the arrays."""
+        return StackedSamples(self.features[indices].astype(np.float64), self.labels[indices])
+
+    def stacked_validation(self) -> StackedSamples:
+        return self.stack(self.validation_indices())
 
 
 def _record_dtype(dim: int) -> np.dtype:
@@ -162,7 +169,9 @@ class DeviceStream:
     def samples_seen(self) -> int:
         return self.cursor
 
-    def take(self, count: int) -> list[EmbeddingSample]:
+    def take(self, count: int, *, stacked: bool = False):
+        """The next `count` unseen samples: an EmbeddingSample list, or with
+        `stacked` one StackedSamples sliced from the dataset arrays."""
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
         if self.remaining() < count:
@@ -170,9 +179,11 @@ class DeviceStream:
                 f"device {self.device_id}: requested {count} samples, "
                 f"only {self.remaining()} unseen remain"
             )
-        out = [self.dataset.sample(int(i)) for i in self.indices[self.cursor : self.cursor + count]]
+        chosen = self.indices[self.cursor : self.cursor + count]
         self.cursor += count
-        return out
+        if stacked:
+            return self.dataset.stack(chosen)
+        return [self.dataset.sample(int(i)) for i in chosen]
 
 
 def partition(dataset: EmbeddingDataset, num_devices: int, seed=None) -> list[DeviceStream]:
@@ -208,6 +219,28 @@ def _class_centroids(dim: int, num_classes: int, margin: float, rng) -> np.ndarr
     return (q * (margin / np.sqrt(2.0))).T  # (C, dim)
 
 
+# Noise values drawn per block by the synthetic generators: the float64
+# working set is one block (512 KB), not a float64 copy of every feature.
+_SYNTH_BLOCK_VALUES = 1 << 16
+
+
+def _fill_clusters(out, cols, centroids, labels, sigma, rng) -> None:
+    """Write centroids[labels] + sigma * N(0, 1) noise into out[:, cols].
+
+    The noise is drawn block by block in row order, which yields the same
+    values as one (n, width) draw, so the float32 rows are bit-identical to
+    rounding the whole float64 formula at once.
+    """
+    width = centroids.shape[1]
+    rows = max(1, _SYNTH_BLOCK_VALUES // width)
+    for start in range(0, labels.shape[0], rows):
+        block = labels[start : start + rows]
+        noise = rng.standard_normal((block.shape[0], width))
+        noise *= sigma
+        noise += centroids[block]
+        out[start : start + block.shape[0], cols] = noise
+
+
 def _assemble(name, features, labels, num_classes, val_fraction):
     n = features.shape[0]
     val_count = int(round(n * val_fraction))
@@ -216,7 +249,7 @@ def _assemble(name, features, labels, num_classes, val_fraction):
         splits[n - val_count :] = SPLIT_VALIDATION
     return EmbeddingDataset(
         name=name,
-        features=features.astype(np.float32),
+        features=features.astype(np.float32, copy=False),
         labels=labels,
         splits=splits,
         num_classes=num_classes,
@@ -251,8 +284,8 @@ def synth_separable(
     rng = np.random.default_rng(seed)
     centroids = _class_centroids(embedding_dim, num_classes, margin, rng)
     labels = np.arange(n, dtype=np.int64) % num_classes
-    sigma = margin / 6.0
-    features = centroids[labels] + sigma * rng.standard_normal((n, embedding_dim))
+    features = np.empty((n, embedding_dim), dtype=np.float32)
+    _fill_clusters(features, slice(None), centroids, labels, margin / 6.0, rng)
     return _assemble(
         name or f"synthetic-separable-E{embedding_dim}-C{num_classes}",
         features,
@@ -289,10 +322,8 @@ def synth_sparse(
     dims = np.sort(rng.choice(embedding_dim, size=active_dims, replace=False))
     centroids = _class_centroids(active_dims, num_classes, margin, rng)
     labels = np.arange(n, dtype=np.int64) % num_classes
-    sigma = margin / 6.0
-    dense = centroids[labels] + sigma * rng.standard_normal((n, active_dims))
-    features = np.zeros((n, embedding_dim), dtype=np.float64)
-    features[:, dims] = dense
+    features = np.zeros((n, embedding_dim), dtype=np.float32)
+    _fill_clusters(features, dims, centroids, labels, margin / 6.0, rng)
     return _assemble(
         name or f"synthetic-sparse-E{embedding_dim}-k{active_dims}-C{num_classes}",
         features,

@@ -13,7 +13,15 @@ import numpy as np
 
 from .data import DeviceStream
 from .errors import DataExhaustedError, ShapeError
-from .nn import DenseHead, EmbeddingSample, batch_logits, init_head, train_batch
+from .nn import (
+    DenseHead,
+    EmbeddingSample,
+    StackedSamples,
+    batch_logits,
+    init_head,
+    stack_samples,
+    train_batch,
+)
 
 
 @dataclass(eq=False)
@@ -121,21 +129,11 @@ class RoundResult:
     train_accuracies: list[float]
 
 
-def stack_samples(samples: list[EmbeddingSample]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack samples into float64 features (n, E) and their labels (n,).
-
-    `evaluate` takes the pair in place of the list, so a caller that scores
-    the same set every round stacks it once.
-    """
-    if not samples:
-        raise ValueError("cannot stack an empty sample list")
-    feats = np.asarray([s.features for s in samples], dtype=np.float64)
-    labels = np.asarray([s.label for s in samples])
-    return feats, labels
-
-
 def _head_accuracy(head: DenseHead, samples) -> float:
-    feats, labels = samples if isinstance(samples, tuple) else stack_samples(samples)
+    stacked = stack_samples(samples)
+    if not stacked:
+        raise ValueError("cannot evaluate on an empty sample set")
+    feats, labels = stacked.features, stacked.labels
     if feats.shape[1] != head.embedding_dim:
         raise ShapeError(
             f"samples have dim {feats.shape[1]}, head expects {head.embedding_dim}"
@@ -147,10 +145,9 @@ def _head_accuracy(head: DenseHead, samples) -> float:
 def evaluate(blob: ModelBlob, samples) -> float:
     """Fraction of samples whose argmax prediction matches the label.
 
-    `samples` is a list of EmbeddingSample or a pair from `stack_samples`.
+    `samples` is a list of EmbeddingSample or its stacked form (see
+    `stack_samples`); a set scored every round should be stacked once.
     """
-    if not samples:
-        raise ValueError("cannot evaluate on an empty sample list")
     return _head_accuracy(head_from_blob(blob), samples)
 
 
@@ -158,17 +155,26 @@ def federated_round(
     devices: list[DeviceState],
     global_blob: ModelBlob,
     cfg: RoundConfig,
-    val: list[EmbeddingSample],
+    val: list[EmbeddingSample] | StackedSamples,
 ) -> RoundResult:
     """Run one global round and advance every device's cursor by batch_size.
 
-    All devices are checked for sufficient unseen data before any of them
-    trains, so a failed round consumes nothing.
+    Each device's batch is stacked once and feeds both its training and its
+    train accuracy. A validation list is stacked once per call; pass it
+    stacked to reuse it across rounds. The validation set's dim and every
+    device's unseen data are checked before any device trains, so a failed
+    round consumes nothing.
     """
     if not devices:
         raise ValueError("need at least one device")
+    val = stack_samples(val)
     if not val:
         raise ValueError("validation set must be non-empty")
+    if val.features.shape[1] != global_blob.embedding_dim:
+        raise ShapeError(
+            f"validation samples have dim {val.features.shape[1]}, "
+            f"model expects {global_blob.embedding_dim}"
+        )
     for d in devices:
         if d.stream.remaining() < cfg.batch_size:
             raise DataExhaustedError(
@@ -178,7 +184,7 @@ def federated_round(
     train_accuracies = []
     for d in devices:
         d.head = head_from_blob(global_blob)
-        batch = d.stream.take(cfg.batch_size)
+        batch = d.stream.take(cfg.batch_size, stacked=True)
         d.head = train_batch(d.head, batch, cfg.learning_rate, cfg.local_episodes)
         d.samples_seen += cfg.batch_size
         train_accuracies.append(_head_accuracy(d.head, batch))
@@ -212,17 +218,21 @@ class RunResult:
 def run_training(
     cfg: RoundConfig,
     partitions: list[DeviceStream],
-    val: list[EmbeddingSample],
+    val: list[EmbeddingSample] | StackedSamples,
     init_mode: str = "random",
     *,
     init_seed=None,
     init_blob=None,
 ) -> RunResult:
-    """Run cfg.epochs federated rounds from a freshly initialized global head."""
+    """Run cfg.epochs federated rounds from a freshly initialized global head.
+
+    The validation set is stacked once here and scored after every round.
+    """
     if len(partitions) != cfg.num_devices:
         raise ValueError(
             f"got {len(partitions)} partitions for {cfg.num_devices} devices"
         )
+    val = stack_samples(val)
     if not val:
         raise ValueError("validation set must be non-empty")
     needed = cfg.batch_size * cfg.epochs

@@ -79,6 +79,50 @@ class EmbeddingSample:
 
 
 @dataclass(eq=False)
+class StackedSamples:
+    """A sample set stacked once: float64 features (n, E) and labels (n,).
+
+    Training and evaluation take it in place of an EmbeddingSample list, so a
+    set used more than once is stacked once. len() is the sample count.
+    """
+
+    features: np.ndarray
+    labels: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.features = np.asarray(self.features, dtype=np.float64)
+        self.labels = np.asarray(self.labels)
+        if self.features.ndim != 2 or self.labels.shape != self.features.shape[:1]:
+            raise ShapeError(
+                f"stacked samples need features (n, E) and labels (n,), "
+                f"got {self.features.shape} and {self.labels.shape}"
+            )
+
+    def __len__(self) -> int:
+        return self.labels.shape[0]
+
+
+def stack_samples(samples) -> StackedSamples:
+    """Stack an EmbeddingSample list once; stacked input passes through.
+
+    `samples` may also be a StackedSamples or a (features, labels) pair. An
+    empty set stacks to an empty StackedSamples; callers reject it.
+    """
+    if isinstance(samples, StackedSamples):
+        return samples
+    if isinstance(samples, tuple):
+        return StackedSamples(*samples)
+    if not samples:
+        return StackedSamples(np.empty((0, 0)), np.empty(0, dtype=np.int64))
+    if len({s.features.shape for s in samples}) != 1:
+        raise ShapeError("samples must all have the same feature shape")
+    return StackedSamples(
+        np.array([s.features for s in samples], dtype=np.float64),
+        np.array([s.label for s in samples]),
+    )
+
+
+@dataclass(eq=False)
 class Gradients:
     """Loss gradients with the same shapes as the head they came from."""
 
@@ -162,29 +206,30 @@ def sample_gradients(head: DenseHead, sample: EmbeddingSample) -> Gradients:
 
 def train_batch(
     head: DenseHead,
-    batch: list[EmbeddingSample],
+    batch,
     lr: float,
     local_episodes: int,
 ) -> DenseHead:
     """Train on one batch for `local_episodes` passes.
 
-    The batch is stacked once into features X (n, E) and one-hot labels Y.
-    Each episode is one SGD step with the mean gradient on the current head:
-    (P - Y)^T X / n for the weights and the column mean of P - Y for the
-    bias, P being the row softmax. This matches averaging `sample_gradients`
-    up to summation order, and L episodes here are bitwise identical to L
-    calls with local_episodes=1. Every sample is checked before the first step.
+    `batch` is an EmbeddingSample list, stacked here into features X (n, E),
+    or a StackedSamples used as is. Each episode is one SGD step with the
+    mean gradient on the current head: (P - Y)^T X / n for the weights and
+    the column mean of P - Y for the bias, P being the row softmax and Y the
+    one-hot labels. This matches averaging `sample_gradients` up to summation
+    order, and L episodes here are bitwise identical to L calls with
+    local_episodes=1. Every sample is checked before the first step.
     """
-    if not batch:
-        raise ValueError("batch must be non-empty")
     if local_episodes < 1:
         raise ValueError(f"local_episodes must be >= 1, got {local_episodes}")
-    if {s.features.shape for s in batch} != {(head.embedding_dim,)}:
+    batch = stack_samples(batch)
+    if not batch:
+        raise ValueError("batch must be non-empty")
+    x, labels = batch.features, batch.labels
+    if x.shape[1] != head.embedding_dim:
         raise ShapeError(f"batch features must all have shape ({head.embedding_dim},)")
-    x = np.array([s.features for s in batch], dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("input features must be finite")
-    labels = np.array([s.label for s in batch])
     if labels.min() < 0 or labels.max() >= head.num_classes:
         raise IndexError(f"labels must lie in [0, {head.num_classes}), got {labels.tolist()}")
     n = len(batch)

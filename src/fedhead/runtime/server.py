@@ -30,7 +30,8 @@ import zlib
 from dataclasses import dataclass, field
 
 from ..errors import ShapeError, WireError
-from ..federation import ModelBlob, average_blobs, evaluate, stack_samples
+from ..federation import ModelBlob, average_blobs, evaluate
+from ..nn import StackedSamples, stack_samples
 from ..wire import encode_model, encoded_size, frame_count, framed_size
 from .protocol import (
     Message,
@@ -110,7 +111,7 @@ class Server:
     port: int
     initial_blob: ModelBlob
     policy: RoundPolicy
-    validation: list | None = None
+    validation: list | StackedSamples | None = None
     round_timeout: float = 5.0
     max_rounds: int | None = None
     history: list[RoundRecord] = field(default_factory=list)
@@ -122,10 +123,12 @@ class Server:
         # No legitimate message body is larger than a MODEL_DATA of this model.
         self._max_body = framed_size(encoded_size(e, c))
         # Stacked once: evaluate scores the same set after every round.
-        self._validation = stack_samples(self.validation) if self.validation else None
-        if self._validation is not None and self._validation[0].shape[1] != e:
+        stacked = stack_samples(self.validation or [])
+        self._validation = stacked if stacked else None
+        if self._validation is not None and self._validation.features.shape[1] != e:
             raise ShapeError(
-                f"validation samples have dim {self._validation[0].shape[1]}, model expects {e}"
+                f"validation samples have dim {self._validation.features.shape[1]}, "
+                f"model expects {e}"
             )
         self.global_blob = self.initial_blob
         self._sel = selectors.DefaultSelector()

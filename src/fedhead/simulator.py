@@ -150,7 +150,7 @@ def make_pretrained_blob(embedding_dim: int, num_classes: int, seed) -> ModelBlo
     cfg = RoundConfig(
         num_devices=1, batch_size=20, local_episodes=1, learning_rate=0.01, epochs=100
     )
-    result = run_training(cfg, parts, source.validation_samples(), "random", init_seed=init_ss)
+    result = run_training(cfg, parts, source.stacked_validation(), "random", init_seed=init_ss)
     return result.final_blob
 
 
@@ -165,7 +165,7 @@ def _run_repetition(
     data_ss, part_ss, init_ss = root.spawn(3)
     dataset = source.build(data_ss) if isinstance(source, SyntheticSpec) else source
     parts = data_mod.partition(dataset, round_cfg.num_devices, part_ss)
-    val = dataset.validation_samples()
+    val = dataset.stacked_validation()
     if init_mode == "pretrained":
         return run_training(round_cfg, parts, val, "pretrained", init_blob=pretrained)
     return run_training(round_cfg, parts, val, init_mode, init_seed=init_ss)

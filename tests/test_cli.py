@@ -12,8 +12,10 @@ import time
 import numpy as np
 import pytest
 
+from fedhead import cli
 from fedhead.cli import main
 from fedhead.data import load_dataset
+from fedhead.nn import StackedSamples
 from fedhead.simulator import CSV_COLUMNS
 from fedhead.wire import decode_model
 
@@ -235,6 +237,28 @@ def test_serve_rejects_a_model_too_large_to_frame(capsys):
     assert not thread.is_alive(), "serve started instead of failing at startup"
     assert rc["rc"] == 1
     assert "frames" in capsys.readouterr().err
+
+
+def test_serve_hands_the_server_a_stacked_validation_set(tmp_path, monkeypatch):
+    data = tmp_path / "toy.ds"
+    assert main(["gen-data", *TINY, "--seed", "3", "--out", str(data)]) == 0
+    seen = {}
+
+    class FakeServer:
+        history = []
+        address = ("127.0.0.1", 0)
+
+    def fake_serve(endpoint, blob, policy, *, validation, **kw):
+        seen["validation"] = validation
+        return FakeServer()
+
+    monkeypatch.setattr(cli, "serve", fake_serve)
+    assert main(["serve", "--listen", "127.0.0.1:0", "--dim", "8", "--classes", "2",
+                 "--data", str(data)]) == 0
+    validation = seen["validation"]
+    assert isinstance(validation, StackedSamples)
+    want = load_dataset(data).validation_indices()
+    assert len(validation) == len(want) > 0
 
 
 def test_serve_rejects_validation_data_of_another_dim(tmp_path, capsys):

@@ -18,6 +18,7 @@ from fedhead.data import (
 )
 from fedhead.errors import DataExhaustedError, DatasetFormatError
 from fedhead.federation import RoundConfig, run_training
+from fedhead.nn import stack_samples
 
 
 def golden_file_bytes():
@@ -243,6 +244,33 @@ def test_stream_samples_seen_is_monotone():
     assert counts == [3, 6, 9, 12]
 
 
+def test_stacked_take_is_the_stacked_sample_list():
+    ds = synth_separable(6, 3, 90, 4.0, 17, val_fraction=0.2)
+    (stream,) = partition(ds, 1, 4)
+    (twin,) = partition(ds, 1, 4)
+    for count in (1, 7, 20):
+        got = stream.take(count, stacked=True)
+        want = stack_samples(twin.take(count))
+        assert len(got) == count
+        assert got.features.dtype == np.float64
+        assert np.array_equal(got.features, want.features)
+        assert np.array_equal(got.labels, want.labels)
+    assert stream.samples_seen == twin.samples_seen == 28
+    with pytest.raises(DataExhaustedError):
+        stream.take(stream.remaining() + 1, stacked=True)
+    assert stream.samples_seen == 28
+
+
+def test_stacked_validation_is_the_stacked_sample_list():
+    ds = synth_separable(5, 2, 77, 4.0, 18, val_fraction=0.3)
+    got = ds.stacked_validation()
+    want = stack_samples(ds.validation_samples())
+    assert len(got) == len(ds.validation_indices()) == 23
+    assert got.features.dtype == np.float64
+    assert np.array_equal(got.features, want.features)
+    assert np.array_equal(got.labels, want.labels)
+
+
 # -- synth_separable ------------------------------------------------------------
 
 
@@ -288,6 +316,48 @@ def test_synth_parameter_validation():
         synth_separable(2, 4, 10, 4.0, 0)  # more classes than dimensions
     with pytest.raises(ValueError):
         synth_separable(4, 2, 10, 4.0, 0, val_fraction=1.0)
+
+
+def one_shot_clusters(rng, dim, num_classes, n, margin):
+    """Labels and float64 features of the whole set drawn in one step."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, num_classes)))
+    centroids = (q * (margin / np.sqrt(2.0))).T
+    labels = np.arange(n, dtype=np.int64) % num_classes
+    return labels, centroids[labels] + margin / 6.0 * rng.standard_normal((n, dim))
+
+
+@pytest.mark.parametrize("dim,classes,n", [
+    (16, 2, 20000), (16, 3, 1001), (1280, 2, 1001), (5, 5, 7), (4, 2, 0),
+])
+def test_separable_blocks_match_the_one_shot_formula(dim, classes, n):
+    labels, dense = one_shot_clusters(np.random.default_rng(19), dim, classes, n, 3.0)
+    ds = synth_separable(dim, classes, n, 3.0, 19)
+    assert ds.features.dtype == np.float32
+    assert ds.features.tobytes() == dense.astype(np.float32).tobytes()
+    assert np.array_equal(ds.labels, labels)
+
+
+@pytest.mark.parametrize("dim,active,classes,n", [(300, 200, 3, 1001), (16, 4, 2, 9), (8, 2, 2, 0)])
+def test_sparse_blocks_match_the_one_shot_formula(dim, active, classes, n):
+    rng = np.random.default_rng(20)
+    dims = np.sort(rng.choice(dim, size=active, replace=False))
+    labels, dense = one_shot_clusters(rng, active, classes, n, 4.0)
+    features = np.zeros((n, dim))
+    features[:, dims] = dense
+    ds = synth_sparse(dim, active, classes, n, 20)
+    assert ds.features.tobytes() == features.astype(np.float32).tobytes()
+    assert np.array_equal(ds.labels, labels)
+
+
+def test_synth_holds_about_one_copy_of_its_features():
+    tracemalloc.start()
+    try:
+        ds = synth_separable(1280, 2, 11000, 4.0, 21)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.features.dtype == np.float32
+    assert peak <= 1.25 * ds.features.nbytes
 
 
 # -- synth_sparse -----------------------------------------------------------------

@@ -1,4 +1,6 @@
 """Round averaging, the N=1 baseline identity, and full training runs."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from fedhead.federation import (
     head_from_blob,
     run_training,
 )
-from fedhead.nn import EmbeddingSample, init_head, predict, train_batch
+from fedhead.nn import EmbeddingSample, StackedSamples, init_head, predict, stack_samples, train_batch
 
 
 def random_blob(rng, e=3, c=2):
@@ -145,6 +147,25 @@ def test_evaluate_empty_is_usage_error():
         evaluate(random_blob(np.random.default_rng(10)), [])
 
 
+def test_evaluate_empty_stacked_set_is_usage_error():
+    blob = random_blob(np.random.default_rng(10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no "Mean of empty slice" on the way
+        for empty in ((np.empty((0, 3)), np.empty(0)),
+                      StackedSamples(np.empty((0, 3)), np.empty(0, dtype=np.int64))):
+            with pytest.raises(ValueError):
+                evaluate(blob, empty)
+
+
+def test_evaluate_stacked_set_matches_list():
+    rng = np.random.default_rng(11)
+    blob = random_blob(rng, 6, 3)
+    samples = [EmbeddingSample(rng.normal(size=6), int(rng.integers(3))) for _ in range(97)]
+    stacked = stack_samples(samples)
+    assert evaluate(blob, stacked) == evaluate(blob, samples)
+    assert evaluate(blob, (stacked.features, stacked.labels)) == evaluate(blob, samples)
+
+
 # -- federated_round --------------------------------------------------------------
 
 
@@ -166,6 +187,53 @@ def test_round_n1_is_bitwise_sequential_training():
         global_blob = result.global_blob
         oracle_head = train_batch(oracle_head, oracle_stream.take(4), 0.05, 3)
         assert np.array_equal(global_blob.values, blob_from_head(oracle_head).values)
+
+
+def list_path_round(devices, global_blob, cfg, val):
+    """One round computed from EmbeddingSample lists: each batch is taken as
+    a list, and training and scoring each stack it on their own."""
+    train_accuracies = []
+    for d in devices:
+        batch = d.stream.take(cfg.batch_size)
+        d.head = train_batch(head_from_blob(global_blob), batch, cfg.learning_rate,
+                             cfg.local_episodes)
+        train_accuracies.append(evaluate(blob_from_head(d.head), batch))
+    ordered = sorted(devices, key=lambda d: d.device_id)
+    new_global = average_blobs([blob_from_head(d.head) for d in ordered])
+    return new_global, evaluate(new_global, val), train_accuracies
+
+
+@pytest.mark.parametrize("num_devices", [1, 3])
+def test_round_on_stacked_batches_is_bitwise_the_list_path(num_devices):
+    ds, streams = small_setup(12, n=300, num_devices=num_devices)
+    _, twins = small_setup(12, n=300, num_devices=num_devices)
+    cfg = RoundConfig(num_devices=num_devices, batch_size=6, local_episodes=3,
+                      learning_rate=0.05, epochs=1)
+    start = blob_from_head(init_head(8, 2, "random", seed=13))
+    devices = [DeviceState(s.device_id, head_from_blob(start), s) for s in streams]
+    oracle = [DeviceState(s.device_id, head_from_blob(start), s) for s in twins]
+    val_list, val_stacked = ds.validation_samples(), ds.stacked_validation()
+    blob, oracle_blob = start, start
+    for _ in range(8):
+        result = federated_round(devices, blob, cfg, val_stacked)
+        oracle_blob, oracle_acc, oracle_train = list_path_round(oracle, oracle_blob, cfg, val_list)
+        blob = result.global_blob
+        assert np.array_equal(blob.values, oracle_blob.values)
+        assert result.val_accuracy == oracle_acc
+        assert result.train_accuracies == oracle_train
+    assert [s.samples_seen for s in streams] == [s.samples_seen for s in twins]
+
+
+def test_round_rejects_validation_of_another_dim_before_training():
+    ds, (stream,) = small_setup(17, num_devices=1)
+    other = synth_separable(4, 2, 50, 4.0, 17)
+    cfg = RoundConfig(num_devices=1, batch_size=5, local_episodes=1, learning_rate=0.1, epochs=1)
+    global_blob = blob_from_head(init_head(8, 2, "zeros"))
+    devices = [DeviceState(0, head_from_blob(global_blob), stream)]
+    for val in (other.validation_samples(), other.stacked_validation()):
+        with pytest.raises(ShapeError, match="dim 4, model expects 8"):
+            federated_round(devices, global_blob, cfg, val)
+    assert stream.samples_seen == 0
 
 
 def test_round_identical_devices_average_to_themselves():
@@ -244,6 +312,31 @@ def test_run_training_is_deterministic():
     a, b = run(), run()
     assert [r.val_accuracy for r in a.history] == [r.val_accuracy for r in b.history]
     assert np.array_equal(a.final_blob.values, b.final_blob.values)
+
+
+def test_run_training_with_a_stacked_validation_set_is_bitwise_the_list():
+    def run(stacked):
+        ds, streams = small_setup(14, n=300, num_devices=3)
+        cfg = RoundConfig(num_devices=3, batch_size=5, local_episodes=2,
+                          learning_rate=0.05, epochs=12)
+        val = ds.stacked_validation() if stacked else ds.validation_samples()
+        return run_training(cfg, streams, val, "random", init_seed=15)
+
+    a, b = run(False), run(True)
+    assert len(a.round_blobs) == len(b.round_blobs) == 12
+    for x, y in zip(a.round_blobs, b.round_blobs):
+        assert np.array_equal(x.values, y.values)
+    assert [(r.epoch, r.examples_seen, r.val_accuracy, r.train_accuracy) for r in a.history] == [
+        (r.epoch, r.examples_seen, r.val_accuracy, r.train_accuracy) for r in b.history
+    ]
+
+
+def test_run_training_rejects_an_empty_stacked_validation_set():
+    ds, streams = small_setup(16, n=100, num_devices=1)
+    cfg = RoundConfig(num_devices=1, batch_size=1, local_episodes=1, learning_rate=0.1, epochs=1)
+    with pytest.raises(ValueError, match="validation set must be non-empty"):
+        run_training(cfg, streams, ds.stack(np.arange(0)), "zeros")
+    assert streams[0].samples_seen == 0
 
 
 def test_run_training_minimal_configuration():

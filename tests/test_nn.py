@@ -11,6 +11,7 @@ from fedhead.nn import (
     DenseHead,
     EmbeddingSample,
     Gradients,
+    StackedSamples,
     backward,
     cross_entropy,
     finite_difference_gradients,
@@ -22,6 +23,7 @@ from fedhead.nn import (
     sample_gradients,
     sgd_step,
     softmax,
+    stack_samples,
     train_batch,
 )
 
@@ -334,6 +336,46 @@ def test_train_batch_rejects_bad_input_like_the_per_sample_path(batch, lr, error
         reference_train_batch(head, batch, lr, 2)
     assert np.array_equal(head.weights, [[1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(head.bias, [0.5, -0.5])
+
+
+def test_train_batch_on_a_stacked_batch_is_bitwise_the_list_path():
+    rng = np.random.default_rng(31)
+    head = random_head(rng, 6, 3)
+    batch = [EmbeddingSample(rng.normal(size=6).astype(np.float32), i % 3) for i in range(11)]
+    stacked = stack_samples(batch)
+    assert len(stacked) == 11 and stacked.features.dtype == np.float64
+    for episodes in (1, 4):
+        a = train_batch(head, batch, 0.3, episodes)
+        b = train_batch(head, stacked, 0.3, episodes)
+        c = train_batch(head, (stacked.features, stacked.labels), 0.3, episodes)
+        for out in (b, c):
+            assert np.array_equal(out.weights, a.weights)
+            assert np.array_equal(out.bias, a.bias)
+
+
+@pytest.mark.parametrize("features,labels,error", [
+    (np.zeros((0, 2)), np.zeros(0, dtype=np.int64), ValueError),
+    (np.zeros((2, 3)), [0, 1], ShapeError),
+    ([[0.0, 0.0], [0.0, np.inf]], [0, 1], ValueError),
+    (np.zeros((2, 2)), [0, 2], IndexError),
+    (np.zeros((2, 2)), [-1, 0], IndexError),
+])
+def test_train_batch_checks_a_stacked_batch_like_a_list(features, labels, error):
+    head = make_head([[1.0, 2.0], [3.0, 4.0]], [0.5, -0.5])
+    for batch in (StackedSamples(features, labels), (np.asarray(features), np.asarray(labels))):
+        with pytest.raises(error):
+            train_batch(head, batch, 0.1, 2)
+    assert np.array_equal(head.weights, [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_stacked_samples_shape_is_validated():
+    with pytest.raises(ShapeError):
+        StackedSamples(np.zeros(4), np.zeros(4, dtype=np.int64))
+    with pytest.raises(ShapeError):
+        StackedSamples(np.zeros((4, 2)), np.zeros(3, dtype=np.int64))
+    assert len(stack_samples([])) == 0
+    with pytest.raises(ShapeError):
+        stack_samples([EmbeddingSample(np.zeros(2), 0), EmbeddingSample(np.zeros(3), 1)])
 
 
 def test_training_is_deterministic():

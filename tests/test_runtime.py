@@ -712,6 +712,28 @@ def test_server_rejects_validation_samples_of_another_dim():
                validation=ds.validation_samples())
 
 
+def test_server_scores_a_stacked_validation_set_like_the_list():
+    initial = make_blob(1)
+    ds = synth_separable(8, 2, 50, 4.0, 1, val_fraction=0.5)
+    mine = make_blob(2)
+    with running_server(
+        initial, RoundPolicy("count", 1), validation=ds.stacked_validation(),
+        round_timeout=5.0, max_rounds=1,
+    ) as (server, thread):
+        dev = ScriptedPeer.connect(server.address)
+        dev.send(Message(MessageType.HELLO, 3))
+        dev.expect_push()
+        dev.send(Message(MessageType.ACK, 3))
+        dev.push(3, mine)
+        dev.expect_push()
+        thread.join(5.0)
+        dev.close()
+    assert server.history[0].val_accuracy == evaluate(mine, ds.validation_samples())
+    with pytest.raises(ShapeError, match="dim 8, model expects 16"):
+        Server("127.0.0.1", 0, make_blob(1, e=16), RoundPolicy("count", 1),
+               validation=ds.stacked_validation())
+
+
 def test_server_rejects_a_model_too_large_to_frame():
     # E=1280, C=64 encodes to 327,952 bytes: 81,988 four-byte frames.
     blob = ModelBlob(np.zeros(64 * 1280 + 64), 1280, 64)

@@ -1,6 +1,7 @@
 """Sweep harness: seeding contract, aggregate stats, CSV shape, config parsing."""
 import csv
 import dataclasses
+import importlib
 import io
 
 import numpy as np
@@ -78,6 +79,60 @@ def test_sweep_point_matches_hand_built_run():
     got = [s.val_acc_mean for s in result.points[0].epochs]
     want = [rec.val_accuracy for rec in manual.history]
     assert got == want
+
+
+# Names the benchmark's tracer and sim-fig timer patch, by module. The
+# simulator and the round must keep looking them up there at call time.
+PATCHED_NAMES = {
+    "fedhead.data": ["DeviceStream.take", "EmbeddingDataset.validation_samples",
+                     "load_dataset", "partition", "synth_separable"],
+    "fedhead.wire": ["encode_model", "frame_stream", "frames_to_bytes",
+                     "frames_from_bytes", "unframe_stream", "decode_model"],
+    "fedhead.simulator": ["run_sweep", "run_training"],
+    "fedhead.federation": ["federated_round", "evaluate", "average_blobs", "train_batch"],
+    "fedhead.runtime.server": ["evaluate", "average_blobs", "encode_model", "encode_message",
+                               "model_data_body", "blob_from_model_data"],
+    "fedhead.runtime.agent": ["train_batch", "head_from_blob", "blob_from_head",
+                              "encode_message", "model_data_body", "blob_from_model_data"],
+}
+
+
+def test_names_the_benchmark_patches_exist():
+    for module, names in PATCHED_NAMES.items():
+        mod = importlib.import_module(module)
+        for name in names:
+            owner = mod
+            for part in name.split("."):
+                owner = getattr(owner, part)
+            assert callable(owner), f"{module}.{name}"
+
+
+def test_sweep_calls_the_patched_names_once_per_use(monkeypatch):
+    import fedhead.federation as fed
+    import fedhead.simulator as sim
+
+    calls = {"federated_round": 0, "run_training": 0, "train_batch": 0, "evaluate": 0}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(fed, "federated_round")
+    counting(fed, "train_batch")
+    counting(fed, "evaluate")
+    counting(sim, "run_training")
+    cfg = small_config(sweep_values=[1, 2, 3], repetitions=2, epochs=4)
+    run_sweep(cfg)
+    rounds = 3 * 2 * 4
+    assert calls["federated_round"] == rounds
+    assert calls["run_training"] == 3 * 2
+    assert calls["train_batch"] == (1 + 2 + 3) * 2 * 4
+    assert calls["evaluate"] == rounds
 
 
 def test_repetitions_independent_of_sweep_value_list():
