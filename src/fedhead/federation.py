@@ -64,12 +64,10 @@ def blob_from_head(head: DenseHead) -> ModelBlob:
 
 
 def head_from_blob(blob: ModelBlob) -> DenseHead:
-    """Inverse of blob_from_head."""
+    """Inverse of blob_from_head in O(1): weights and bias are (C, E) and (C,)
+    views of `blob.values`; blobs and heads are never written in place."""
     e, c = blob.embedding_dim, blob.num_classes
-    return DenseHead(
-        weights=blob.values[: c * e].reshape(c, e).copy(),
-        bias=blob.values[c * e :].copy(),
-    )
+    return DenseHead(weights=blob.values[: c * e].reshape(c, e), bias=blob.values[c * e :])
 
 
 def average_blobs(blobs: list[ModelBlob]) -> ModelBlob:
@@ -139,7 +137,7 @@ def _head_accuracy(head: DenseHead, samples) -> float:
             f"samples have dim {feats.shape[1]}, head expects {head.embedding_dim}"
         )
     preds = np.argmax(batch_logits(head, feats), axis=1)  # argmax takes the lowest index on ties
-    return float(np.mean(preds == labels))
+    return np.count_nonzero(preds == labels) / len(labels)
 
 
 def evaluate(blob: ModelBlob, samples) -> float:
@@ -159,11 +157,11 @@ def federated_round(
 ) -> RoundResult:
     """Run one global round and advance every device's cursor by batch_size.
 
-    Each device's batch is stacked once and feeds both its training and its
-    train accuracy. A validation list is stacked once per call; pass it
-    stacked to reuse it across rounds. The validation set's dim and every
-    device's unseen data are checked before any device trains, so a failed
-    round consumes nothing.
+    All devices start from one head on the global blob; each device's batch
+    is stacked once and feeds its training and its train accuracy. A
+    validation list is stacked once per call; pass it stacked to reuse it.
+    The validation set's dim and every device's unseen data are checked
+    before any device trains, so a failed round consumes nothing.
     """
     if not devices:
         raise ValueError("need at least one device")
@@ -181,11 +179,11 @@ def federated_round(
                 f"device {d.device_id}: round needs {cfg.batch_size} samples, "
                 f"only {d.stream.remaining()} unseen remain"
             )
+    start = head_from_blob(global_blob)
     train_accuracies = []
     for d in devices:
-        d.head = head_from_blob(global_blob)
         batch = d.stream.take(cfg.batch_size, stacked=True)
-        d.head = train_batch(d.head, batch, cfg.learning_rate, cfg.local_episodes)
+        d.head = train_batch(start, batch, cfg.learning_rate, cfg.local_episodes)
         d.samples_seen += cfg.batch_size
         train_accuracies.append(_head_accuracy(d.head, batch))
     ordered = sorted(devices, key=lambda d: d.device_id)

@@ -27,7 +27,8 @@ class DenseHead:
     weights: (C, E) float64, one row per class.
     bias:    (C,) float64.
 
-    Treat instances as immutable: every training operation returns a new head.
+    Treat instances as immutable: every training operation returns a new head,
+    and a head may view a ModelBlob's values (see `head_from_blob`).
     """
 
     weights: np.ndarray
@@ -214,11 +215,15 @@ def train_batch(
 
     `batch` is an EmbeddingSample list, stacked here into features X (n, E),
     or a StackedSamples used as is. Each episode is one SGD step with the
-    mean gradient on the current head: (P - Y)^T X / n for the weights and
-    the column mean of P - Y for the bias, P being the row softmax and Y the
-    one-hot labels. This matches averaging `sample_gradients` up to summation
-    order, and L episodes here are bitwise identical to L calls with
-    local_episodes=1. Every sample is checked before the first step.
+    mean gradient: (P - Y)^T X / n for the weights and the column mean of
+    P - Y for the bias, P being the row softmax and Y the one-hot labels,
+    bitwise `sgd_step` on those gradients. This matches averaging
+    `sample_gradients` up to summation order.
+
+    Inputs are checked once, before the first step, and the episodes run on
+    raw arrays. The returned DenseHead's check is the only check of the
+    result: a non-finite gradient leaves its parameter non-finite for good
+    (at lr = 0 too, as 0 * inf is nan), so it raises as a per-episode check would.
     """
     if local_episodes < 1:
         raise ValueError(f"local_episodes must be >= 1, got {local_episodes}")
@@ -232,13 +237,24 @@ def train_batch(
         raise ValueError("input features must be finite")
     if labels.min() < 0 or labels.max() >= head.num_classes:
         raise IndexError(f"labels must lie in [0, {head.num_classes}), got {labels.tolist()}")
+    if not np.isfinite(lr) or lr < 0:
+        raise ValueError(f"learning rate must be finite and >= 0, got {lr}")
     n = len(batch)
     onehot = np.zeros((n, head.num_classes))
     onehot[np.arange(n), labels] = 1.0
+    w, b = head.weights.copy(), head.bias.copy()
     for _ in range(local_episodes):
-        delta = softmax(batch_logits(head, x)) - onehot
-        head = sgd_step(head, Gradients(delta.T @ x / n, delta.sum(axis=0) / n), lr)
-    return head
+        delta = x @ w.T  # softmax(x @ w.T + b) - onehot, in this one buffer
+        delta += b
+        delta -= delta.max(axis=1, keepdims=True)
+        np.exp(delta, out=delta)
+        delta /= delta.sum(axis=1, keepdims=True)
+        delta -= onehot
+        for p, g in ((w, delta.T @ x), (b, delta.sum(axis=0))):
+            g /= n
+            g *= lr
+            p -= g  # p - lr * (g / n), sgd_step's operation order
+    return DenseHead(w, b)
 
 
 def predict(head: DenseHead, x: np.ndarray) -> int:

@@ -17,7 +17,9 @@ from fedhead.federation import (
     head_from_blob,
     run_training,
 )
-from fedhead.nn import EmbeddingSample, StackedSamples, init_head, predict, stack_samples, train_batch
+from fedhead.nn import (
+    DenseHead, EmbeddingSample, StackedSamples, init_head, predict, stack_samples, train_batch,
+)
 
 
 def random_blob(rng, e=3, c=2):
@@ -234,6 +236,44 @@ def test_round_rejects_validation_of_another_dim_before_training():
         with pytest.raises(ShapeError, match="dim 4, model expects 8"):
             federated_round(devices, global_blob, cfg, val)
     assert stream.samples_seen == 0
+
+
+def test_head_from_blob_views_the_blob_values():
+    blob = random_blob(np.random.default_rng(2), e=5, c=3)
+    head = head_from_blob(blob)
+    assert np.shares_memory(head.weights, blob.values)
+    assert np.shares_memory(head.bias, blob.values)
+
+
+def test_round_leaves_the_callers_global_blob_unchanged():
+    ds, streams = small_setup(18, n=300, num_devices=3)
+    cfg = RoundConfig(num_devices=3, batch_size=6, local_episodes=5, learning_rate=0.5, epochs=1)
+    global_blob = blob_from_head(init_head(8, 2, "random", seed=18))
+    before = global_blob.values.copy()
+    devices = [DeviceState(s.device_id, head_from_blob(global_blob), s) for s in streams]
+    result = federated_round(devices, global_blob, cfg, ds.stacked_validation())
+    assert np.array_equal(global_blob.values, before)
+    assert not np.array_equal(result.global_blob.values, before)
+
+
+def test_round_builds_at_most_two_heads_beyond_the_devices(monkeypatch):
+    # One start head, one trained head per device and one to score the new
+    # global; building a head re-checks every parameter for finiteness.
+    ds, streams = small_setup(19, n=300, num_devices=3)
+    cfg = RoundConfig(num_devices=3, batch_size=6, local_episodes=5, learning_rate=0.05, epochs=1)
+    global_blob = blob_from_head(init_head(8, 2, "random", seed=19))
+    devices = [DeviceState(s.device_id, head_from_blob(global_blob), s) for s in streams]
+    val = ds.stacked_validation()
+    built = []
+    original = DenseHead.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(DenseHead, "__post_init__", counting)
+    federated_round(devices, global_blob, cfg, val)
+    assert len(built) <= cfg.num_devices + 2
 
 
 def test_round_identical_devices_average_to_themselves():

@@ -321,6 +321,64 @@ def test_train_batch_keeps_all_zero_feature_columns_frozen():
     assert not np.array_equal(out.weights[:, live], head.weights[:, live])
 
 
+def head_and_gradients_train_batch(head, batch, lr, local_episodes):
+    """The matrix kernel built from the reference pieces: a DenseHead, a
+    Gradients and an sgd_step (with its checks) every episode."""
+    x, labels = batch.features, batch.labels
+    n = len(batch)
+    onehot = np.zeros((n, head.num_classes))
+    onehot[np.arange(n), labels] = 1.0
+    for _ in range(local_episodes):
+        delta = softmax(x @ head.weights.T + head.bias) - onehot
+        head = sgd_step(head, Gradients(delta.T @ x / n, delta.sum(0) / n), lr)
+    return head
+
+
+@pytest.mark.parametrize("e", [1, 16, 1280])
+@pytest.mark.parametrize("c", [2, 10])
+@pytest.mark.parametrize("n", [1, 20, 50])
+def test_array_episodes_are_bitwise_the_head_and_gradients_loop(e, c, n):
+    rng = np.random.default_rng(e * 100 + c * 10 + n)
+    head = random_head(rng, e, c)
+    batch = StackedSamples(rng.normal(size=(n, e)), rng.integers(0, c, size=n))
+    for episodes in (1, 5):
+        for lr in (0.0, 0.01, 1.0):
+            got = train_batch(head, batch, lr, episodes)
+            want = head_and_gradients_train_batch(head, batch, lr, episodes)
+            assert np.array_equal(got.weights, want.weights)
+            assert np.array_equal(got.bias, want.bias)
+
+
+@pytest.mark.parametrize("episodes", [1, 5])
+@pytest.mark.parametrize("lr", [0.0, 0.01])
+def test_train_batch_raises_when_logits_overflow_at_the_first_step(episodes, lr):
+    # Finite features near 1e200 against weights near 1e150: every logit is
+    # +inf, so the softmax and the gradients are nan from the first step.
+    rng = np.random.default_rng(3)
+    head = DenseHead(rng.uniform(1, 2, size=(2, 4)) * 1e150, np.zeros(2))
+    batch = StackedSamples(rng.uniform(1, 2, size=(3, 4)) * 1e200, np.array([0, 1, 0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError):
+            train_batch(head, batch, lr, episodes)
+        with pytest.raises(ValueError):
+            head_and_gradients_train_batch(head, batch, lr, episodes)
+
+
+def test_train_batch_raises_when_parameters_overflow_mid_training():
+    # The first step is finite but moves the weights to about 1e200; the
+    # second step's logits overflow. Only the result's check can see it.
+    rng = np.random.default_rng(4)
+    head = random_head(rng, 4, 2)
+    batch = StackedSamples(rng.uniform(1, 2, size=(3, 4)) * 1e200, np.array([0, 1, 0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        once = train_batch(head, batch, 1.0, 1)
+        assert np.isfinite(once.weights).all() and np.abs(once.weights).max() > 1e199
+        with pytest.raises(ValueError):
+            train_batch(head, batch, 1.0, 5)
+        with pytest.raises(ValueError):
+            head_and_gradients_train_batch(head, batch, 1.0, 5)
+
+
 @pytest.mark.parametrize("batch,lr,error", [
     ([EmbeddingSample(np.zeros(3), 0), EmbeddingSample(np.zeros(2), 1)], 0.1, ShapeError),
     ([EmbeddingSample(np.zeros(2), 0), EmbeddingSample(np.array([0.0, np.inf]), 1)], 0.1, ValueError),

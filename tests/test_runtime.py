@@ -6,6 +6,7 @@ so a wedged exchange fails the test instead of hanging it.
 """
 import collections
 import contextlib
+import importlib
 import logging
 import socket
 import struct
@@ -15,6 +16,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedhead.data import partition, synth_separable
 from fedhead.errors import ProtocolError, ShapeError
@@ -221,6 +224,59 @@ def test_buffer_rejects_oversized_body_declaration():
     buf.feed(struct.pack("<BBHI", 1, 0, 0, MAX_BODY + 1))
     with pytest.raises(ProtocolError):
         buf.pop()
+
+
+E16_MODEL_BODY = model_data_body(make_blob(2, e=16, c=2))
+BUFFER_CAP = len(E16_MODEL_BODY)
+
+messages_st = st.lists(
+    st.one_of(
+        st.builds(Message, st.sampled_from(MessageType), st.integers(0, 255),
+                  st.binary(max_size=40)),
+        st.builds(Message, st.just(MessageType.MODEL_DATA), st.integers(0, 255),
+                  st.just(E16_MODEL_BODY)),
+    ),
+    max_size=6,
+)
+bad_headers_st = st.one_of(
+    st.builds(lambda r: struct.pack("<BBHI", 1, 0, r, 0), st.integers(1, 0xFFFF)),
+    st.builds(lambda t: struct.pack("<BBHI", t, 0, 0, 0), st.integers(7, 255) | st.just(0)),
+    st.builds(lambda n: struct.pack("<BBHI", 4, 0, 0, n), st.integers(BUFFER_CAP + 1, 2**32 - 1)),
+)
+
+
+def feed_in_chunks(data, cuts):
+    """Feed `data` split at `cuts`, popping after each chunk. Returns the
+    messages popped and the ProtocolError message, if one was raised."""
+    buf = MessageBuffer(max_body=BUFFER_CAP)
+    got = []
+    bounds = [0, *sorted(c % (len(data) + 1) for c in cuts), len(data)]
+    try:
+        for lo, hi in zip(bounds, bounds[1:]):
+            buf.feed(data[lo:hi])
+            got.extend(buf.pop_all())
+    except ProtocolError as exc:
+        return got, str(exc)
+    return got, None
+
+
+@settings(max_examples=150, deadline=None)
+@given(messages_st, st.lists(st.integers(0, 10**6), max_size=12))
+def test_buffer_yields_the_same_messages_under_any_chunking(msgs, cuts):
+    data = b"".join(encode_message(m) for m in msgs)
+    got, error = feed_in_chunks(data, cuts)
+    assert error is None
+    assert got == feed_in_chunks(data, [])[0] == msgs
+
+
+@settings(max_examples=150, deadline=None)
+@given(messages_st, bad_headers_st, st.binary(max_size=16), st.lists(st.integers(0, 10**6), max_size=12))
+def test_buffer_raises_the_same_error_for_a_bad_header_under_any_chunking(msgs, bad, tail, cuts):
+    data = b"".join(encode_message(m) for m in msgs) + bad + tail
+    whole, whole_error = feed_in_chunks(data, [])
+    got, error = feed_in_chunks(data, cuts)
+    assert whole_error is not None and error == whole_error
+    assert whole == [] and got == msgs[: len(got)]
 
 
 def test_model_data_body_round_trip_and_size():
@@ -875,6 +931,49 @@ def test_agent_sync_mode_trains_one_batch_per_install():
         )
         assert push2.body == model_data_body(step2)
         assert worker.samples_trained == 8
+        conn.close()
+    fake.close()
+
+
+@pytest.mark.parametrize("sync_batch", [None, 4])
+def test_agent_head_is_bitwise_stacked_training_and_its_install_is_unchanged(
+    monkeypatch, sync_batch
+):
+    # The agent draws list batches; the same training on stacked batches must
+    # give its head bit for bit, and must not write into the installed blob,
+    # whose values the head starts out viewing.
+    agent_module = importlib.import_module("fedhead.runtime.agent")
+    decoded = []
+
+    def recording(body):
+        blob = blob_from_model_data(body)
+        decoded.append((blob, blob.values.copy()))
+        return blob
+
+    monkeypatch.setattr(agent_module, "blob_from_model_data", recording)
+    stream, twin = make_stream(8, seed=9), make_stream(8, seed=9)
+    fake = ScriptedServer()
+    with running_agent(
+        fake.address, 6, stream, learning_rate=0.3, local_episodes=3, sync_batch=sync_batch
+    ) as worker:
+        conn = fake.accept()
+        conn.expect(MessageType.HELLO)
+        conn.push(0, make_blob(25))
+        conn.expect(MessageType.ACK)
+        if sync_batch is None:
+            assert wait_until(lambda: worker.samples_trained == 8)
+            batches = [twin.take(1, stacked=True) for _ in range(8)]
+        else:
+            conn.expect_push()
+            assert worker.samples_trained == 4
+            batches = [twin.take(4, stacked=True)]
+        (installed, values), = decoded
+        head = head_from_blob(installed)
+        for batch in batches:
+            head = train_batch(head, batch, 0.3, 3)
+        assert np.array_equal(worker.head.weights, head.weights)
+        assert np.array_equal(worker.head.bias, head.bias)
+        assert np.array_equal(installed.values, values)
         conn.close()
     fake.close()
 

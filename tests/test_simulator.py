@@ -1,6 +1,7 @@
 """Sweep harness: seeding contract, aggregate stats, CSV shape, config parsing."""
 import csv
 import dataclasses
+import hashlib
 import importlib
 import io
 
@@ -234,6 +235,25 @@ def test_csv_parses_back_within_rounding(tmp_path):
         assert float(row["val_acc_mean"]) == pytest.approx(s.val_acc_mean, rel=1e-5, abs=1e-9)
         assert float(row["val_acc_std"]) == pytest.approx(s.val_acc_std, rel=1e-5, abs=1e-9)
         assert float(row["train_acc_mean"]) == pytest.approx(s.train_acc_mean, rel=1e-5, abs=1e-9)
+
+
+# sha256 of emit_csv for each preset at repetitions=2, epochs=30, computed on
+# the per-episode DenseHead/sgd_step kernel, before the episodes ran on raw
+# arrays. A change that claims bit-identical sweeps must keep every digit.
+PRESET_CSV_SHA256 = {
+    "fig1": "9387b045cee7a2c26bc4aeea247a2ef923fa9daf90aa465219c72ec59a8a3267",
+    "fig2": "28cea305fb6f7e779b83ac60e307d1689f7c0c3b2e1417ec30ab073ce277ec66",
+    "fig3": "4c69b97b2877f7b38ae697a261dc59d13dcd0c2c4198c6440613ca074a5a4252",
+    "fig4": "2457d02542b22fba772b9ab5f06930e9886e2815665230a25a38a7b804957e92",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_CSV_SHA256))
+def test_preset_csv_bytes_are_pinned(tmp_path, name):
+    cfg = dataclasses.replace(default_presets()[name], repetitions=2, epochs=30)
+    path = tmp_path / f"{name}.csv"
+    emit_csv(run_sweep(cfg), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PRESET_CSV_SHA256[name]
 
 
 def test_csv_uses_unix_newlines(tmp_path):
