@@ -17,7 +17,7 @@ from .nn import (
     DenseHead,
     EmbeddingSample,
     StackedSamples,
-    batch_logits,
+    batch_predict,
     init_head,
     stack_samples,
     train_batch,
@@ -136,8 +136,18 @@ def _head_accuracy(head: DenseHead, samples) -> float:
         raise ShapeError(
             f"samples have dim {feats.shape[1]}, head expects {head.embedding_dim}"
         )
-    preds = np.argmax(batch_logits(head, feats), axis=1)  # argmax takes the lowest index on ties
-    return np.count_nonzero(preds == labels) / len(labels)
+    return np.count_nonzero(batch_predict(head, feats) == labels) / len(labels)
+
+
+def stack_validation(val, embedding_dim: int) -> StackedSamples:
+    """Stack a validation set and check that it is non-empty and of the model's dim."""
+    val = stack_samples(val)
+    if not val:
+        raise ValueError("validation set must be non-empty")
+    if val.features.shape[1] != embedding_dim:
+        raise ShapeError(f"validation samples have dim {val.features.shape[1]}, "
+                         f"model expects {embedding_dim}")
+    return val
 
 
 def evaluate(blob: ModelBlob, samples) -> float:
@@ -165,14 +175,7 @@ def federated_round(
     """
     if not devices:
         raise ValueError("need at least one device")
-    val = stack_samples(val)
-    if not val:
-        raise ValueError("validation set must be non-empty")
-    if val.features.shape[1] != global_blob.embedding_dim:
-        raise ShapeError(
-            f"validation samples have dim {val.features.shape[1]}, "
-            f"model expects {global_blob.embedding_dim}"
-        )
+    val = stack_validation(val, global_blob.embedding_dim)
     for d in devices:
         if d.stream.remaining() < cfg.batch_size:
             raise DataExhaustedError(
@@ -224,15 +227,15 @@ def run_training(
 ) -> RunResult:
     """Run cfg.epochs federated rounds from a freshly initialized global head.
 
-    The validation set is stacked once here and scored after every round.
+    The validation set is stacked and checked once here, scored every round.
     """
     if len(partitions) != cfg.num_devices:
         raise ValueError(
             f"got {len(partitions)} partitions for {cfg.num_devices} devices"
         )
-    val = stack_samples(val)
-    if not val:
-        raise ValueError("validation set must be non-empty")
+    e = partitions[0].dataset.embedding_dim
+    c = partitions[0].dataset.num_classes
+    val = stack_validation(val, e)
     needed = cfg.batch_size * cfg.epochs
     for stream in partitions:
         if stream.remaining() < needed:
@@ -240,8 +243,6 @@ def run_training(
                 f"device {stream.device_id}: {cfg.epochs} epochs of {cfg.batch_size} "
                 f"need {needed} samples, stream has {stream.remaining()}"
             )
-    e = partitions[0].dataset.embedding_dim
-    c = partitions[0].dataset.num_classes
     blob_arg = init_blob.values if isinstance(init_blob, ModelBlob) else init_blob
     head = init_head(e, c, init_mode, seed=init_seed, blob=blob_arg)
     global_blob = blob_from_head(head)

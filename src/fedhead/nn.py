@@ -143,9 +143,21 @@ def forward(head: DenseHead, x: np.ndarray) -> np.ndarray:
     return head.weights @ x + head.bias
 
 
-def batch_logits(head: DenseHead, x: np.ndarray) -> np.ndarray:
-    """Logits of stacked inputs: (n, E) features give (n, C) logits."""
-    return x @ head.weights.T + head.bias
+def batch_predict(head: DenseHead, x: np.ndarray) -> np.ndarray:
+    """Argmax class of each row of (n, E) features: np.argmax(x @ W.T + b, axis=1).
+
+    The class-major logits W @ x.T + b are bitwise its transpose for C-ordered
+    and strided x (not for a C-ordered x.T). The argmax takes C - 1 vector steps;
+    the strict > keeps the lowest index on ties, and a NaN defers to np.argmax.
+    """
+    logits = head.weights @ x.T
+    logits += head.bias[:, None]
+    preds = np.zeros(logits.shape[1], dtype=np.intp)
+    best = logits[0]
+    for c in range(1, logits.shape[0]):
+        preds[logits[c] > best] = c
+        best = np.maximum(best, logits[c])
+    return np.argmax(logits, axis=0) if np.isnan(best).any() else preds
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

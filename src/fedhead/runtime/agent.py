@@ -173,7 +173,9 @@ class Agent:
             return False
         self._buf.feed(data)
         try:
-            messages = self._buf.pop_all()
+            # One at a time: messages before a bad header are handled, however TCP split them.
+            while (msg := self._buf.pop()) is not None:
+                self._handle(msg)
         except ProtocolError as exc:
             log.error("device %d: protocol error: %s", self.device_id, exc)
             try:
@@ -182,12 +184,9 @@ class Agent:
                 pass
             self._reconnect(sel)
             return False
-        for msg in messages:
-            try:
-                self._handle(msg)
-            except OSError:
-                self._reconnect(sel)
-                return False
+        except OSError:
+            self._reconnect(sel)
+            return False
         return True
 
     # -- message handling --------------------------------------------------------

@@ -30,9 +30,9 @@ import zlib
 from dataclasses import dataclass, field
 
 from ..errors import ShapeError, WireError
-from ..federation import ModelBlob, average_blobs, evaluate
+from ..federation import ModelBlob, average_blobs, evaluate, stack_validation
 from ..nn import StackedSamples, stack_samples
-from ..wire import encode_model, encoded_size, frame_count, framed_size
+from ..wire import encode_model, frame_bytes
 from .protocol import (
     Message,
     MessageBuffer,
@@ -40,7 +40,7 @@ from .protocol import (
     STATUS_DATA_EXHAUSTED,
     encode_message,
     blob_from_model_data,
-    model_data_body,
+    model_data_body,  # noqa: F401 - unused; perfbench's server plan patches the name here
 )
 from ..errors import ProtocolError
 
@@ -117,20 +117,13 @@ class Server:
     history: list[RoundRecord] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        # Fail before binding if the model can never be framed (u16 frame seq).
-        e, c = self.initial_blob.embedding_dim, self.initial_blob.num_classes
-        frame_count(encoded_size(e, c))
+        # Framed before binding, so a model u16 frame numbers cannot frame fails here.
+        self._install(self.initial_blob)
         # No legitimate message body is larger than a MODEL_DATA of this model.
-        self._max_body = framed_size(encoded_size(e, c))
+        self._max_body = len(self._global_body)
         # Stacked once: evaluate scores the same set after every round.
-        stacked = stack_samples(self.validation or [])
-        self._validation = stacked if stacked else None
-        if self._validation is not None and self._validation.features.shape[1] != e:
-            raise ShapeError(
-                f"validation samples have dim {self._validation.features.shape[1]}, "
-                f"model expects {e}"
-            )
-        self.global_blob = self.initial_blob
+        stacked, e = stack_samples(self.validation or []), self.initial_blob.embedding_dim
+        self._validation = stack_validation(stacked, e) if stacked else None
         self._sel = selectors.DefaultSelector()
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -225,15 +218,14 @@ class Server:
             return
         conn.buf.feed(data)
         try:
-            messages = conn.buf.pop_all()
+            # One at a time: messages before a bad header are handled, however TCP split them.
+            while (msg := conn.buf.pop()) is not None:
+                self._handle(conn, msg)
         except ProtocolError as exc:
             # Header-level corruption: framing is lost, drop the connection.
             log.error("protocol error from %s: %s", conn.addr, exc)
             self._send(conn, Message(MessageType.ERROR, 0, str(exc).encode()))
             self._drop(conn)
-            return
-        for msg in messages:
-            self._handle(conn, msg)
 
     # -- message handling ----------------------------------------------------
 
@@ -276,12 +268,19 @@ class Server:
         # Greet with the current global so the agent can start training.
         self._push_global(conn)
 
+    def _install(self, blob: ModelBlob) -> int:
+        """Make `blob` the global, encoded and framed once for every push; return its CRC."""
+        encoded = encode_model(blob)
+        self.global_blob = blob
+        self._global_body = frame_bytes(encoded)
+        return zlib.crc32(encoded)
+
     def _push_global(self, conn: _Conn) -> None:
         conn.pushed = None  # trained on an older global
         conn.unacked += 1
         # One write: the agent wakes once for the announcement and its model.
         self._send(conn, Message(MessageType.PUSH_MODEL, 0),
-                   Message(MessageType.MODEL_DATA, 0, model_data_body(self.global_blob)))
+                   Message(MessageType.MODEL_DATA, 0, self._global_body))
 
     def _on_model_data(self, conn: _Conn, msg: Message, is_push: bool) -> None:
         if not is_push:
@@ -367,8 +366,7 @@ class Server:
             log.warning("round aborted: no device contributed a model")
             return
         ordered = [collected[d] for d in sorted(collected)]
-        self.global_blob = average_blobs(ordered)
-        checksum = zlib.crc32(encode_model(self.global_blob))
+        checksum = self._install(average_blobs(ordered))
         acc = None
         if self._validation is not None:
             acc = evaluate(self.global_blob, self._validation)

@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedhead.errors import ShapeError
+from fedhead.federation import blob_from_head, evaluate
 from fedhead.nn import (
     DenseHead,
     EmbeddingSample,
     Gradients,
     StackedSamples,
     backward,
+    batch_predict,
     cross_entropy,
     finite_difference_gradients,
     footprint_bytes,
@@ -523,6 +525,64 @@ def test_parameters_stay_finite_through_training():
 def test_predict_breaks_ties_toward_lowest_index():
     head = make_head(np.zeros((3, 2)), np.zeros(3))
     assert predict(head, np.array([1.0, 1.0])) == 0
+
+
+def argmax_oracle(head, x):
+    """Row-major logits and numpy's argmax: lowest index on ties, first NaN wins."""
+    return np.argmax(x @ head.weights.T + head.bias, axis=1)
+
+
+def assert_scores_like_the_oracle(head, x, labels):
+    want = argmax_oracle(head, x)
+    got = batch_predict(head, x)
+    assert got.dtype == np.intp and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+    acc = evaluate(blob_from_head(head), StackedSamples(x, labels))
+    assert acc == np.count_nonzero(want == labels) / len(labels)
+
+
+@pytest.mark.parametrize("e", [1, 16, 1280])
+@pytest.mark.parametrize("c", [2, 3, 10])
+def test_batch_predict_is_the_row_major_argmax(e, c):
+    rng = np.random.default_rng(e * 100 + c)
+    head = random_head(rng, e, c)
+    base = rng.normal(size=(2 * 4000, e))
+    for n in (1, 2, 20, 129, 1000, 4000):
+        labels = rng.integers(0, c, size=n)
+        for x in (base[:n], base[: 2 * n : 2]):  # C-ordered, row-strided
+            assert_scores_like_the_oracle(head, x, labels)
+
+
+def test_batch_predict_breaks_exact_ties_toward_lowest_index():
+    # Small integers make every logit exact; rows 0 and 2 of the head are equal.
+    head = make_head([[1.0, -1.0], [0.0, 1.0], [1.0, -1.0], [-1.0, 0.0]], [0.0, 1.0, 0.0, 0.0])
+    grid = np.array([[a, b] for a in (-2.0, -1.0, 0.0, 1.0, 2.0) for b in (-2.0, -1.0, 0.0, 1.0)])
+    assert_scores_like_the_oracle(head, grid, np.arange(len(grid)) % 4)
+    assert batch_predict(head, np.array([[1.0, 0.0]])).tolist() == [0]  # logits 1, 1, 1, -1
+
+
+def test_batch_predict_on_infinite_logits():
+    # Finite parameters and features whose products overflow to +-inf.
+    big = 1e200
+    head = make_head([[big], [-big], [1.0], [big]], [0.0, 0.0, 0.0, 0.0])
+    x = np.array([[big], [-big], [0.0], [1.0]])  # logits: inf, -inf, 1e200, inf ...
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_scores_like_the_oracle(head, x, np.array([0, 1, 2, 3]))
+        assert batch_predict(head, x).tolist() == [0, 1, 0, 0]
+
+
+@pytest.mark.parametrize("nan_class", [0, 1, 2])
+def test_batch_predict_on_nan_logits(nan_class):
+    # Rows 0 and 3 score inf - inf = nan in the nan_class row and +inf in the
+    # others, whatever order or fused multiply-adds the matmul uses.
+    weights = np.ones((3, 2))
+    weights[nan_class] = [1.0, -1.0]
+    head = make_head(weights, np.zeros(3))
+    x = np.array([[np.inf, np.inf], [1.0, 2.0], [-1.0, 5.0], [np.inf, np.inf]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        preds = batch_predict(head, x)
+        assert_scores_like_the_oracle(head, x, np.array([0, 1, 2, nan_class]))
+    assert preds[0] == preds[3] == nan_class
 
 
 @settings(max_examples=50)

@@ -761,6 +761,93 @@ def test_server_drops_a_connection_declaring_a_body_over_the_model_size():
     assert server.history[0].participants == (1,)
 
 
+def test_server_builds_one_model_data_body_per_global(monkeypatch):
+    calls = collections.Counter()
+
+    def counting(name):
+        original = getattr(server_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(server_module, name, wrapper)
+
+    for name in ("encode_model", "frame_bytes", "model_data_body"):
+        counting(name)
+    initial = make_blob(60)
+    with running_server(initial, RoundPolicy("count", 3), max_rounds=2) as (server, thread):
+        devs = [ScriptedPeer.connect(server.address) for _ in range(3)]
+        for device_id, dev in enumerate(devs):
+            dev.send(Message(MessageType.HELLO, device_id))
+            assert dev.expect_push().body == model_data_body(initial)
+        for r in range(2):
+            for device_id, dev in enumerate(devs):
+                dev.send(Message(MessageType.ACK, device_id))
+                dev.push(device_id, make_blob(61 + 3 * r + device_id))
+            bodies = {dev.expect_push().body for dev in devs}
+            assert len(bodies) == 1  # every device gets the same bytes
+            assert bodies == {model_data_body(server.history[r].blob)}
+        thread.join(5.0)
+        for dev in devs:
+            dev.close()
+    assert calls == {"encode_model": 3, "frame_bytes": 3}  # the initial global + 2 rounds
+    for record in server.history:
+        assert record.checksum == zlib.crc32(encode_model(record.blob))
+
+
+@pytest.mark.parametrize("byte_at_a_time", [False, True])
+def test_server_handles_a_valid_push_written_before_a_bad_header(byte_at_a_time):
+    initial, mine = make_blob(64), make_blob(65)
+    with running_server(initial, RoundPolicy("count", 2)) as (server, thread):
+        dev = ScriptedPeer.connect(server.address)
+        dev.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        dev.send(Message(MessageType.HELLO, 0))
+        dev.expect_push()
+        dev.send(Message(MessageType.ACK, 0))
+        conn = server._devices[0]
+        assert wait_until(lambda: conn.unacked == 0)
+        stream = (encode_message(Message(MessageType.PUSH_MODEL, 0))
+                  + encode_message(Message(MessageType.MODEL_DATA, 0, model_data_body(mine)))
+                  + struct.pack("<BBHI", MessageType.ACK, 0, 1, 0))  # reserved != 0
+        if byte_at_a_time:
+            for i in range(len(stream)):
+                dev.sock.sendall(stream[i : i + 1])
+        else:
+            dev.sock.sendall(stream)
+        assert b"reserved" in dev.expect(MessageType.ERROR).body
+        assert dev.sock.recv(65536) == b""  # dropped
+        dev.close()
+        # The push was validated and counted before the drop.
+        assert server._updates == 1
+        assert np.array_equal(conn.pushed.values, mine.values)
+
+
+@pytest.mark.parametrize("byte_at_a_time", [False, True])
+def test_agent_installs_a_push_written_before_a_bad_header(byte_at_a_time):
+    blob = make_blob(66)
+    stream = make_stream(4)
+    stream.take(4)
+    fake = ScriptedServer()
+    with running_agent(fake.address, 4, stream) as worker:
+        conn = fake.accept()
+        conn.expect(MessageType.HELLO)
+        conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        data = (encode_message(Message(MessageType.PUSH_MODEL, 0))
+                + encode_message(Message(MessageType.MODEL_DATA, 0, model_data_body(blob)))
+                + struct.pack("<BBHI", MessageType.PULL_MODEL, 0, 1, 0))  # reserved != 0
+        if byte_at_a_time:
+            for i in range(len(data)):
+                conn.sock.sendall(data[i : i + 1])
+        else:
+            conn.sock.sendall(data)
+        assert conn.expect(MessageType.ACK).body == STATUS_DATA_EXHAUSTED
+        assert b"reserved" in conn.expect(MessageType.ERROR).body
+        assert worker.installs == 1
+        conn.close()
+    fake.close()
+
+
 def test_server_rejects_validation_samples_of_another_dim():
     ds = synth_separable(8, 2, 20, 4.0, 1, val_fraction=0.5)
     with pytest.raises(ShapeError, match="dim 8, model expects 16"):
