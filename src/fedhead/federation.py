@@ -75,6 +75,7 @@ def average_blobs(blobs: list[ModelBlob]) -> ModelBlob:
 
     The fixed accumulation order makes the result reproducible; callers that
     care about device order (the round loop does) sort by device id first.
+    The mean of one blob is that blob (x / 1 == x).
     """
     if not blobs:
         raise ValueError("cannot average an empty list of blobs")
@@ -85,6 +86,8 @@ def average_blobs(blobs: list[ModelBlob]) -> ModelBlob:
                 f"blob shape E={b.embedding_dim} C={b.num_classes} does not match "
                 f"E={first.embedding_dim} C={first.num_classes}"
             )
+    if len(blobs) == 1:
+        return first
     acc = first.values.copy()
     for b in blobs[1:]:
         acc += b.values
@@ -127,18 +130,6 @@ class RoundResult:
     train_accuracies: list[float]
 
 
-def _head_accuracy(head: DenseHead, samples) -> float:
-    stacked = stack_samples(samples)
-    if not stacked:
-        raise ValueError("cannot evaluate on an empty sample set")
-    feats, labels = stacked.features, stacked.labels
-    if feats.shape[1] != head.embedding_dim:
-        raise ShapeError(
-            f"samples have dim {feats.shape[1]}, head expects {head.embedding_dim}"
-        )
-    return np.count_nonzero(batch_predict(head, feats) == labels) / len(labels)
-
-
 def stack_validation(val, embedding_dim: int) -> StackedSamples:
     """Stack a validation set and check that it is non-empty and of the model's dim."""
     val = stack_samples(val)
@@ -156,7 +147,15 @@ def evaluate(blob: ModelBlob, samples) -> float:
     `samples` is a list of EmbeddingSample or its stacked form (see
     `stack_samples`); a set scored every round should be stacked once.
     """
-    return _head_accuracy(head_from_blob(blob), samples)
+    stacked = stack_samples(samples)
+    if not stacked:
+        raise ValueError("cannot evaluate on an empty sample set")
+    feats, labels = stacked.features, stacked.labels
+    if feats.shape[1] != blob.embedding_dim:
+        raise ShapeError(
+            f"samples have dim {feats.shape[1]}, head expects {blob.embedding_dim}"
+        )
+    return np.count_nonzero(batch_predict(head_from_blob(blob), feats) == labels) / len(labels)
 
 
 def federated_round(
@@ -167,34 +166,50 @@ def federated_round(
 ) -> RoundResult:
     """Run one global round and advance every device's cursor by batch_size.
 
-    All devices start from one head on the global blob; each device's batch
-    is stacked once and feeds its training and its train accuracy. A
+    The N device batches are stacked into one (N, B, E) batch, trained from
+    the global blob by one `train_batch` call and scored by one
+    `batch_predict` call; each device's blob is a row view of the result. A
     validation list is stacked once per call; pass it stacked to reuse it.
-    The validation set's dim and every device's unseen data are checked
-    before any device trains, so a failed round consumes nothing.
+    The validation dim and every device's data shape and unseen data are
+    checked before any batch is taken, so such a failed round consumes
+    nothing; a round that fails in training changes no DeviceState.
     """
     if not devices:
         raise ValueError("need at least one device")
-    val = stack_validation(val, global_blob.embedding_dim)
+    e, c = global_blob.embedding_dim, global_blob.num_classes
+    val = stack_validation(val, e)
     for d in devices:
+        data = d.stream.dataset
+        if data.embedding_dim != e or data.num_classes > c:
+            raise ShapeError(
+                f"device {d.device_id}: stream has dim {data.embedding_dim} and "
+                f"{data.num_classes} classes, model has dim {e} and {c} classes"
+            )
         if d.stream.remaining() < cfg.batch_size:
             raise DataExhaustedError(
                 f"device {d.device_id}: round needs {cfg.batch_size} samples, "
                 f"only {d.stream.remaining()} unseen remain"
             )
-    start = head_from_blob(global_blob)
-    train_accuracies = []
-    for d in devices:
-        batch = d.stream.take(cfg.batch_size, stacked=True)
-        d.head = train_batch(start, batch, cfg.learning_rate, cfg.local_episodes)
+    batch = StackedSamples(np.empty((len(devices), cfg.batch_size, e)),
+                           np.empty((len(devices), cfg.batch_size), dtype=np.int64))
+    for i, d in enumerate(devices):
+        taken = d.stream.take(cfg.batch_size, stacked=True)
+        batch.features[i], batch.labels[i] = taken.features, taken.labels
+    params = train_batch(head_from_blob(global_blob), batch, cfg.learning_rate,
+                         cfg.local_episodes)
+    blobs = [ModelBlob(row, e, c) for row in params]  # the one check of the result
+    preds = batch_predict((params[:, : c * e].reshape(-1, c, e), params[:, c * e :]),
+                          batch.features)
+    for d, blob in zip(devices, blobs):
+        d.head = head_from_blob(blob)
         d.samples_seen += cfg.batch_size
-        train_accuracies.append(_head_accuracy(d.head, batch))
-    ordered = sorted(devices, key=lambda d: d.device_id)
-    new_global = average_blobs([blob_from_head(d.head) for d in ordered])
+    order = sorted(range(len(devices)), key=lambda i: devices[i].device_id)
+    new_global = average_blobs([blobs[i] for i in order])
+    hits = np.add.reduce(preds == batch.labels, axis=1)
     return RoundResult(
         global_blob=new_global,
         val_accuracy=evaluate(new_global, val),
-        train_accuracies=train_accuracies,
+        train_accuracies=(hits / cfg.batch_size).tolist(),
     )
 
 

@@ -81,10 +81,11 @@ class EmbeddingSample:
 
 @dataclass(eq=False)
 class StackedSamples:
-    """A sample set stacked once: float64 features (n, E) and labels (n,).
+    """A sample set stacked once: float64 features (n, E) and labels (n,), or
+    with a leading device axis (N, n, E) and (N, n), one row per device.
 
     Training and evaluation take it in place of an EmbeddingSample list, so a
-    set used more than once is stacked once. len() is the sample count.
+    set used more than once is stacked once. len() is the sample count, N·n.
     """
 
     features: np.ndarray
@@ -93,14 +94,14 @@ class StackedSamples:
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels)
-        if self.features.ndim != 2 or self.labels.shape != self.features.shape[:1]:
+        if self.features.ndim not in (2, 3) or self.labels.shape != self.features.shape[:-1]:
             raise ShapeError(
-                f"stacked samples need features (n, E) and labels (n,), "
+                f"stacked samples need features ([N,] n, E) and labels ([N,] n), "
                 f"got {self.features.shape} and {self.labels.shape}"
             )
 
     def __len__(self) -> int:
-        return self.labels.shape[0]
+        return self.labels.size
 
 
 def stack_samples(samples) -> StackedSamples:
@@ -143,21 +144,25 @@ def forward(head: DenseHead, x: np.ndarray) -> np.ndarray:
     return head.weights @ x + head.bias
 
 
-def batch_predict(head: DenseHead, x: np.ndarray) -> np.ndarray:
+def batch_predict(head: DenseHead | tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
     """Argmax class of each row of (n, E) features: np.argmax(x @ W.T + b, axis=1).
 
+    `head` is a DenseHead, or a (weights, bias) pair of (N, C, E) and (N, C)
+    arrays that scores (N, n, E) features device by device into (N, n).
     The class-major logits W @ x.T + b are bitwise its transpose for C-ordered
     and strided x (not for a C-ordered x.T). The argmax takes C - 1 vector steps;
     the strict > keeps the lowest index on ties, and a NaN defers to np.argmax.
     """
-    logits = head.weights @ x.T
-    logits += head.bias[:, None]
-    preds = np.zeros(logits.shape[1], dtype=np.intp)
-    best = logits[0]
-    for c in range(1, logits.shape[0]):
-        preds[logits[c] > best] = c
-        best = np.maximum(best, logits[c])
-    return np.argmax(logits, axis=0) if np.isnan(best).any() else preds
+    weights, bias = (head.weights, head.bias) if isinstance(head, DenseHead) else head
+    logits = weights @ x.swapaxes(-1, -2)
+    logits += bias[..., None]
+    by_class = logits.swapaxes(0, -2)  # (C, [N,] n)
+    best = by_class[0]
+    preds = np.zeros(best.shape, dtype=np.intp)
+    for c in range(1, by_class.shape[0]):
+        preds[by_class[c] > best] = c
+        best = np.maximum(best, by_class[c])
+    return np.argmax(logits, axis=-2) if np.isnan(best).any() else preds
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -222,7 +227,7 @@ def train_batch(
     batch,
     lr: float,
     local_episodes: int,
-) -> DenseHead:
+) -> DenseHead | np.ndarray:
     """Train on one batch for `local_episodes` passes.
 
     `batch` is an EmbeddingSample list, stacked here into features X (n, E),
@@ -232,10 +237,16 @@ def train_batch(
     bitwise `sgd_step` on those gradients. This matches averaging
     `sample_gradients` up to summation order.
 
+    A device-stacked batch, features (N, n, E), trains N copies of `head`
+    and returns their (N, C*E + C) parameters, one flat row per device in
+    blob order; every product is the same BLAS call as on one device, so row
+    i is bitwise `train_batch(head, batch_i, ...)`. A 2-D batch is the N = 1
+    case and returns a DenseHead.
+
     Inputs are checked once, before the first step, and the episodes run on
-    raw arrays. The returned DenseHead's check is the only check of the
-    result: a non-finite gradient leaves its parameter non-finite for good
-    (at lr = 0 too, as 0 * inf is nan), so it raises as a per-episode check would.
+    raw arrays. The result is checked once, as a DenseHead or by the caller:
+    a non-finite gradient leaves its parameter non-finite for good (at
+    lr = 0 too, as 0 * inf is nan), so it raises as a per-episode check would.
     """
     if local_episodes < 1:
         raise ValueError(f"local_episodes must be >= 1, got {local_episodes}")
@@ -243,7 +254,7 @@ def train_batch(
     if not batch:
         raise ValueError("batch must be non-empty")
     x, labels = batch.features, batch.labels
-    if x.shape[1] != head.embedding_dim:
+    if x.shape[-1] != head.embedding_dim:
         raise ShapeError(f"batch features must all have shape ({head.embedding_dim},)")
     if not np.isfinite(x).all():
         raise ValueError("input features must be finite")
@@ -251,22 +262,37 @@ def train_batch(
         raise IndexError(f"labels must lie in [0, {head.num_classes}), got {labels.tolist()}")
     if not np.isfinite(lr) or lr < 0:
         raise ValueError(f"learning rate must be finite and >= 0, got {lr}")
-    n = len(batch)
-    onehot = np.zeros((n, head.num_classes))
-    onehot[np.arange(n), labels] = 1.0
-    w, b = head.weights.copy(), head.bias.copy()
+    per_device = x.ndim == 3
+    if not per_device:
+        x, labels = x[None], labels[None]
+    devices, n = labels.shape
+    c, e = head.weights.shape
+    onehot = np.zeros((devices, n, c))
+    onehot.reshape(-1, c)[np.arange(devices * n), labels.ravel()] = 1.0
+    params = np.empty((devices, c * e + c))
+    params[:, : c * e] = head.weights.reshape(-1)
+    params[:, c * e :] = head.bias
+    grads = np.empty_like(params)  # the gradients, in the same flat layout
+    w, gw = (a[:, : c * e].reshape(devices, c, e) for a in (params, grads))
+    bias, gb = params[:, None, c * e :], grads[:, c * e :]
+    delta = np.empty((devices, n, c))  # softmax(x @ w.T + b) - onehot, in place
+    rows = np.empty((devices, n, 1))
+    wt, dt = w.transpose(0, 2, 1), delta.transpose(0, 2, 1)
     for _ in range(local_episodes):
-        delta = x @ w.T  # softmax(x @ w.T + b) - onehot, in this one buffer
-        delta += b
-        delta -= delta.max(axis=1, keepdims=True)
+        np.matmul(x, wt, out=delta)
+        delta += bias
+        delta -= np.maximum.reduce(delta, axis=2, keepdims=True, out=rows)
         np.exp(delta, out=delta)
-        delta /= delta.sum(axis=1, keepdims=True)
+        delta /= np.add.reduce(delta, axis=2, keepdims=True, out=rows)
         delta -= onehot
-        for p, g in ((w, delta.T @ x), (b, delta.sum(axis=0))):
-            g /= n
-            g *= lr
-            p -= g  # p - lr * (g / n), sgd_step's operation order
-    return DenseHead(w, b)
+        np.matmul(dt, x, out=gw)
+        np.add.reduce(delta, axis=1, out=gb)
+        grads /= n
+        grads *= lr
+        params -= grads  # p - lr * (g / n), sgd_step's operation order
+    if per_device:
+        return params
+    return DenseHead(w[0], params[0, c * e :])
 
 
 def predict(head: DenseHead, x: np.ndarray) -> int:

@@ -226,6 +226,55 @@ def test_round_on_stacked_batches_is_bitwise_the_list_path(num_devices):
     assert [s.samples_seen for s in streams] == [s.samples_seen for s in twins]
 
 
+def test_round_over_devices_out_of_id_order_is_bitwise_the_list_path():
+    ds, streams = small_setup(14, n=400, num_devices=4)
+    _, twins = small_setup(14, n=400, num_devices=4)
+    cfg = RoundConfig(num_devices=4, batch_size=5, local_episodes=2, learning_rate=0.2, epochs=1)
+    start = blob_from_head(init_head(8, 2, "random", seed=14))
+    order = [2, 0, 3, 1]
+    devices = [DeviceState(streams[i].device_id, head_from_blob(start), streams[i]) for i in order]
+    oracle = [DeviceState(twins[i].device_id, head_from_blob(start), twins[i]) for i in order]
+    blob, oracle_blob = start, start
+    for _ in range(5):
+        result = federated_round(devices, blob, cfg, ds.stacked_validation())
+        oracle_blob, oracle_acc, oracle_train = list_path_round(
+            oracle, oracle_blob, cfg, ds.validation_samples())
+        blob = result.global_blob
+        assert np.array_equal(blob.values, oracle_blob.values)
+        assert result.val_accuracy == oracle_acc
+        assert result.train_accuracies == oracle_train
+        for d, o in zip(devices, oracle):
+            assert np.array_equal(blob_from_head(d.head).values, blob_from_head(o.head).values)
+
+
+def test_round_with_a_nan_feature_changes_no_device_state():
+    ds, streams = small_setup(15, n=300, num_devices=3)
+    cfg = RoundConfig(num_devices=3, batch_size=6, local_episodes=2, learning_rate=0.1, epochs=1)
+    global_blob = blob_from_head(init_head(8, 2, "random", seed=15))
+    heads = [init_head(8, 2, "random", seed=i) for i in range(3)]
+    devices = [DeviceState(s.device_id, h, s, samples_seen=7) for s, h in zip(streams, heads)]
+    bad = streams[1]
+    ds.features[bad.indices[bad.cursor + 3], 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        federated_round(devices, global_blob, cfg, ds.stacked_validation())
+    assert all(d.head is h for d, h in zip(devices, heads))
+    assert [d.samples_seen for d in devices] == [7, 7, 7]
+
+
+def test_round_rejects_a_stream_of_another_shape_before_any_take():
+    ds, (stream,) = small_setup(16, num_devices=1)
+    narrow = partition(synth_separable(4, 2, 200, 4.0, 16), 1, 16)[0]
+    three = partition(synth_separable(8, 3, 200, 4.0, 16), 1, 16)[0]
+    cfg = RoundConfig(num_devices=2, batch_size=5, local_episodes=1, learning_rate=0.1, epochs=1)
+    global_blob = blob_from_head(init_head(8, 2, "zeros"))
+    for other, match in ((narrow, "device 1: stream has dim 4"), (three, "3 classes")):
+        devices = [DeviceState(0, head_from_blob(global_blob), stream),
+                   DeviceState(1, head_from_blob(global_blob), other)]
+        with pytest.raises(ShapeError, match=match):
+            federated_round(devices, global_blob, cfg, ds.stacked_validation())
+        assert stream.samples_seen == other.samples_seen == 0
+
+
 def test_round_rejects_validation_of_another_dim_before_training():
     ds, (stream,) = small_setup(17, num_devices=1)
     other = synth_separable(4, 2, 50, 4.0, 17)

@@ -413,6 +413,39 @@ def test_train_batch_on_a_stacked_batch_is_bitwise_the_list_path():
             assert np.array_equal(out.bias, a.bias)
 
 
+@pytest.mark.parametrize("devices", [1, 3, 4])
+@pytest.mark.parametrize("n", [1, 20, 50])
+@pytest.mark.parametrize("e", [16, 1280])
+@pytest.mark.parametrize("c", [2, 10])
+def test_device_stacked_train_batch_rows_are_bitwise_per_device(devices, n, e, c):
+    rng = np.random.default_rng(devices * 10000 + n * 100 + e + c)
+    head = random_head(rng, e, c)
+    batch = StackedSamples(rng.normal(size=(devices, n, e)), rng.integers(0, c, size=(devices, n)))
+    assert len(batch) == devices * n
+    for episodes in (1, 5):
+        params = train_batch(head, batch, 0.3, episodes)
+        assert params.shape == (devices, c * e + c) and params.dtype == np.float64
+        for i in range(devices):
+            one = train_batch(head, StackedSamples(batch.features[i], batch.labels[i]), 0.3, episodes)
+            assert np.array_equal(params[i], np.concatenate([one.weights.ravel(), one.bias]))
+
+
+def test_device_stacked_samples_are_validated():
+    with pytest.raises(ShapeError):
+        StackedSamples(np.zeros((2, 3, 4)), np.zeros((2, 4), dtype=np.int64))
+    with pytest.raises(ShapeError):
+        StackedSamples(np.zeros((1, 2, 3, 4)), np.zeros((1, 2, 3), dtype=np.int64))
+    head = make_head([[1.0, 2.0], [3.0, 4.0]], [0.5, -0.5])
+    for features, labels, error in (
+        (np.zeros((2, 3, 3)), np.zeros((2, 3), dtype=np.int64), ShapeError),
+        (np.zeros((2, 0, 2)), np.zeros((2, 0), dtype=np.int64), ValueError),
+        (np.array([[[0.0, 0.0]], [[np.nan, 0.0]]]), np.zeros((2, 1), dtype=np.int64), ValueError),
+        (np.zeros((2, 1, 2)), np.array([[0], [2]]), IndexError),
+    ):
+        with pytest.raises(error):
+            train_batch(head, StackedSamples(features, labels), 0.1, 2)
+
+
 @pytest.mark.parametrize("features,labels,error", [
     (np.zeros((0, 2)), np.zeros(0, dtype=np.int64), ValueError),
     (np.zeros((2, 3)), [0, 1], ShapeError),
@@ -583,6 +616,25 @@ def test_batch_predict_on_nan_logits(nan_class):
         preds = batch_predict(head, x)
         assert_scores_like_the_oracle(head, x, np.array([0, 1, 2, nan_class]))
     assert preds[0] == preds[3] == nan_class
+
+
+def test_stacked_batch_predict_is_the_per_device_scorer():
+    # Small integers make ties exact. On two rows device 2 scores inf, nan,
+    # inf, -inf, which sends the whole stack to the np.argmax fallback.
+    rng = np.random.default_rng(8)
+    weights = rng.integers(-2, 3, size=(3, 4, 2)).astype(np.float64)
+    weights[2] = [[1.0, 1.0], [1.0, -1.0], [2.0, 1.0], [-1.0, -2.0]]
+    bias = rng.integers(-1, 2, size=(3, 4)).astype(np.float64)
+    x = rng.integers(-2, 3, size=(3, 30, 2)).astype(np.float64)
+    x[2, [5, 17]] = np.inf
+    for stack in (slice(0, 2), slice(0, 3)):  # without and with the nan rows
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = batch_predict((weights[stack], bias[stack]), x[stack])
+            want = [batch_predict(make_head(w, b), f)
+                    for w, b, f in zip(weights[stack], bias[stack], x[stack])]
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, want)
+    assert got[2, 5] == got[2, 17] == 1
 
 
 @settings(max_examples=50)

@@ -109,16 +109,21 @@ def test_names_the_benchmark_patches_exist():
 
 
 def test_sweep_calls_the_patched_names_once_per_use(monkeypatch):
+    # A round trains all its devices in one stacked train_batch call, whose
+    # batch argument's len() is the round's sample count.
     import fedhead.federation as fed
     import fedhead.simulator as sim
 
     calls = {"federated_round": 0, "run_training": 0, "train_batch": 0, "evaluate": 0}
+    trained = []
 
     def counting(owner, name):
         original = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name == "train_batch":
+                trained.append(len(args[1]))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapper)
@@ -132,7 +137,8 @@ def test_sweep_calls_the_patched_names_once_per_use(monkeypatch):
     rounds = 3 * 2 * 4
     assert calls["federated_round"] == rounds
     assert calls["run_training"] == 3 * 2
-    assert calls["train_batch"] == (1 + 2 + 3) * 2 * 4
+    assert calls["train_batch"] == rounds
+    assert sum(trained) == (1 + 2 + 3) * 2 * 4 * cfg.batch_size
     assert calls["evaluate"] == rounds
 
 
