@@ -1,10 +1,12 @@
 """Command-line surface: dataset generation, simulation, sweeps, self-checks,
 and the live server/agent runtime.
 
-Exit codes: 0 success, 1 usage error, 2 runtime error. Config files are flat
-key=value text (see simulator.parse_config_file); explicit flags win over
-file values. Every command logs its fully resolved configuration, seeds
-included, so an output can be reproduced from the log alone.
+Exit codes: 0 success, 1 usage error, 2 runtime error. Run flags store under
+their config keys (`--lr` is learning_rate); simulator.apply_settings layers
+them key by key over the preset or defaults and the --config file (see
+simulator.parse_config_file), and a setting that cannot work is a usage error
+before anything runs. Every command logs its fully resolved configuration,
+seeds included, so an output can be reproduced from the log alone.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from . import data as data_mod
 from . import simulator, wire
 from .errors import ProtocolError
 from .federation import ModelBlob, blob_from_head
-from .nn import gradient_check, init_head
+from .nn import INIT_MODES, gradient_check, init_head
 from .runtime import Agent, RoundPolicy, configure_logging, parse_endpoint, serve
 from .runtime.protocol import MAX_DEVICE_ID
 
@@ -48,43 +50,53 @@ def _log_config(command: str, resolved: dict) -> None:
 
 
 def _add_synth_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kind", choices=["separable", "sparse"], default=None,
+    p.add_argument("--kind", choices=["separable", "sparse"],
                    help="synthetic task family (default separable)")
-    p.add_argument("--dim", type=int, default=None, help="embedding dimension (default 16)")
-    p.add_argument("--classes", type=int, default=None, help="number of classes (default 2)")
-    p.add_argument("--samples", type=int, default=None, help="total samples (default 20000)")
-    p.add_argument("--margin", type=float, default=None, help="centroid separation (default 4.0)")
-    p.add_argument("--sparse-dims", type=int, default=None,
+    p.add_argument("--dim", type=int, dest="synth_dim", help="embedding dimension (default 16)")
+    p.add_argument("--classes", type=int, dest="synth_classes",
+                   help="number of classes (default 2)")
+    p.add_argument("--samples", type=int, dest="synth_samples",
+                   help="total samples (default 20000)")
+    p.add_argument("--margin", type=float, dest="synth_margin",
+                   help="centroid separation (default 4.0)")
+    p.add_argument("--sparse-dims", type=int, dest="synth_sparse_dims",
                    help="signal-carrying dims for --kind sparse (default 16)")
-    p.add_argument("--val-fraction", type=float, default=None,
+    p.add_argument("--val-fraction", type=float, dest="synth_val_fraction",
                    help="validation share (default 0.2)")
 
 
-_SYNTH_FIELDS = {
-    "kind": "kind",
-    "dim": "embedding_dim",
-    "classes": "num_classes",
-    "samples": "samples",
-    "margin": "margin",
-    "sparse_dims": "sparse_dims",
-    "val_fraction": "val_fraction",
-}
+def _flag_settings(args) -> dict:
+    """The experiment settings given as flags, as {config key: value}."""
+    settings = {k: v for k, v in vars(args).items() if k in simulator.CONFIG_KEYS and v is not None}
+    if args.kind is not None:  # the flag form of dataset=synthetic-K
+        if "dataset" in settings:
+            raise _UsageError("--kind sets a synthetic dataset and cannot be combined with --data")
+        settings["dataset"] = f"synthetic-{args.kind}"
+    return settings
 
 
-def _synth_overrides(args) -> dict:
-    out = {}
-    for flag, field in _SYNTH_FIELDS.items():
-        value = getattr(args, flag)
-        if value is not None:
-            out[field] = value
-    return out
+def _experiment(args, base: simulator.ExperimentConfig, one_point: bool = False):
+    """Layer the --config file, then the flags, over `base`, key by key.
+
+    A setting that cannot work is a usage error; a missing file stays an OSError.
+    `one_point` sweeps only the resolved device count (simulate).
+    """
+    try:
+        if args.config:  # only over the defaults: --preset and --config are exclusive
+            base = simulator.parse_config_file(args.config)
+        cfg = simulator.apply_settings(base, _flag_settings(args))
+        if one_point:
+            cfg = dataclasses.replace(cfg, sweep_param="devices", sweep_values=[cfg.devices])
+        return cfg
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 # -- subcommand implementations ---------------------------------------------
 
 
 def _cmd_gen_data(args) -> int:
-    spec = simulator.SyntheticSpec(**{**dict(kind="separable"), **_synth_overrides(args)})
+    spec = simulator.apply_settings(simulator.ExperimentConfig(), _flag_settings(args)).dataset
     _log_config("gen-data", {**dataclasses.asdict(spec), "seed": args.seed, "out": args.out})
     dataset = spec.build(args.seed)
     data_mod.save_dataset(dataset, args.out)
@@ -94,32 +106,6 @@ def _cmd_gen_data(args) -> int:
         f"{len(dataset.validation_indices())} validation"
     )
     return 0
-
-
-def _experiment_from_flags(args, base: simulator.ExperimentConfig) -> simulator.ExperimentConfig:
-    """Overlay explicit flags on a base config; flags win."""
-    replacements = {}
-    for flag, field in (
-        ("devices", "devices"),
-        ("batch_size", "batch_size"),
-        ("episodes", "local_episodes"),
-        ("lr", "learning_rate"),
-        ("epochs", "epochs"),
-        ("reps", "repetitions"),
-        ("seed", "base_seed"),
-        ("init", "init_mode"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            replacements[field] = value
-    if getattr(args, "data", None) is not None:
-        replacements["dataset"] = args.data
-    else:
-        synth = _synth_overrides(args)
-        if synth or not isinstance(base.dataset, (str,)):
-            current = base.dataset if isinstance(base.dataset, simulator.SyntheticSpec) else simulator.SyntheticSpec()
-            replacements["dataset"] = dataclasses.replace(current, **synth)
-    return dataclasses.replace(base, **replacements)
 
 
 def _print_sweep_summary(result: simulator.SweepResult) -> None:
@@ -133,9 +119,7 @@ def _print_sweep_summary(result: simulator.SweepResult) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    base = simulator.parse_config_file(args.config) if args.config else simulator.ExperimentConfig()
-    cfg = _experiment_from_flags(args, base)
-    cfg = dataclasses.replace(cfg, sweep_param="devices", sweep_values=[cfg.devices])
+    cfg = _experiment(args, simulator.ExperimentConfig(), one_point=True)
     _log_config("simulate", dataclasses.asdict(cfg))
     result = simulator.run_sweep(cfg)
     _print_sweep_summary(result)
@@ -148,19 +132,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.preset and args.config:
         raise _UsageError("--preset and --config are mutually exclusive")
-    if args.preset:
-        base = simulator.default_presets()[args.preset]
-    elif args.config:
-        base = simulator.parse_config_file(args.config)
-    else:
-        base = simulator.ExperimentConfig()
-    cfg = _experiment_from_flags(args, base)
-    if args.sweep is not None:
-        cfg = dataclasses.replace(cfg, sweep_param=args.sweep)
-    if args.values is not None:
-        raw = [v.strip() for v in args.values.split(",") if v.strip()]
-        values = raw if cfg.sweep_param == "init_mode" else [int(v) for v in raw]
-        cfg = dataclasses.replace(cfg, sweep_values=values)
+    base = simulator.default_presets()[args.preset] if args.preset else simulator.ExperimentConfig()
+    cfg = _experiment(args, base)
     _log_config("sweep", dataclasses.asdict(cfg))
     result = simulator.run_sweep(cfg)
     _print_sweep_summary(result)
@@ -296,17 +269,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output dataset path")
     p.set_defaults(func=_cmd_gen_data)
 
-    def add_run_flags(p, with_out_default=False):
-        p.add_argument("--config", default=None, help="key=value config file; flags override it")
-        p.add_argument("--devices", "-N", type=int, default=None)
-        p.add_argument("--batch-size", "-B", type=int, default=None, dest="batch_size")
-        p.add_argument("--episodes", "-L", type=int, default=None)
-        p.add_argument("--lr", type=float, default=None)
-        p.add_argument("--epochs", "-T", type=int, default=None)
-        p.add_argument("--reps", "-R", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--init", choices=["random", "zeros", "pretrained"], default=None)
-        p.add_argument("--data", default=None, help="dataset file (default: synthetic)")
+    def add_run_flags(p):
+        # Each experiment flag stores under its config key.
+        p.add_argument("--config", help="key=value config file; flags override it")
+        p.add_argument("--devices", "-N", type=int)
+        p.add_argument("--batch-size", "-B", type=int)
+        p.add_argument("--episodes", "-L", type=int, dest="local_episodes")
+        p.add_argument("--lr", type=float, dest="learning_rate")
+        p.add_argument("--epochs", "-T", type=int)
+        p.add_argument("--reps", "-R", type=int, dest="repetitions")
+        p.add_argument("--seed", type=int, dest="base_seed")
+        p.add_argument("--init", choices=INIT_MODES, dest="init_mode")
+        p.add_argument("--data", dest="dataset", help="dataset file (default: synthetic)")
         _add_synth_flags(p)
 
     p = sub.add_parser("simulate", help="run one federated configuration")
@@ -317,9 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a parameter sweep and write its CSV")
     p.add_argument("--preset", choices=["fig1", "fig2", "fig3", "fig4"], default=None)
     add_run_flags(p)
-    p.add_argument("--sweep", choices=list(simulator.SWEEP_AXES), default=None,
+    p.add_argument("--sweep", choices=simulator.SWEEP_AXES, dest="sweep_param",
                    help="axis to sweep")
-    p.add_argument("--values", default=None, help="comma-separated sweep values")
+    p.add_argument("--values", dest="sweep_values", help="comma-separated sweep values")
     p.add_argument("--out", default=None, help="CSV path (default <preset>.csv)")
     p.set_defaults(func=_cmd_sweep)
 

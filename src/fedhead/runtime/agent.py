@@ -23,7 +23,6 @@ import logging
 import selectors
 import socket
 import time
-from collections import deque
 
 from ..errors import DataExhaustedError, ProtocolError, ShapeError, WireError
 from ..federation import blob_from_head, head_from_blob
@@ -81,7 +80,7 @@ class Agent:
         self.samples_trained = 0
         self._need_sync_step = False
         self._since_push = 0
-        self._expect: deque[str] = deque()
+        self._expect = 0  # PUSH_MODEL announcements not yet matched by a MODEL_DATA
         self._stopped = False
         self._sock: socket.socket | None = None
         self._buf = MessageBuffer()
@@ -124,7 +123,7 @@ class Agent:
                 self._sock.settimeout(None)
                 self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 self._buf = MessageBuffer()
-                self._expect.clear()
+                self._expect = 0
                 self._send(Message(MessageType.HELLO, self.device_id))
                 log.info("device %d connected to %s:%d", self.device_id, self.host, self.port)
                 return
@@ -198,7 +197,7 @@ class Agent:
             else:
                 self._send_model()
         elif msg.type is MessageType.PUSH_MODEL:
-            self._expect.append("push")
+            self._expect += 1
         elif msg.type is MessageType.MODEL_DATA:
             self._on_model_data(msg)
         elif msg.type is MessageType.ACK:
@@ -215,7 +214,7 @@ class Agent:
         if not self._expect:
             self._send(Message(MessageType.ERROR, self.device_id, b"UNEXPECTED_MODEL_DATA"))
             return
-        self._expect.popleft()
+        self._expect -= 1
         try:
             blob = blob_from_model_data(msg.body)
             head = head_from_blob(blob)

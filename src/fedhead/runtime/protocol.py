@@ -12,7 +12,7 @@ MODEL_DATA as a push exactly when it directly follows a PUSH_MODEL and as a
 pull reply otherwise. One write also wakes the receiver once per transfer,
 not once per message. The server counts its unanswered pulls per
 device, since a push can cross its PULL_MODEL on the way; the agent only
-ever receives pushes, and keeps a FIFO of announcements.
+ever receives pushes, and counts their announcements.
 """
 from __future__ import annotations
 

@@ -15,6 +15,7 @@ of which other values appear in the sweep.
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,7 @@ import numpy as np
 from . import data as data_mod
 from .errors import DataExhaustedError
 from .federation import ModelBlob, RoundConfig, RunResult, run_training
+from .nn import INIT_MODES
 
 SWEEP_AXES = ("devices", "batch_size", "local_episodes", "init_mode")
 
@@ -68,7 +70,11 @@ class SyntheticSpec:
 
 @dataclass
 class ExperimentConfig:
-    """One sweep: a base configuration plus a single swept axis."""
+    """One sweep: a base configuration plus a single swept axis.
+
+    Every field is a config key. Construction types the sweep values by their
+    axis and checks every sweep point, so a config that cannot run fails here.
+    """
 
     devices: int = 2
     batch_size: int = 20
@@ -89,6 +95,12 @@ class ExperimentConfig:
             raise ValueError("sweep_values must be non-empty")
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        axis_type = _CONFIG_TYPES[self.sweep_param]
+        self.sweep_values = [_typed(self.sweep_param, axis_type, v) for v in self.sweep_values]
+        for value in self.sweep_values:
+            _point_config(self, value)
 
 
 @dataclass(eq=False)
@@ -113,25 +125,62 @@ class SweepResult:
     points: list[SweepPoint]
 
 
+_CONFIG_TYPES = typing.get_type_hints(ExperimentConfig)
+_SPEC_TYPES = typing.get_type_hints(SyntheticSpec)
+# Config key -> SyntheticSpec field; these keys need a synthetic dataset.
+SYNTH_KEYS = {"synth_dim": "embedding_dim", "synth_classes": "num_classes",
+              "synth_samples": "samples", "synth_margin": "margin",
+              "synth_sparse_dims": "sparse_dims", "synth_val_fraction": "val_fraction"}
+CONFIG_KEYS = (*_CONFIG_TYPES, *SYNTH_KEYS)
+
+
+def _typed(key: str, kind: type, value):
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be {kind.__name__}, got {value!r}") from None
+
+
+def apply_settings(cfg: ExperimentConfig, settings: dict) -> ExperimentConfig:
+    """Return `cfg` with each {config key: value} setting applied; ValueError if it cannot run.
+
+    Values are converted by their field's type, so file text and typed flag
+    values take one path. dataset=synthetic-K sets the synthetic kind and keeps
+    the other synth_* settings; any other dataset is a file path.
+    """
+    changes, synth = {}, {}
+    for key, value in settings.items():
+        if key in SYNTH_KEYS:
+            synth[SYNTH_KEYS[key]] = _typed(key, _SPEC_TYPES[SYNTH_KEYS[key]], value)
+        elif key == "sweep_values" and isinstance(value, str):
+            changes[key] = [v.strip() for v in value.split(",") if v.strip()]
+        elif key in ("dataset", "sweep_values"):
+            changes[key] = value
+        elif key in _CONFIG_TYPES:
+            changes[key] = _typed(key, _CONFIG_TYPES[key], value)
+        else:
+            raise ValueError(f"unknown config key {key!r}")
+    dataset = changes.pop("dataset", cfg.dataset)
+    if dataset in ("synthetic-separable", "synthetic-sparse"):
+        current = cfg.dataset if isinstance(cfg.dataset, SyntheticSpec) else SyntheticSpec()
+        dataset = dataclasses.replace(current, kind=dataset.removeprefix("synthetic-"))
+    if synth:
+        if not isinstance(dataset, SyntheticSpec):
+            keys = ", ".join(k for k in settings if k in SYNTH_KEYS)
+            raise ValueError(f"{keys}: synth_* settings need dataset=synthetic-separable or "
+                             f"synthetic-sparse, not {dataset!r}")
+        dataset = dataclasses.replace(dataset, **synth)
+    return dataclasses.replace(cfg, dataset=dataset, **changes)
+
+
 def _point_config(cfg: ExperimentConfig, value) -> tuple[RoundConfig, str]:
-    """Apply one sweep value, returning the round config and init mode."""
-    fields = {
-        "num_devices": cfg.devices,
-        "batch_size": cfg.batch_size,
-        "local_episodes": cfg.local_episodes,
-        "learning_rate": cfg.learning_rate,
-        "epochs": cfg.epochs,
-    }
-    init_mode = cfg.init_mode
-    if cfg.sweep_param == "devices":
-        fields["num_devices"] = int(value)
-    elif cfg.sweep_param == "batch_size":
-        fields["batch_size"] = int(value)
-    elif cfg.sweep_param == "local_episodes":
-        fields["local_episodes"] = int(value)
-    else:
-        init_mode = str(value)
-    return RoundConfig(**fields), init_mode
+    """Apply one sweep value by field name; ValueError if the point cannot run."""
+    point = {name: getattr(cfg, name) for name in SWEEP_AXES}
+    point[cfg.sweep_param] = value
+    if point["init_mode"] not in INIT_MODES:
+        raise ValueError(f"init_mode must be one of {INIT_MODES}, got {point['init_mode']!r}")
+    return RoundConfig(point["devices"], point["batch_size"], point["local_episodes"],
+                       cfg.learning_rate, cfg.epochs), point["init_mode"]
 
 
 def make_pretrained_blob(embedding_dim: int, num_classes: int, seed) -> ModelBlob:
@@ -174,7 +223,7 @@ def _run_repetition(
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Run every sweep point for `repetitions` seeded repetitions each."""
     needs_pretrained = cfg.init_mode == "pretrained" or (
-        cfg.sweep_param == "init_mode" and "pretrained" in [str(v) for v in cfg.sweep_values]
+        cfg.sweep_param == "init_mode" and "pretrained" in cfg.sweep_values
     )
     # A file dataset is the same for every repetition, so it is read once.
     source = cfg.dataset
@@ -235,55 +284,25 @@ def emit_csv(result: SweepResult, path) -> None:
 
 
 def default_presets() -> dict[str, ExperimentConfig]:
-    """Named sweep presets over the default synthetic separable task.
+    """Named sweep presets: the default config with one axis swept.
 
     fig1: init mode (random vs pretrained), 2 devices, batch 20, 5 episodes.
     fig2: device count {1,2,4,8}, batch 20, 5 episodes.
     fig3: batch size {1,5,20,50}, 2 devices, 5 episodes.
     fig4: local episodes {1,3,5,6}, 2 devices, batch 20, 20 repetitions.
     """
-    base = ExperimentConfig(
-        devices=2,
-        batch_size=20,
-        local_episodes=5,
-        learning_rate=0.01,
-        epochs=100,
-        repetitions=10,
-        base_seed=0,
-        init_mode="random",
-        dataset=SyntheticSpec(),
-        sweep_param="devices",
-        sweep_values=[1, 2, 4, 8],
-    )
     return {
-        "fig1": dataclasses.replace(
-            base, sweep_param="init_mode", sweep_values=["random", "pretrained"]
-        ),
-        "fig2": dataclasses.replace(base),
-        "fig3": dataclasses.replace(
-            base, sweep_param="batch_size", sweep_values=[1, 5, 20, 50]
-        ),
-        "fig4": dataclasses.replace(
-            base,
-            sweep_param="local_episodes",
-            sweep_values=[1, 3, 5, 6],
-            repetitions=20,
+        "fig1": ExperimentConfig(sweep_param="init_mode", sweep_values=["random", "pretrained"]),
+        "fig2": ExperimentConfig(),
+        "fig3": ExperimentConfig(sweep_param="batch_size", sweep_values=[1, 5, 20, 50]),
+        "fig4": ExperimentConfig(
+            sweep_param="local_episodes", sweep_values=[1, 3, 5, 6], repetitions=20
         ),
     }
 
 
-_INT_KEYS = {"devices", "batch_size", "local_episodes", "epochs", "repetitions", "base_seed"}
-_FLOAT_KEYS = {"learning_rate"}
-_SYNTH_INT_KEYS = {
-    "synth_dim": "embedding_dim",
-    "synth_classes": "num_classes",
-    "synth_samples": "samples",
-    "synth_sparse_dims": "sparse_dims",
-}
-
-
 def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse the flat key=value experiment format ('#' starts a comment)."""
+    """Parse the flat key=value experiment format ('#' starts a comment) over the defaults."""
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -293,42 +312,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
         pairs[key.strip()] = value.strip()
-
-    cfg_kwargs: dict = {}
-    synth_kwargs: dict = {}
-    for key, value in pairs.items():
-        if key in _INT_KEYS:
-            cfg_kwargs[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            cfg_kwargs[key] = float(value)
-        elif key == "init_mode":
-            cfg_kwargs[key] = value
-        elif key == "sweep_param":
-            cfg_kwargs[key] = value
-        elif key == "sweep_values":
-            cfg_kwargs[key] = [v.strip() for v in value.split(",") if v.strip()]
-        elif key == "dataset":
-            cfg_kwargs[key] = value
-        elif key in _SYNTH_INT_KEYS:
-            synth_kwargs[_SYNTH_INT_KEYS[key]] = int(value)
-        elif key == "synth_margin":
-            synth_kwargs["margin"] = float(value)
-        elif key == "synth_val_fraction":
-            synth_kwargs["val_fraction"] = float(value)
-        else:
-            raise ValueError(f"unknown config key {key!r}")
-
-    dataset = cfg_kwargs.get("dataset", "synthetic-separable")
-    if dataset in ("synthetic-separable", "synthetic-sparse"):
-        kind = "separable" if dataset.endswith("separable") else "sparse"
-        cfg_kwargs["dataset"] = SyntheticSpec(kind=kind, **synth_kwargs)
-    elif synth_kwargs:
-        raise ValueError("synth_* keys require dataset=synthetic-separable or synthetic-sparse")
-
-    cfg = ExperimentConfig(**cfg_kwargs)
-    if cfg.sweep_param != "init_mode":
-        cfg.sweep_values = [int(v) for v in cfg.sweep_values]
-    return cfg
+    return apply_settings(ExperimentConfig(), pairs)
 
 
 def parse_config_file(path) -> ExperimentConfig:

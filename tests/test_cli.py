@@ -3,6 +3,7 @@
 All commands run in-process through main(argv), so stdout/stderr and exit
 codes are asserted without spawning interpreters.
 """
+import argparse
 import json
 import logging
 import socket
@@ -12,11 +13,11 @@ import time
 import numpy as np
 import pytest
 
-from fedhead import cli
+from fedhead import cli, simulator
 from fedhead.cli import main
-from fedhead.data import load_dataset
+from fedhead.data import load_dataset, synth_sparse
 from fedhead.nn import StackedSamples
-from fedhead.simulator import CSV_COLUMNS
+from fedhead.simulator import CSV_COLUMNS, CONFIG_KEYS, ExperimentConfig, parse_config_text
 from fedhead.wire import decode_model
 
 
@@ -147,6 +148,100 @@ def test_missing_dataset_file_is_a_runtime_error(capsys):
     rc = main(["simulate", "--data", "/nonexistent/toy.ds", "-T", "1", "-R", "1"])
     assert rc == 2
     assert "fedhead:" in capsys.readouterr().err
+
+
+def test_missing_config_file_is_a_runtime_error(capsys):
+    assert main(["sweep", "--config", "/nonexistent/exp.cfg"]) == 2
+    assert "FileNotFoundError" in capsys.readouterr().err
+
+
+IMPOSSIBLE_CONFIGS = [
+    ["sweep", "--sweep", "batch_size", "--values", "5,0", "-R", "3"],
+    ["sweep", "--sweep", "init_mode", "--values", "random,bogus", "-R", "3"],
+    ["simulate", "-B", "0"],
+    ["sweep", "--lr", "-1"],
+    ["simulate", "-R", "0"],
+    ["simulate", "-N", "0"],
+    ["sweep", "--seed", "-1"],
+    ["sweep", "--preset", "fig2", "--sweep", "init_mode"],
+    ["sweep", "--preset", "fig1", "--sweep", "devices"],
+    ["simulate", "--config", "{bad_key_cfg}"],
+    ["simulate", "--data", "{data}", "--dim", "16"],
+    ["sweep", "--data", "{data}", "--kind", "sparse"],
+    ["sweep", "--config", "{file_data_cfg}", "--margin", "2.0"],
+]
+
+
+@pytest.mark.parametrize("argv", IMPOSSIBLE_CONFIGS, ids=" ".join)
+def test_impossible_config_is_a_usage_error_before_any_repetition(
+    argv, tmp_path, monkeypatch, capsys, caplog
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.cfg").write_text("devices = 2\nupsilon = 3\n")
+    (tmp_path / "file.cfg").write_text("dataset = toy.ds\n")
+    assert main(["gen-data", *TINY, "--out", "toy.ds"]) == 0
+    names = {"bad_key_cfg": "bad.cfg", "file_data_cfg": "file.cfg", "data": "toy.ds"}
+    calls = []
+    run_training = simulator.run_training
+    monkeypatch.setattr(simulator, "run_training",
+                        lambda *a, **kw: calls.append(a) or run_training(*a, **kw))
+    caplog.clear()
+    caplog.set_level(logging.INFO, logger="fedhead.cli")
+    argv = [arg.format(**names) for arg in argv]
+    assert main([*argv, "-T", "2", "--out", "run.csv"]) == 1
+    assert calls == []
+    assert not (tmp_path / "run.csv").exists()
+    assert not [r for r in caplog.records if "resolved config" in r.message]
+    assert "fedhead: error:" in capsys.readouterr().err
+
+
+def _resolve(argv) -> ExperimentConfig:
+    """The ExperimentConfig a simulate/sweep command line resolves to."""
+    return cli._experiment(cli.build_parser().parse_args(argv), ExperimentConfig())
+
+
+# A valid value for every setting flag, by config key.
+SETTING_VALUES = {
+    "devices": "3", "batch_size": "7", "local_episodes": "2", "learning_rate": "0.5",
+    "epochs": "9", "repetitions": "4", "base_seed": "11", "init_mode": "zeros",
+    "dataset": "task.ds", "sweep_param": "batch_size", "sweep_values": "1, 3",
+    "synth_dim": "24", "synth_classes": "3", "synth_samples": "500", "synth_margin": "2.5",
+    "synth_sparse_dims": "6", "synth_val_fraction": "0.3",
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_run_flags_store_under_config_keys(command):
+    """One vocabulary: a run flag either is a config key or sets no experiment value."""
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    settings = [a for a in subparsers.choices[command]._actions
+                if a.dest not in ("config", "out", "preset", "kind", "help")]
+    assert {a.dest for a in settings} <= set(CONFIG_KEYS)
+    for action in settings:
+        value = SETTING_VALUES[action.dest]
+        flagged = _resolve([command, action.option_strings[0], value])
+        assert flagged == parse_config_text(f"{action.dest} = {value}\n"), action.dest
+
+
+def test_sparse_task_from_config_file_and_flags():
+    from_file = parse_config_text(
+        "dataset = synthetic-sparse\nsynth_dim = 24\nsynth_sparse_dims = 4\n"
+        "synth_classes = 3\nsynth_samples = 400\nsynth_margin = 5.0\n"
+        "synth_val_fraction = 0.25\n"
+    )
+    from_flags = _resolve([
+        "simulate", "--kind", "sparse", "--dim", "24", "--sparse-dims", "4", "--classes", "3",
+        "--samples", "400", "--margin", "5.0", "--val-fraction", "0.25",
+    ])
+    assert from_flags == from_file
+    built = from_file.dataset.build(7)
+    want = synth_sparse(24, 4, 3, 400, 7, margin=5.0, val_fraction=0.25)
+    for name in ("features", "labels", "splits"):
+        assert np.array_equal(getattr(built, name), getattr(want, name)), name
+    dead = ~np.any(built.features != 0, axis=0)
+    assert dead.sum() == 24 - 4
+    assert np.all(built.features[:, dead] == 0.0)
 
 
 def test_encode_decode_round_trip(tmp_path, capsys):

@@ -949,6 +949,30 @@ def test_agent_free_run_matches_offline_replay():
     fake.close()
 
 
+def test_agent_free_run_pushes_every_push_every_samples():
+    blob = make_blob(25)
+    stream = make_stream(6, seed=4)
+    samples = make_stream(6, seed=4).take(6)  # same permutation, untouched
+    fake = ScriptedServer()
+    with running_agent(
+        fake.address, 5, stream, learning_rate=0.05, local_episodes=2, push_every=3
+    ) as worker:
+        conn = fake.accept()
+        conn.expect(MessageType.HELLO)
+        conn.send(Message(MessageType.PUSH_MODEL, 0))
+        conn.send(Message(MessageType.MODEL_DATA, 0, model_data_body(blob)))
+        conn.expect(MessageType.ACK)
+        for n in (3, 6):
+            pushed = conn.expect_push()
+            expected = replay_training(
+                blob, samples[:n], learning_rate=0.05, local_episodes=2, batch_size=1
+            )
+            assert pushed.body == model_data_body(expected)
+        assert wait_until(lambda: worker.samples_trained == 6)
+        conn.close()
+    fake.close()
+
+
 def test_agent_rejects_bad_pushes_and_keeps_its_head():
     blob = make_blob(22)
     stream = make_stream(4)
