@@ -20,7 +20,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import simulator, wire
-from .errors import ProtocolError
+from .errors import DataExhaustedError, ProtocolError
 from .federation import ModelBlob, blob_from_head
 from .nn import INIT_MODES, gradient_check, init_head
 from .runtime import Agent, RoundPolicy, configure_logging, parse_endpoint, serve
@@ -118,11 +118,25 @@ def _print_sweep_summary(result: simulator.SweepResult) -> None:
         )
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _experiment(args, simulator.ExperimentConfig(), one_point=True)
-    _log_config("simulate", dataclasses.asdict(cfg))
+def _run_sweep(command: str, cfg: simulator.ExperimentConfig) -> simulator.SweepResult:
+    """Log the resolved config, run the sweep and print its summary.
+
+    A synthetic task too small for a sweep point is a usage error, found
+    before the log line; a dataset file's size is checked once it is read.
+    """
+    if isinstance(cfg.dataset, simulator.SyntheticSpec):
+        try:
+            simulator.check_data_need(cfg, cfg.dataset.train_count)
+        except DataExhaustedError as exc:
+            raise _UsageError(str(exc)) from None
+    _log_config(command, dataclasses.asdict(cfg))
     result = simulator.run_sweep(cfg)
     _print_sweep_summary(result)
+    return result
+
+
+def _cmd_simulate(args) -> int:
+    result = _run_sweep("simulate", _experiment(args, simulator.ExperimentConfig(), one_point=True))
     if args.out:
         simulator.emit_csv(result, args.out)
         print(f"wrote {args.out}")
@@ -133,10 +147,7 @@ def _cmd_sweep(args) -> int:
     if args.preset and args.config:
         raise _UsageError("--preset and --config are mutually exclusive")
     base = simulator.default_presets()[args.preset] if args.preset else simulator.ExperimentConfig()
-    cfg = _experiment(args, base)
-    _log_config("sweep", dataclasses.asdict(cfg))
-    result = simulator.run_sweep(cfg)
-    _print_sweep_summary(result)
+    result = _run_sweep("sweep", _experiment(args, base))
     out = args.out or (f"{args.preset}.csv" if args.preset else "sweep.csv")
     simulator.emit_csv(result, out)
     print(f"wrote {out}")

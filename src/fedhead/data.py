@@ -169,9 +169,8 @@ class DeviceStream:
     def samples_seen(self) -> int:
         return self.cursor
 
-    def take(self, count: int, *, stacked: bool = False):
-        """The next `count` unseen samples: an EmbeddingSample list, or with
-        `stacked` one StackedSamples sliced from the dataset arrays."""
+    def _consume(self, count: int) -> np.ndarray:
+        """The indices of the next `count` unseen samples; the cursor moves past them."""
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
         if self.remaining() < count:
@@ -181,9 +180,23 @@ class DeviceStream:
             )
         chosen = self.indices[self.cursor : self.cursor + count]
         self.cursor += count
+        return chosen
+
+    def take(self, count: int, *, stacked: bool = False):
+        """The next `count` unseen samples: an EmbeddingSample list, or with
+        `stacked` one StackedSamples sliced from the dataset arrays."""
+        chosen = self._consume(count)
         if stacked:
             return self.dataset.stack(chosen)
         return [self.dataset.sample(int(i)) for i in chosen]
+
+    def take_into(self, features: np.ndarray, labels: np.ndarray) -> None:
+        """Take the next len(labels) unseen samples into `features` (n, E) and
+        `labels` (n,) in place: one gather from the stored float32 rows,
+        widened as it is written."""
+        chosen = self._consume(len(labels))
+        features[...] = self.dataset.features[chosen]
+        labels[...] = self.dataset.labels[chosen]
 
 
 def partition(dataset: EmbeddingDataset, num_devices: int, seed=None) -> list[DeviceStream]:
@@ -241,9 +254,38 @@ def _fill_clusters(out, cols, centroids, labels, sigma, rng) -> None:
         out[start : start + block.shape[0], cols] = noise
 
 
+def check_synth_task(embedding_dim: int, num_classes: int, n: int, margin: float,
+                     val_fraction: float, active_dims: int | None = None) -> None:
+    """Raise ValueError unless the synthetic generators can build this task.
+
+    `active_dims` is the sparse task's signal-carrying dims; None is the
+    separable task, whose signal spans all E dims.
+    """
+    if margin <= 0:
+        raise ValueError(f"margin must be > 0, got {margin}")
+    if num_classes < 2:
+        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
+    if active_dims is None:
+        if num_classes > embedding_dim:
+            raise ValueError("centroid construction needs num_classes <= embedding_dim")
+    elif not 1 <= active_dims <= embedding_dim:
+        raise ValueError(f"active_dims must be in [1, {embedding_dim}], got {active_dims}")
+    elif num_classes > active_dims:
+        raise ValueError("centroid construction needs num_classes <= active_dims")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if not 0 <= val_fraction < 1:
+        raise ValueError(f"val_fraction must be in [0, 1), got {val_fraction}")
+
+
+def validation_count(n: int, val_fraction: float) -> int:
+    """How many of n synthetic samples are tagged validation: the last ones."""
+    return int(round(n * val_fraction))
+
+
 def _assemble(name, features, labels, num_classes, val_fraction):
     n = features.shape[0]
-    val_count = int(round(n * val_fraction))
+    val_count = validation_count(n, val_fraction)
     splits = np.full(n, SPLIT_TRAIN, dtype=np.uint8)
     if val_count:
         splits[n - val_count :] = SPLIT_VALIDATION
@@ -271,16 +313,7 @@ def synth_separable(
 
     The last round(n * val_fraction) samples are tagged validation.
     """
-    if margin <= 0:
-        raise ValueError(f"margin must be > 0, got {margin}")
-    if num_classes < 2:
-        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
-    if num_classes > embedding_dim:
-        raise ValueError("centroid construction needs num_classes <= embedding_dim")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if not 0 <= val_fraction < 1:
-        raise ValueError(f"val_fraction must be in [0, 1), got {val_fraction}")
+    check_synth_task(embedding_dim, num_classes, n, margin, val_fraction)
     rng = np.random.default_rng(seed)
     centroids = _class_centroids(embedding_dim, num_classes, margin, rng)
     labels = np.arange(n, dtype=np.int64) % num_classes
@@ -310,14 +343,7 @@ def synth_sparse(
     dimensions carries class signal; the other E-k dimensions are exactly
     zero in every sample.
     """
-    if not 1 <= active_dims <= embedding_dim:
-        raise ValueError(f"active_dims must be in [1, {embedding_dim}], got {active_dims}")
-    if num_classes > active_dims:
-        raise ValueError("centroid construction needs num_classes <= active_dims")
-    if margin <= 0:
-        raise ValueError(f"margin must be > 0, got {margin}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    check_synth_task(embedding_dim, num_classes, n, margin, val_fraction, active_dims)
     rng = np.random.default_rng(seed)
     dims = np.sort(rng.choice(embedding_dim, size=active_dims, replace=False))
     centroids = _class_centroids(active_dims, num_classes, margin, rng)

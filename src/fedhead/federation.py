@@ -7,7 +7,7 @@ no sample is ever revisited.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,6 +53,28 @@ class ModelBlob:
     def param_count(self) -> int:
         return self.values.shape[0]
 
+    def head_views(self) -> tuple[np.ndarray, np.ndarray]:
+        """(weights (C, E), bias (C,)) views of the values, the pair that
+        `train_batch` and `batch_predict` take; a head needs C >= 2."""
+        e, c = self.embedding_dim, self.num_classes
+        if c < 2:
+            raise ShapeError("a classification head needs at least 2 classes")
+        return self.values[: c * e].reshape(c, e), self.values[c * e :]
+
+
+@dataclass(eq=False)
+class StackedBlobs:
+    """N blobs' values stacked as (N, C*E + C) rows in blob order, such as
+    the rows `train_batch` returns. The rows are unchecked: item i builds
+    row i's checked ModelBlob, and `average_blobs` reads the rows directly."""
+
+    values: np.ndarray
+    embedding_dim: int
+    num_classes: int
+
+    def __getitem__(self, i: int) -> ModelBlob:
+        return ModelBlob(self.values[i], self.embedding_dim, self.num_classes)
+
 
 def blob_from_head(head: DenseHead) -> ModelBlob:
     """Flatten a head into canonical order. Lossless (float64 throughout)."""
@@ -66,33 +88,43 @@ def blob_from_head(head: DenseHead) -> ModelBlob:
 def head_from_blob(blob: ModelBlob) -> DenseHead:
     """Inverse of blob_from_head in O(1): weights and bias are (C, E) and (C,)
     views of `blob.values`; blobs and heads are never written in place."""
-    e, c = blob.embedding_dim, blob.num_classes
-    return DenseHead(weights=blob.values[: c * e].reshape(c, e), bias=blob.values[c * e :])
+    return DenseHead(*blob.head_views())
 
 
-def average_blobs(blobs: list[ModelBlob]) -> ModelBlob:
+def average_blobs(blobs: list[ModelBlob] | StackedBlobs) -> ModelBlob:
     """Element-wise arithmetic mean, accumulated left to right.
+
+    `blobs` is a list of ModelBlob or a StackedBlobs, whose unchecked rows
+    are checked once, in the mean's ModelBlob: a non-finite row, or finite
+    rows whose sum overflows, leave the mean non-finite.
 
     The fixed accumulation order makes the result reproducible; callers that
     care about device order (the round loop does) sort by device id first.
     The mean of one blob is that blob (x / 1 == x).
     """
-    if not blobs:
-        raise ValueError("cannot average an empty list of blobs")
-    first = blobs[0]
-    for b in blobs[1:]:
-        if (b.embedding_dim, b.num_classes) != (first.embedding_dim, first.num_classes):
-            raise ShapeError(
-                f"blob shape E={b.embedding_dim} C={b.num_classes} does not match "
-                f"E={first.embedding_dim} C={first.num_classes}"
-            )
-    if len(blobs) == 1:
-        return first
-    acc = first.values.copy()
-    for b in blobs[1:]:
-        acc += b.values
-    acc /= len(blobs)
-    return ModelBlob(acc, first.embedding_dim, first.num_classes)
+    if isinstance(blobs, StackedBlobs):
+        rows, e, c = blobs.values, blobs.embedding_dim, blobs.num_classes
+        if len(rows) == 1:
+            return blobs[0]
+    else:
+        if not blobs:
+            raise ValueError("cannot average an empty list of blobs")
+        first = blobs[0]
+        e, c = first.embedding_dim, first.num_classes
+        for b in blobs[1:]:
+            if (b.embedding_dim, b.num_classes) != (e, c):
+                raise ShapeError(
+                    f"blob shape E={b.embedding_dim} C={b.num_classes} does not match "
+                    f"E={e} C={c}"
+                )
+        if len(blobs) == 1:
+            return first
+        rows = [b.values for b in blobs]
+    acc = rows[0].copy()
+    for row in rows[1:]:
+        acc += row
+    acc /= len(rows)
+    return ModelBlob(acc, e, c)
 
 
 @dataclass
@@ -106,21 +138,41 @@ class RoundConfig:
     epochs: int = 100
 
     def __post_init__(self) -> None:
-        for name in ("num_devices", "batch_size", "local_episodes", "epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # Messages name the config key; num_devices is set by `devices`.
+        for key, value in (("devices", self.num_devices), ("batch_size", self.batch_size),
+                           ("local_episodes", self.local_episodes), ("epochs", self.epochs)):
+            if value < 1:
+                raise ValueError(f"{key} must be >= 1, got {value}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
 
 
-@dataclass(eq=False)
 class DeviceState:
-    """One simulated device: its current head and its private stream."""
+    """One simulated device: its current head and its private stream.
 
-    device_id: int
-    head: DenseHead
-    stream: DeviceStream
-    samples_seen: int = field(default=0)
+    A round stores the device's trained parameters as (weights, bias) views
+    of its result row; `head` builds the DenseHead from them on first read.
+    """
+
+    def __init__(self, device_id: int, head: DenseHead, stream: DeviceStream,
+                 samples_seen: int = 0) -> None:
+        self.device_id = device_id
+        self.head = head
+        self.stream = stream
+        self.samples_seen = samples_seen
+
+    @property
+    def head(self) -> DenseHead:
+        if self._head is None:
+            self._head = DenseHead(*self._trained)
+        return self._head
+
+    @head.setter
+    def head(self, head: DenseHead) -> None:
+        self._head, self._trained = head, None
+
+    def _store(self, weights: np.ndarray, bias: np.ndarray) -> None:
+        self._head, self._trained = None, (weights, bias)
 
 
 @dataclass(eq=False)
@@ -155,7 +207,7 @@ def evaluate(blob: ModelBlob, samples) -> float:
         raise ShapeError(
             f"samples have dim {feats.shape[1]}, head expects {blob.embedding_dim}"
         )
-    return np.count_nonzero(batch_predict(head_from_blob(blob), feats) == labels) / len(labels)
+    return np.count_nonzero(batch_predict(blob.head_views(), feats) == labels) / len(labels)
 
 
 def federated_round(
@@ -166,17 +218,20 @@ def federated_round(
 ) -> RoundResult:
     """Run one global round and advance every device's cursor by batch_size.
 
-    The N device batches are stacked into one (N, B, E) batch, trained from
-    the global blob by one `train_batch` call and scored by one
-    `batch_predict` call; each device's blob is a row view of the result. A
-    validation list is stacked once per call; pass it stacked to reuse it.
-    The validation dim and every device's data shape and unseen data are
-    checked before any batch is taken, so such a failed round consumes
-    nothing; a round that fails in training changes no DeviceState.
+    Each device's batch is gathered straight into one (N, B, E) batch, trained
+    from the global blob's (weights, bias) views by one `train_batch` call
+    into (N, C*E + C) rows, averaged in device-id order into the new global
+    blob, whose check is the one check of the result, and scored by one
+    `batch_predict` call; no per-device head or blob is built. A validation
+    list is stacked once per call; pass it stacked to reuse it. The
+    validation dim and every device's data shape and unseen data are checked
+    before any batch is taken, so such a failed round consumes nothing; a
+    round that fails in training changes no DeviceState.
     """
     if not devices:
         raise ValueError("need at least one device")
     e, c = global_blob.embedding_dim, global_blob.num_classes
+    start = global_blob.head_views()
     val = stack_validation(val, e)
     for d in devices:
         data = d.stream.dataset
@@ -190,21 +245,19 @@ def federated_round(
                 f"device {d.device_id}: round needs {cfg.batch_size} samples, "
                 f"only {d.stream.remaining()} unseen remain"
             )
-    batch = StackedSamples(np.empty((len(devices), cfg.batch_size, e)),
-                           np.empty((len(devices), cfg.batch_size), dtype=np.int64))
+    n = len(devices)
+    batch = StackedSamples(np.empty((n, cfg.batch_size, e)),
+                           np.empty((n, cfg.batch_size), dtype=np.int64))
+    for d, features, labels in zip(devices, batch.features, batch.labels):
+        d.stream.take_into(features, labels)
+    params = train_batch(start, batch, cfg.learning_rate, cfg.local_episodes)
+    order = sorted(range(n), key=lambda i: devices[i].device_id)
+    new_global = average_blobs(StackedBlobs(params[order], e, c))
+    weights, bias = params[:, : c * e].reshape(n, c, e), params[:, c * e :]
+    preds = batch_predict((weights, bias), batch.features)
     for i, d in enumerate(devices):
-        taken = d.stream.take(cfg.batch_size, stacked=True)
-        batch.features[i], batch.labels[i] = taken.features, taken.labels
-    params = train_batch(head_from_blob(global_blob), batch, cfg.learning_rate,
-                         cfg.local_episodes)
-    blobs = [ModelBlob(row, e, c) for row in params]  # the one check of the result
-    preds = batch_predict((params[:, : c * e].reshape(-1, c, e), params[:, c * e :]),
-                          batch.features)
-    for d, blob in zip(devices, blobs):
-        d.head = head_from_blob(blob)
+        d._store(weights[i], bias[i])
         d.samples_seen += cfg.batch_size
-    order = sorted(range(len(devices)), key=lambda i: devices[i].device_id)
-    new_global = average_blobs([blobs[i] for i in order])
     hits = np.add.reduce(preds == batch.labels, axis=1)
     return RoundResult(
         global_blob=new_global,
@@ -261,10 +314,7 @@ def run_training(
     blob_arg = init_blob.values if isinstance(init_blob, ModelBlob) else init_blob
     head = init_head(e, c, init_mode, seed=init_seed, blob=blob_arg)
     global_blob = blob_from_head(head)
-    devices = [
-        DeviceState(device_id=s.device_id, head=head_from_blob(global_blob), stream=s)
-        for s in partitions
-    ]
+    devices = [DeviceState(s.device_id, head, s) for s in partitions]
     history: list[EpochRecord] = []
     round_blobs: list[ModelBlob] = []
     for t in range(1, cfg.epochs + 1):

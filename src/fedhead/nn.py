@@ -147,8 +147,8 @@ def forward(head: DenseHead, x: np.ndarray) -> np.ndarray:
 def batch_predict(head: DenseHead | tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
     """Argmax class of each row of (n, E) features: np.argmax(x @ W.T + b, axis=1).
 
-    `head` is a DenseHead, or a (weights, bias) pair of (N, C, E) and (N, C)
-    arrays that scores (N, n, E) features device by device into (N, n).
+    `head` is a DenseHead, or a (weights, bias) pair: (C, E) and (C,), or
+    (N, C, E) and (N, C) to score (N, n, E) features device by device into (N, n).
     The class-major logits W @ x.T + b are bitwise its transpose for C-ordered
     and strided x (not for a C-ordered x.T). The argmax takes C - 1 vector steps;
     the strict > keeps the lowest index on ties, and a NaN defers to np.argmax.
@@ -223,13 +223,15 @@ def sample_gradients(head: DenseHead, sample: EmbeddingSample) -> Gradients:
 
 
 def train_batch(
-    head: DenseHead,
+    head: DenseHead | tuple[np.ndarray, np.ndarray],
     batch,
     lr: float,
     local_episodes: int,
 ) -> DenseHead | np.ndarray:
     """Train on one batch for `local_episodes` passes.
 
+    `head` is a DenseHead, or a checked head's (weights (C, E), bias (C,))
+    pair, such as `ModelBlob.head_views()`, taken as `batch_predict` takes it.
     `batch` is an EmbeddingSample list, stacked here into features X (n, E),
     or a StackedSamples used as is. Each episode is one SGD step with the
     mean gradient: (P - Y)^T X / n for the weights and the column mean of
@@ -253,34 +255,35 @@ def train_batch(
     batch = stack_samples(batch)
     if not batch:
         raise ValueError("batch must be non-empty")
+    weights, bias = (head.weights, head.bias) if isinstance(head, DenseHead) else head
+    c, e = weights.shape
     x, labels = batch.features, batch.labels
-    if x.shape[-1] != head.embedding_dim:
-        raise ShapeError(f"batch features must all have shape ({head.embedding_dim},)")
+    if x.shape[-1] != e:
+        raise ShapeError(f"batch features must all have shape ({e},)")
     if not np.isfinite(x).all():
         raise ValueError("input features must be finite")
-    if labels.min() < 0 or labels.max() >= head.num_classes:
-        raise IndexError(f"labels must lie in [0, {head.num_classes}), got {labels.tolist()}")
+    if labels.min() < 0 or labels.max() >= c:
+        raise IndexError(f"labels must lie in [0, {c}), got {labels.tolist()}")
     if not np.isfinite(lr) or lr < 0:
         raise ValueError(f"learning rate must be finite and >= 0, got {lr}")
     per_device = x.ndim == 3
     if not per_device:
         x, labels = x[None], labels[None]
     devices, n = labels.shape
-    c, e = head.weights.shape
     onehot = np.zeros((devices, n, c))
     onehot.reshape(-1, c)[np.arange(devices * n), labels.ravel()] = 1.0
     params = np.empty((devices, c * e + c))
-    params[:, : c * e] = head.weights.reshape(-1)
-    params[:, c * e :] = head.bias
+    params[:, : c * e] = weights.reshape(-1)
+    params[:, c * e :] = bias
     grads = np.empty_like(params)  # the gradients, in the same flat layout
     w, gw = (a[:, : c * e].reshape(devices, c, e) for a in (params, grads))
-    bias, gb = params[:, None, c * e :], grads[:, c * e :]
+    b, gb = params[:, None, c * e :], grads[:, c * e :]
     delta = np.empty((devices, n, c))  # softmax(x @ w.T + b) - onehot, in place
     rows = np.empty((devices, n, 1))
     wt, dt = w.transpose(0, 2, 1), delta.transpose(0, 2, 1)
     for _ in range(local_episodes):
         np.matmul(x, wt, out=delta)
-        delta += bias
+        delta += b
         delta -= np.maximum.reduce(delta, axis=2, keepdims=True, out=rows)
         np.exp(delta, out=delta)
         delta /= np.add.reduce(delta, axis=2, keepdims=True, out=rows)

@@ -45,6 +45,17 @@ class SyntheticSpec:
     sparse_dims: int = 16  # used by kind="sparse"
     val_fraction: float = 0.2
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("separable", "sparse"):
+            raise ValueError(f"unknown synthetic kind {self.kind!r}")
+        data_mod.check_synth_task(self.embedding_dim, self.num_classes, self.samples,
+                                  self.margin, self.val_fraction,
+                                  self.sparse_dims if self.kind == "sparse" else None)
+
+    @property
+    def train_count(self) -> int:
+        return self.samples - data_mod.validation_count(self.samples, self.val_fraction)
+
     def build(self, seed) -> data_mod.EmbeddingDataset:
         if self.kind == "separable":
             return data_mod.synth_separable(
@@ -55,17 +66,15 @@ class SyntheticSpec:
                 seed,
                 val_fraction=self.val_fraction,
             )
-        if self.kind == "sparse":
-            return data_mod.synth_sparse(
-                self.embedding_dim,
-                self.sparse_dims,
-                self.num_classes,
-                self.samples,
-                seed,
-                margin=self.margin,
-                val_fraction=self.val_fraction,
-            )
-        raise ValueError(f"unknown synthetic kind {self.kind!r}")
+        return data_mod.synth_sparse(
+            self.embedding_dim,
+            self.sparse_dims,
+            self.num_classes,
+            self.samples,
+            seed,
+            margin=self.margin,
+            val_fraction=self.val_fraction,
+        )
 
 
 @dataclass
@@ -162,14 +171,14 @@ def apply_settings(cfg: ExperimentConfig, settings: dict) -> ExperimentConfig:
             raise ValueError(f"unknown config key {key!r}")
     dataset = changes.pop("dataset", cfg.dataset)
     if dataset in ("synthetic-separable", "synthetic-sparse"):
-        current = cfg.dataset if isinstance(cfg.dataset, SyntheticSpec) else SyntheticSpec()
-        dataset = dataclasses.replace(current, kind=dataset.removeprefix("synthetic-"))
+        synth["kind"] = dataset.removeprefix("synthetic-")
+        dataset = cfg.dataset if isinstance(cfg.dataset, SyntheticSpec) else SyntheticSpec()
     if synth:
         if not isinstance(dataset, SyntheticSpec):
             keys = ", ".join(k for k in settings if k in SYNTH_KEYS)
             raise ValueError(f"{keys}: synth_* settings need dataset=synthetic-separable or "
                              f"synthetic-sparse, not {dataset!r}")
-        dataset = dataclasses.replace(dataset, **synth)
+        dataset = dataclasses.replace(dataset, **synth)  # one replace: one spec check
     return dataclasses.replace(cfg, dataset=dataset, **changes)
 
 
@@ -181,6 +190,23 @@ def _point_config(cfg: ExperimentConfig, value) -> tuple[RoundConfig, str]:
         raise ValueError(f"init_mode must be one of {INIT_MODES}, got {point['init_mode']!r}")
     return RoundConfig(point["devices"], point["batch_size"], point["local_episodes"],
                        cfg.learning_rate, cfg.epochs), point["init_mode"]
+
+
+def check_data_need(cfg: ExperimentConfig, train_count: int) -> None:
+    """Raise DataExhaustedError, naming the sweep point, unless every point's
+    devices can each draw batch_size x epochs unseen samples from a training
+    split of `train_count` samples, of which `partition` gives each device at
+    least train_count // devices."""
+    for value in cfg.sweep_values:
+        round_cfg, _ = _point_config(cfg, value)
+        devices, needed = round_cfg.num_devices, round_cfg.batch_size * round_cfg.epochs
+        if train_count // devices < needed:
+            raise DataExhaustedError(
+                f"sweep point {cfg.sweep_param}={value}: {round_cfg.epochs} epochs of "
+                f"{round_cfg.batch_size} need {needed} samples per device, and "
+                f"{train_count} training samples across {devices} devices leave "
+                f"{train_count // devices}"
+            )
 
 
 def make_pretrained_blob(embedding_dim: int, num_classes: int, seed) -> ModelBlob:
@@ -227,8 +253,11 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     )
     # A file dataset is the same for every repetition, so it is read once.
     source = cfg.dataset
-    if not isinstance(source, SyntheticSpec):
+    if isinstance(source, SyntheticSpec):
+        check_data_need(cfg, source.train_count)
+    else:
         source = data_mod.load_dataset(source)
+        check_data_need(cfg, len(source.train_indices()))
     pretrained = None
     if needs_pretrained:
         pretrained = make_pretrained_blob(source.embedding_dim, source.num_classes, cfg.base_seed)
@@ -238,14 +267,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
         val_curves = []
         train_curves = []
         for r in range(cfg.repetitions):
-            try:
-                result = _run_repetition(
-                    round_cfg, source, init_mode, cfg.base_seed + r, pretrained
-                )
-            except DataExhaustedError as exc:
-                raise DataExhaustedError(
-                    f"sweep point {cfg.sweep_param}={value}: {exc}"
-                ) from exc
+            result = _run_repetition(round_cfg, source, init_mode, cfg.base_seed + r, pretrained)
             val_curves.append([rec.val_accuracy for rec in result.history])
             train_curves.append([rec.train_accuracy for rec in result.history])
         val_arr = np.asarray(val_curves)

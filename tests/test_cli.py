@@ -169,6 +169,10 @@ IMPOSSIBLE_CONFIGS = [
     ["simulate", "--data", "{data}", "--dim", "16"],
     ["sweep", "--data", "{data}", "--kind", "sparse"],
     ["sweep", "--config", "{file_data_cfg}", "--margin", "2.0"],
+    ["simulate", "--samples", "0"],
+    ["simulate", "--kind", "sparse", "--dim", "8", "--sparse-dims", "40"],
+    ["simulate", "--init", "pretrained", "--val-fraction", "1.0"],
+    ["sweep", "--dim", "8", "--samples", "300", "--values", "1,2,40", "-R", "1"],
 ]
 
 
@@ -193,6 +197,18 @@ def test_impossible_config_is_a_usage_error_before_any_repetition(
     assert not (tmp_path / "run.csv").exists()
     assert not [r for r in caplog.records if "resolved config" in r.message]
     assert "fedhead: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", "-N", "0"], "devices must be >= 1, got 0"),
+    (["simulate", "--samples", "0"], "sweep point devices=2: 2 epochs of 20 need 40 samples"),
+    (["simulate", "--kind", "sparse", "--dim", "8", "--sparse-dims", "40"],
+     "active_dims must be in [1, 8], got 40"),
+    (["simulate", "--val-fraction", "1.0"], "val_fraction must be in [0, 1), got 1.0"),
+])
+def test_usage_error_names_the_setting(argv, message, capsys):
+    assert main([*argv, "-T", "2"]) == 1
+    assert f"fedhead: error: {message}" in capsys.readouterr().err
 
 
 def _resolve(argv) -> ExperimentConfig:

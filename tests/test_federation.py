@@ -18,7 +18,8 @@ from fedhead.federation import (
     run_training,
 )
 from fedhead.nn import (
-    DenseHead, EmbeddingSample, StackedSamples, init_head, predict, stack_samples, train_batch,
+    DenseHead, EmbeddingSample, StackedSamples, batch_predict, init_head, predict, stack_samples,
+    train_batch,
 )
 
 
@@ -159,6 +160,19 @@ def test_evaluate_empty_stacked_set_is_usage_error():
                 evaluate(blob, empty)
 
 
+def test_evaluate_scores_the_blob_views_bitwise_like_its_head():
+    rng = np.random.default_rng(23)
+    for e, c in ((1, 2), (16, 2), (7, 10)):
+        blob = random_blob(rng, e, c)
+        feats = rng.normal(size=(101, e))
+        feats[::9] = 0.0  # exact ties
+        labels = rng.integers(0, c, size=101)
+        want = np.count_nonzero(batch_predict(head_from_blob(blob), feats) == labels) / 101
+        assert evaluate(blob, StackedSamples(feats, labels)) == want
+        weights, bias = blob.head_views()
+        assert np.shares_memory(weights, blob.values) and np.shares_memory(bias, blob.values)
+
+
 def test_evaluate_stacked_set_matches_list():
     rng = np.random.default_rng(11)
     blob = random_blob(rng, 6, 3)
@@ -261,6 +275,26 @@ def test_round_with_a_nan_feature_changes_no_device_state():
     assert [d.samples_seen for d in devices] == [7, 7, 7]
 
 
+def test_round_whose_mean_overflows_changes_no_device_state():
+    # Zero weights and equal huge biases train to finite rows (every logit
+    # is the bias), but two such rows sum past the largest float64.
+    ds, streams = small_setup(20, n=300, num_devices=2)
+    cfg = RoundConfig(num_devices=2, batch_size=6, local_episodes=2, learning_rate=0.1, epochs=1)
+    huge = np.finfo(np.float64).max / 1.5
+    global_blob = ModelBlob(np.concatenate([np.zeros(2 * 8), [huge, huge]]), 8, 2)
+    heads = [init_head(8, 2, "random", seed=i) for i in range(2)]
+    devices = [DeviceState(s.device_id, h, s, samples_seen=7) for s, h in zip(streams, heads)]
+    rows = train_batch(global_blob.head_views(),
+                       StackedSamples(np.zeros((2, 6, 8)), np.zeros((2, 6), dtype=np.int64)),
+                       cfg.learning_rate, cfg.local_episodes)
+    with np.errstate(over="ignore"):
+        assert np.isfinite(rows).all() and not np.isfinite(rows[0] + rows[1]).all()
+        with pytest.raises(ValueError, match="finite"):
+            federated_round(devices, global_blob, cfg, ds.stacked_validation())
+    assert all(d.head is h for d, h in zip(devices, heads))
+    assert [d.samples_seen for d in devices] == [7, 7]
+
+
 def test_round_rejects_a_stream_of_another_shape_before_any_take():
     ds, (stream,) = small_setup(16, num_devices=1)
     narrow = partition(synth_separable(4, 2, 200, 4.0, 16), 1, 16)[0]
@@ -305,24 +339,25 @@ def test_round_leaves_the_callers_global_blob_unchanged():
     assert not np.array_equal(result.global_blob.values, before)
 
 
-def test_round_builds_at_most_two_heads_beyond_the_devices(monkeypatch):
-    # One start head, one trained head per device and one to score the new
-    # global; building a head re-checks every parameter for finiteness.
+def test_round_builds_no_head_and_one_blob(monkeypatch):
+    # Building a head or a blob re-checks every parameter for finiteness;
+    # the round checks its result once, as the new global blob.
     ds, streams = small_setup(19, n=300, num_devices=3)
     cfg = RoundConfig(num_devices=3, batch_size=6, local_episodes=5, learning_rate=0.05, epochs=1)
     global_blob = blob_from_head(init_head(8, 2, "random", seed=19))
     devices = [DeviceState(s.device_id, head_from_blob(global_blob), s) for s in streams]
     val = ds.stacked_validation()
     built = []
-    original = DenseHead.__post_init__
+    for cls in (DenseHead, ModelBlob):
+        original = cls.__post_init__
 
-    def counting(self):
-        built.append(self)
-        original(self)
+        def counting(self, original=original):
+            built.append(type(self).__name__)
+            original(self)
 
-    monkeypatch.setattr(DenseHead, "__post_init__", counting)
+        monkeypatch.setattr(cls, "__post_init__", counting)
     federated_round(devices, global_blob, cfg, val)
-    assert len(built) <= cfg.num_devices + 2
+    assert built == ["ModelBlob"]
 
 
 def test_round_identical_devices_average_to_themselves():

@@ -430,6 +430,24 @@ def test_device_stacked_train_batch_rows_are_bitwise_per_device(devices, n, e, c
             assert np.array_equal(params[i], np.concatenate([one.weights.ravel(), one.bias]))
 
 
+@pytest.mark.parametrize("devices", [None, 1, 3])
+def test_train_batch_on_a_weights_bias_pair_is_bitwise_the_head(devices):
+    rng = np.random.default_rng(41)
+    head = random_head(rng, 12, 3)
+    lead = () if devices is None else (devices,)
+    batch = StackedSamples(rng.normal(size=(*lead, 9, 12)), rng.integers(0, 3, size=(*lead, 9)))
+    weights, bias = head.weights.copy(), head.bias.copy()
+    for episodes in (1, 5):
+        want = train_batch(head, batch, 0.3, episodes)
+        got = train_batch((weights, bias), batch, 0.3, episodes)
+        if devices is None:
+            assert np.array_equal(got.weights, want.weights)
+            assert np.array_equal(got.bias, want.bias)
+        else:
+            assert np.array_equal(got, want)
+    assert np.array_equal(weights, head.weights) and np.array_equal(bias, head.bias)
+
+
 def test_device_stacked_samples_are_validated():
     with pytest.raises(ShapeError):
         StackedSamples(np.zeros((2, 3, 4)), np.zeros((2, 4), dtype=np.int64))

@@ -190,6 +190,22 @@ def test_file_dataset_is_read_once_per_sweep(tmp_path, monkeypatch):
     assert [len(p.epochs) for p in result.points] == [2, 2]
 
 
+def test_file_dataset_too_small_for_a_point_fails_after_its_one_load(tmp_path, monkeypatch):
+    import fedhead.data as data_mod
+    import fedhead.simulator as sim
+
+    path = tmp_path / "task.ds"
+    data_mod.save_dataset(SMALL_SPEC.build(0), path)  # 320 train samples
+    reads, runs = [], []
+    load, run = data_mod.load_dataset, sim.run_training
+    monkeypatch.setattr(data_mod, "load_dataset", lambda *a, **kw: reads.append(a) or load(*a, **kw))
+    monkeypatch.setattr(sim, "run_training", lambda *a, **kw: runs.append(a) or run(*a, **kw))
+    cfg = small_config(dataset=str(path), sweep_values=[1, 2, 40], epochs=2, repetitions=1)
+    with pytest.raises(DataExhaustedError, match="devices=40: 2 epochs of 5 need 10 samples"):
+        run_sweep(cfg)
+    assert len(reads) == 1 and runs == []
+
+
 def test_exhaustion_error_names_the_sweep_point():
     spec = dataclasses.replace(SMALL_SPEC, samples=30)  # 24 train samples
     cfg = small_config(dataset=spec, sweep_values=[1], epochs=10, repetitions=1)
@@ -252,6 +268,24 @@ PRESET_CSV_SHA256 = {
     "fig3": "4c69b97b2877f7b38ae697a261dc59d13dcd0c2c4198c6440613ca074a5a4252",
     "fig4": "2457d02542b22fba772b9ab5f06930e9886e2815665230a25a38a7b804957e92",
 }
+
+
+# sha256 of a sweep over a dataset file, whose features are a strided float32
+# view of the file's records; computed before rounds gathered device batches
+# straight from that view.
+FILE_SWEEP_CSV_SHA256 = "3b0d0b536e521b5758867965becec1f3915cf5f7d6c188fcf7879ec5a8e5b5e6"
+
+
+def test_file_dataset_sweep_csv_bytes_are_pinned(tmp_path):
+    import fedhead.data as data_mod
+
+    path = tmp_path / "task.ds"
+    data_mod.save_dataset(data_mod.synth_separable(24, 3, 3000, 4.0, 5), path)
+    cfg = ExperimentConfig(batch_size=10, epochs=20, repetitions=2, dataset=str(path),
+                           sweep_values=[1, 2, 3])
+    out = tmp_path / "sweep.csv"
+    emit_csv(run_sweep(cfg), out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FILE_SWEEP_CSV_SHA256
 
 
 @pytest.mark.parametrize("name", sorted(PRESET_CSV_SHA256))
