@@ -22,7 +22,7 @@ from . import data as data_mod
 from . import simulator, wire
 from .errors import DataExhaustedError, ProtocolError
 from .federation import ModelBlob, blob_from_head
-from .nn import INIT_MODES, gradient_check, init_head
+from .nn import INIT_MODES, check_gradient_check_args, gradient_check, init_head
 from .runtime import Agent, RoundPolicy, configure_logging, parse_endpoint, serve
 from .runtime.protocol import MAX_DEVICE_ID
 
@@ -155,17 +155,18 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    _log_config("gradcheck", {
-        "trials": args.trials, "seed": args.seed, "step": args.step,
-        "max_dim": args.max_dim, "max_classes": args.max_classes, "tol": args.tol,
-    })
-    worst = gradient_check(
-        trials=args.trials, seed=args.seed, step=args.step,
-        max_dim=args.max_dim, max_classes=args.max_classes,
-    )
+    settings = {k: getattr(args, k) for k in ("trials", "seed", "step", "max_dim", "max_classes")}
+    try:
+        check_gradient_check_args(**settings)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    if not (np.isfinite(args.tol) and args.tol >= 0):
+        raise _UsageError(f"--tol must be finite and >= 0, got {args.tol}")
+    _log_config("gradcheck", {**settings, "tol": args.tol})
+    worst = gradient_check(**settings)
     print(f"max relative error over {args.trials} trials: {worst:.3e}")
-    if worst > args.tol:
-        print(f"gradcheck FAILED: {worst:.3e} > tolerance {args.tol:.0e}", file=sys.stderr)
+    if not worst <= args.tol:  # a NaN error fails
+        print(f"gradcheck FAILED: {worst:.3e}, tolerance {args.tol:g}", file=sys.stderr)
         return 2
     return 0
 
@@ -308,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="CSV path (default <preset>.csv)")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient self-check")
+    p = sub.add_parser("gradcheck", help="finite-difference check of train_batch's gradient")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--step", type=float, default=1e-5)

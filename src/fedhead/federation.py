@@ -196,18 +196,11 @@ def stack_validation(val, embedding_dim: int) -> StackedSamples:
 def evaluate(blob: ModelBlob, samples) -> float:
     """Fraction of samples whose argmax prediction matches the label.
 
-    `samples` is a list of EmbeddingSample or its stacked form (see
-    `stack_samples`); a set scored every round should be stacked once.
+    `samples` is a list of EmbeddingSample or its stacked form, checked by
+    `stack_validation`; a set scored every round should be stacked once.
     """
-    stacked = stack_samples(samples)
-    if not stacked:
-        raise ValueError("cannot evaluate on an empty sample set")
-    feats, labels = stacked.features, stacked.labels
-    if feats.shape[1] != blob.embedding_dim:
-        raise ShapeError(
-            f"samples have dim {feats.shape[1]}, head expects {blob.embedding_dim}"
-        )
-    return np.count_nonzero(batch_predict(blob.head_views(), feats) == labels) / len(labels)
+    val = stack_validation(samples, blob.embedding_dim)
+    return np.count_nonzero(batch_predict(blob.head_views(), val.features) == val.labels) / len(val)
 
 
 def federated_round(

@@ -1,5 +1,5 @@
-"""From-scratch dense classification head: inference, softmax cross-entropy,
-backpropagation, and SGD.
+"""From-scratch dense classification head: scoring, the softmax cross-entropy
+SGD kernel `train_batch` (the only gradient code), and its finite-difference check.
 
 This is the only trainable part of the stack. Inputs are embedding vectors
 produced upstream by a frozen feature extractor; the head is a single fully
@@ -105,15 +105,12 @@ class StackedSamples:
 
 
 def stack_samples(samples) -> StackedSamples:
-    """Stack an EmbeddingSample list once; stacked input passes through.
+    """Stack an EmbeddingSample list once; a StackedSamples passes through.
 
-    `samples` may also be a StackedSamples or a (features, labels) pair. An
-    empty set stacks to an empty StackedSamples; callers reject it.
+    An empty list stacks to an empty StackedSamples; callers reject it.
     """
     if isinstance(samples, StackedSamples):
         return samples
-    if isinstance(samples, tuple):
-        return StackedSamples(*samples)
     if not samples:
         return StackedSamples(np.empty((0, 0)), np.empty(0, dtype=np.int64))
     if len({s.features.shape for s in samples}) != 1:
@@ -126,34 +123,23 @@ def stack_samples(samples) -> StackedSamples:
 
 @dataclass(eq=False)
 class Gradients:
-    """Loss gradients with the same shapes as the head they came from."""
+    """Mean loss gradients shaped like the head's (weights, bias), with a
+    leading device axis for a device-stacked batch."""
 
     d_weights: np.ndarray
     d_bias: np.ndarray
 
 
-def forward(head: DenseHead, x: np.ndarray) -> np.ndarray:
-    """Compute logits: logits[c] = bias[c] + sum_e weights[c][e] * x[e]."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != head.embedding_dim:
-        raise ShapeError(
-            f"input of length {x.shape} does not match embedding_dim {head.embedding_dim}"
-        )
-    if not np.isfinite(x).all():
-        raise ValueError("input features must be finite")
-    return head.weights @ x + head.bias
-
-
-def batch_predict(head: DenseHead | tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
+def batch_predict(head: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
     """Argmax class of each row of (n, E) features: np.argmax(x @ W.T + b, axis=1).
 
-    `head` is a DenseHead, or a (weights, bias) pair: (C, E) and (C,), or
-    (N, C, E) and (N, C) to score (N, n, E) features device by device into (N, n).
+    `head` is a (weights, bias) pair: (C, E) and (C,), or (N, C, E) and
+    (N, C) to score (N, n, E) features device by device into (N, n).
     The class-major logits W @ x.T + b are bitwise its transpose for C-ordered
     and strided x (not for a C-ordered x.T). The argmax takes C - 1 vector steps;
     the strict > keeps the lowest index on ties, and a NaN defers to np.argmax.
     """
-    weights, bias = (head.weights, head.bias) if isinstance(head, DenseHead) else head
+    weights, bias = head
     logits = weights @ x.swapaxes(-1, -2)
     logits += bias[..., None]
     by_class = logits.swapaxes(0, -2)  # (C, [N,] n)
@@ -163,63 +149,6 @@ def batch_predict(head: DenseHead | tuple[np.ndarray, np.ndarray], x: np.ndarray
         preds[by_class[c] > best] = c
         best = np.maximum(best, by_class[c])
     return np.argmax(logits, axis=-2) if np.isnan(best).any() else preds
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over the last axis (max-subtracted before
-    exponentiation), so a (n, C) array gives one distribution per row."""
-    logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
-
-
-def cross_entropy(probs: np.ndarray, label: int) -> float:
-    """Negative log-likelihood of the true class, clamped at PROB_CLAMP."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if not 0 <= label < probs.shape[0]:
-        raise IndexError(f"label {label} out of range for {probs.shape[0]} classes")
-    return float(-np.log(max(probs[label], PROB_CLAMP)))
-
-
-def backward(head: DenseHead, x: np.ndarray, probs: np.ndarray, label: int) -> Gradients:
-    """Gradients of softmax cross-entropy w.r.t. the head's parameters.
-
-    With delta[c] = probs[c] - 1{c == label}:
-        d_bias         = delta
-        d_weights[c,e] = delta[c] * x[e]
-    """
-    x = np.asarray(x, dtype=np.float64)
-    probs = np.asarray(probs, dtype=np.float64)
-    if x.shape != (head.embedding_dim,):
-        raise ShapeError(f"input shape {x.shape} does not match head ({head.embedding_dim},)")
-    if probs.shape != (head.num_classes,):
-        raise ShapeError(f"probs shape {probs.shape} does not match head ({head.num_classes},)")
-    if not 0 <= label < head.num_classes:
-        raise IndexError(f"label {label} out of range for {head.num_classes} classes")
-    delta = probs.copy()
-    delta[label] -= 1.0
-    return Gradients(d_weights=np.outer(delta, x), d_bias=delta)
-
-
-def sgd_step(head: DenseHead, g: Gradients, lr: float) -> DenseHead:
-    """One gradient-descent update: p <- p - lr * g_p. Returns a new head."""
-    if not np.isfinite(lr) or lr < 0:
-        raise ValueError(f"learning rate must be finite and >= 0, got {lr}")
-    if g.d_weights.shape != head.weights.shape or g.d_bias.shape != head.bias.shape:
-        raise ShapeError("gradient shapes do not match head")
-    if not (np.isfinite(g.d_weights).all() and np.isfinite(g.d_bias).all()):
-        raise ValueError("gradients must be finite")
-    return DenseHead(
-        weights=head.weights - lr * g.d_weights,
-        bias=head.bias - lr * g.d_bias,
-    )
-
-
-def sample_gradients(head: DenseHead, sample: EmbeddingSample) -> Gradients:
-    """Gradients for a single sample: forward, softmax, backward in one go."""
-    probs = softmax(forward(head, sample.features))
-    return backward(head, sample.features, probs, sample.label)
 
 
 def train_batch(
@@ -233,11 +162,12 @@ def train_batch(
     `head` is a DenseHead, or a checked head's (weights (C, E), bias (C,))
     pair, such as `ModelBlob.head_views()`, taken as `batch_predict` takes it.
     `batch` is an EmbeddingSample list, stacked here into features X (n, E),
-    or a StackedSamples used as is. Each episode is one SGD step with the
-    mean gradient: (P - Y)^T X / n for the weights and the column mean of
-    P - Y for the bias, P being the row softmax and Y the one-hot labels,
-    bitwise `sgd_step` on those gradients. This matches averaging
-    `sample_gradients` up to summation order.
+    or a StackedSamples used as is. Each episode is one SGD step along the
+    mean softmax cross-entropy gradient g / n, g being (P - Y)^T X for the
+    weights and the column sum of P - Y for the bias (P the row softmax, Y
+    the one-hot labels): every parameter p becomes p - lr * (g / n), in that
+    order (divide by n, scale by lr, subtract). `batch_gradients` reads this
+    step back, and `gradient_check` checks it against central differences.
 
     A device-stacked batch, features (N, n, E), trains N copies of `head`
     and returns their (N, C*E + C) parameters, one flat row per device in
@@ -292,15 +222,30 @@ def train_batch(
         np.add.reduce(delta, axis=1, out=gb)
         grads /= n
         grads *= lr
-        params -= grads  # p - lr * (g / n), sgd_step's operation order
+        params -= grads  # p - lr * (g / n): divide, scale, subtract
     if per_device:
         return params
     return DenseHead(w[0], params[0, c * e :])
 
 
-def predict(head: DenseHead, x: np.ndarray) -> int:
-    """Argmax class; ties go to the lowest class index."""
-    return int(np.argmax(forward(head, x)))
+def batch_gradients(head: DenseHead, batch) -> Gradients:
+    """The mean loss gradient `train_batch` steps along, read off the kernel.
+
+    One episode at lr = 1 moves the parameters p0 to p1 = p0 - g, rounded,
+    and this returns p0 - p1: g to within half an ulp of p0, and exactly 0
+    where g is. `batch` is taken as `train_batch` takes it; a device-stacked
+    batch gives (N, C, E) and (N, C) gradients, one row per device.
+    """
+    c, e = head.weights.shape
+    p1 = train_batch(head, batch, 1.0, 1)
+    if isinstance(p1, DenseHead):
+        return Gradients(head.weights - p1.weights, head.bias - p1.bias)
+    return Gradients(head.weights - p1[:, : c * e].reshape(-1, c, e), head.bias - p1[:, c * e :])
+
+
+def sample_gradients(head: DenseHead, sample: EmbeddingSample) -> Gradients:
+    """Gradients for a single sample: the n = 1 case of `batch_gradients`."""
+    return batch_gradients(head, [sample])
 
 
 def init_head(
@@ -351,35 +296,47 @@ def footprint_bytes(embedding_dim: int, num_classes: int) -> int:
     return 4 * (c * e + c)
 
 
-def finite_difference_gradients(
-    head: DenseHead, sample: EmbeddingSample, step: float = 1e-5
-) -> Gradients:
-    """Central-difference estimate of the loss gradient, one coordinate at a time.
-
-    Slow by construction; exists for self-checks against `backward`.
+def finite_difference_gradients(head: DenseHead, batch, step: float = 1e-5) -> Gradients:
+    """Central differences of each device's mean clamped cross-entropy, shaped
+    like `batch_gradients`; `batch` may also be one EmbeddingSample. Losses are
+    evaluated and differenced in np.longdouble: in float64 the round-off, about
+    eps * loss / step = 1e-11, is 1e-5 of a coordinate at gradient_check's floor.
     """
+    batch = stack_samples([batch] if isinstance(batch, EmbeddingSample) else batch)
+    c, e = head.weights.shape
+    x, labels = batch.features.astype(np.longdouble), batch.labels[..., None]
 
-    def loss_at(weights: np.ndarray, bias: np.ndarray) -> float:
-        h = DenseHead(weights, bias)
-        probs = softmax(forward(h, sample.features))
-        return cross_entropy(probs, sample.label)
+    def mean_loss(params: np.ndarray) -> np.ndarray:
+        logits = x @ params[: c * e].reshape(c, e).T + params[c * e :]
+        logits -= logits.max(axis=-1, keepdims=True)
+        probs = np.exp(logits)
+        true = np.take_along_axis(probs, labels, axis=-1) / probs.sum(axis=-1, keepdims=True)
+        return -np.log(np.maximum(true, PROB_CLAMP)).mean(axis=(-2, -1))
 
-    dw = np.zeros_like(head.weights)
-    for c in range(head.num_classes):
-        for e in range(head.embedding_dim):
-            wp = head.weights.copy()
-            wm = head.weights.copy()
-            wp[c, e] += step
-            wm[c, e] -= step
-            dw[c, e] = (loss_at(wp, head.bias) - loss_at(wm, head.bias)) / (2 * step)
-    db = np.zeros_like(head.bias)
-    for c in range(head.num_classes):
-        bp = head.bias.copy()
-        bm = head.bias.copy()
-        bp[c] += step
-        bm[c] -= step
-        db[c] = (loss_at(head.weights, bp) - loss_at(head.weights, bm)) / (2 * step)
-    return Gradients(dw, db)
+    p = np.concatenate([head.weights.ravel(), head.bias]).astype(np.longdouble)
+    g = np.empty((*labels.shape[:-2], p.size))
+    for i in range(p.size):
+        plus, minus = p.copy(), p.copy()
+        plus[i] += step
+        minus[i] -= step
+        g[..., i] = (mean_loss(plus) - mean_loss(minus)) / (2 * np.longdouble(step))
+    return Gradients(g[..., : c * e].reshape(*g.shape[:-1], c, e), g[..., c * e :])
+
+
+def check_gradient_check_args(
+    trials: int, seed: int, step: float, max_dim: int, max_classes: int
+) -> None:
+    """Raise ValueError for `gradient_check` arguments that cannot check anything."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if not (np.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and > 0, got {step}")
+    if max_dim < 1:
+        raise ValueError(f"max_dim must be >= 1, got {max_dim}")
+    if max_classes < 2:
+        raise ValueError(f"max_classes must be >= 2, got {max_classes}")
 
 
 def gradient_check(
@@ -389,23 +346,36 @@ def gradient_check(
     max_dim: int = 8,
     max_classes: int = 4,
 ) -> float:
-    """Max per-coordinate relative error between analytic and numeric gradients.
+    """Max per-coordinate relative error between the gradient `train_batch`
+    steps along and central differences of the loss.
 
-    Random small heads and samples; relative error uses a 1e-6 floor in the
-    denominator so near-zero true coordinates do not blow up the ratio.
+    Random small heads; trials cycle through a single sample
+    (`sample_gradients`), a batch of 1 to 20 samples and a device-stacked
+    batch of 1 to 3 devices (`batch_gradients`), and each device's gradient
+    is compared with central differences of that device's mean loss. The
+    relative error uses a 1e-6 floor in the denominator so near-zero true
+    coordinates do not blow up the ratio; a NaN error returns NaN.
     """
+    check_gradient_check_args(trials, seed, step, max_dim, max_classes)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
+    errors = []
+    for trial in range(trials):
         e = int(rng.integers(1, max_dim + 1))
         c = int(rng.integers(2, max_classes + 1))
         # Small parameters keep softmax away from saturation, where true
         # gradient coordinates shrink below the finite-difference noise floor.
         head = DenseHead(rng.normal(0, 0.5, size=(c, e)), rng.normal(0, 0.5, size=c))
-        sample = EmbeddingSample(rng.normal(0, 1, size=e), int(rng.integers(0, c)))
-        analytic = sample_gradients(head, sample)
-        numeric = finite_difference_gradients(head, sample, step)
+        form = trial % 3  # a single sample, a batch, a device-stacked batch
+        lead = (int(rng.integers(1, 4)),) if form == 2 else ()
+        n = int(rng.integers(1, 21)) if form else 1
+        batch = StackedSamples(rng.normal(0, 1, size=(*lead, n, e)),
+                               rng.integers(0, c, size=(*lead, n)))
+        if form == 0:
+            analytic = sample_gradients(head, EmbeddingSample(batch.features[0], batch.labels[0]))
+        else:
+            analytic = batch_gradients(head, batch)
+        numeric = finite_difference_gradients(head, batch, step)
         for a, f in ((analytic.d_weights, numeric.d_weights), (analytic.d_bias, numeric.d_bias)):
             denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-6)
-            worst = max(worst, float((np.abs(a - f) / denom).max()))
-    return worst
+            errors.append((np.abs(a - f) / denom).max())
+    return float(np.max(errors))  # np.max, unlike max(), keeps a NaN

@@ -58,6 +58,38 @@ def test_gradcheck_fails_on_unreachable_tolerance(capsys):
     assert "FAILED" in capsys.readouterr().err
 
 
+def test_gradcheck_fails_on_a_nan_gradient(monkeypatch, capsys):
+    import fedhead.nn as nn
+
+    kernel = nn.batch_gradients
+
+    def with_nan(head, batch):
+        g = kernel(head, batch)
+        g.d_bias[..., 0] = np.nan
+        return g
+
+    monkeypatch.setattr(nn, "batch_gradients", with_nan)
+    assert main(["gradcheck", "--trials", "3"]) == 2
+    assert "FAILED" in capsys.readouterr().err
+
+
+def test_gradcheck_passes_at_a_seed_with_a_tiny_true_coordinate():
+    # A float64 finite-difference oracle read 1.04e-5 here, over the 1e-5 bound.
+    assert main(["gradcheck", "--seed", "67"]) == 0
+
+
+@pytest.mark.parametrize("flags", [
+    ["--trials", "0"], ["--trials", "-3"], ["--seed", "-1"], ["--step", "0"],
+    ["--step=-1e-5"], ["--step", "nan"], ["--step", "inf"], ["--max-dim", "0"],
+    ["--max-classes", "1"], ["--tol", "nan"], ["--tol", "inf"], ["--tol=-1e-5"],
+], ids=" ".join)
+def test_gradcheck_arguments_that_check_nothing_are_usage_errors(flags, capsys, caplog):
+    caplog.set_level(logging.INFO, logger="fedhead.cli")
+    assert main(["gradcheck", *flags]) == 1
+    assert not [r for r in caplog.records if "resolved config" in r.message]
+    assert "fedhead: error:" in capsys.readouterr().err
+
+
 def test_gen_data_writes_a_loadable_dataset(tmp_path, capsys):
     out = tmp_path / "toy.ds"
     rc = main(["gen-data", *TINY, "--seed", "4", "--out", str(out)])

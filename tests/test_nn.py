@@ -1,4 +1,6 @@
-"""Dense-head numerics: forward, softmax/cross-entropy, backprop, SGD, init."""
+"""Dense-head numerics: the training kernel and its gradient check, scoring,
+init, and the per-sample reference path (tests/nn_reference.py) the kernel
+is compared against."""
 import math
 
 import numpy as np
@@ -6,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedhead.nn as nn
+import nn_reference
 from fedhead.errors import ShapeError
 from fedhead.federation import blob_from_head, evaluate
 from fedhead.nn import (
@@ -13,20 +17,22 @@ from fedhead.nn import (
     EmbeddingSample,
     Gradients,
     StackedSamples,
-    backward,
     batch_predict,
-    cross_entropy,
     finite_difference_gradients,
     footprint_bytes,
-    forward,
     gradient_check,
     init_head,
+    stack_samples,
+    train_batch,
+)
+from nn_reference import (
+    backward,
+    cross_entropy,
+    forward,
     predict,
     sample_gradients,
     sgd_step,
     softmax,
-    stack_samples,
-    train_batch,
 )
 
 
@@ -187,6 +193,72 @@ def test_backward_shape_mismatch():
 
 def test_gradient_check_suite_is_tight():
     assert gradient_check(trials=100, seed=0) <= 1e-5
+
+
+def test_gradient_check_reads_the_training_kernel(monkeypatch):
+    # A kernel that steps 1e-4 too far must fail: the analytic side of the
+    # check is the step train_batch takes, not a separate derivation.
+    kernel = nn.train_batch
+    monkeypatch.setattr(nn, "train_batch", lambda head, batch, lr, episodes:
+                        kernel(head, batch, lr * (1 + 1e-4), episodes))
+    assert gradient_check(trials=30, seed=0) > 1e-5
+
+
+def test_gradient_check_reports_a_nan_gradient(monkeypatch):
+    kernel, calls = nn.batch_gradients, []
+
+    def nan_on_fifth_call(head, batch):
+        g = kernel(head, batch)
+        calls.append(batch)
+        if len(calls) == 5:
+            g.d_weights[..., 0, 0] = np.nan
+        return g
+
+    monkeypatch.setattr(nn, "batch_gradients", nan_on_fifth_call)
+    assert math.isnan(gradient_check(trials=10, seed=0))
+    assert len(calls) == 10
+
+
+@pytest.mark.parametrize("seed", [8, 15, 40])
+def test_gradient_check_oracle_resolves_coordinates_near_the_floor(monkeypatch, seed):
+    # At these seeds a float64 oracle's round-off, about eps * loss / step,
+    # reads as more than 1e-6 of error; the longdouble oracle's does not.
+    with monkeypatch.context() as m:
+        m.setattr(nn, "finite_difference_gradients", nn_reference.finite_difference_gradients)
+        assert gradient_check(seed=seed) > 1e-6
+    assert gradient_check(seed=seed) <= 1e-6
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"trials": 0}, {"trials": -1}, {"seed": -1}, {"step": 0.0}, {"step": -1e-5},
+    {"step": float("nan")}, {"step": float("inf")}, {"max_dim": 0}, {"max_classes": 1},
+])
+def test_gradient_check_rejects_arguments_that_check_nothing(kwargs):
+    with pytest.raises(ValueError):
+        gradient_check(**kwargs)
+
+
+@pytest.mark.parametrize("devices", [None, 1, 3])
+@pytest.mark.parametrize("n", [1, 5, 20])
+def test_batch_gradients_are_the_mean_of_the_per_sample_reference(devices, n):
+    rng = np.random.default_rng(100 * n + (devices or 0))
+    head = random_head(rng, 6, 3)
+    lead = () if devices is None else (devices,)
+    x = rng.normal(size=(*lead, n, 6))
+    x[..., 2] = 0.0  # a dead dimension: its weight gradient is exactly 0
+    labels = rng.integers(0, 3, size=(*lead, n))
+    got = nn.batch_gradients(head, StackedSamples(x, labels))
+    for i in range(devices or 1):
+        xs, ys, gw, gb = ((x, labels, got.d_weights, got.d_bias) if devices is None else
+                          (x[i], labels[i], got.d_weights[i], got.d_bias[i]))
+        want = [sample_gradients(head, EmbeddingSample(f, y)) for f, y in zip(xs, ys)]
+        assert np.max(np.abs(gw - np.mean([g.d_weights for g in want], axis=0))) <= 1e-12
+        assert np.max(np.abs(gb - np.mean([g.d_bias for g in want], axis=0))) <= 1e-12
+        assert np.all(gw[:, 2] == 0.0)
+    sample = EmbeddingSample(x.reshape(-1, 6)[0], labels.ravel()[0])
+    one, want = nn.sample_gradients(head, sample), sample_gradients(head, sample)
+    assert np.max(np.abs(one.d_weights - want.d_weights)) <= 1e-12
+    assert np.max(np.abs(one.d_bias - want.d_bias)) <= 1e-12
 
 
 def test_library_finite_differences_agree_with_backward():
@@ -407,10 +479,8 @@ def test_train_batch_on_a_stacked_batch_is_bitwise_the_list_path():
     for episodes in (1, 4):
         a = train_batch(head, batch, 0.3, episodes)
         b = train_batch(head, stacked, 0.3, episodes)
-        c = train_batch(head, (stacked.features, stacked.labels), 0.3, episodes)
-        for out in (b, c):
-            assert np.array_equal(out.weights, a.weights)
-            assert np.array_equal(out.bias, a.bias)
+        assert np.array_equal(b.weights, a.weights)
+        assert np.array_equal(b.bias, a.bias)
 
 
 @pytest.mark.parametrize("devices", [1, 3, 4])
@@ -473,9 +543,8 @@ def test_device_stacked_samples_are_validated():
 ])
 def test_train_batch_checks_a_stacked_batch_like_a_list(features, labels, error):
     head = make_head([[1.0, 2.0], [3.0, 4.0]], [0.5, -0.5])
-    for batch in (StackedSamples(features, labels), (np.asarray(features), np.asarray(labels))):
-        with pytest.raises(error):
-            train_batch(head, batch, 0.1, 2)
+    with pytest.raises(error):
+        train_batch(head, StackedSamples(features, labels), 0.1, 2)
     assert np.array_equal(head.weights, [[1.0, 2.0], [3.0, 4.0]])
 
 
@@ -585,7 +654,7 @@ def argmax_oracle(head, x):
 
 def assert_scores_like_the_oracle(head, x, labels):
     want = argmax_oracle(head, x)
-    got = batch_predict(head, x)
+    got = batch_predict((head.weights, head.bias), x)
     assert got.dtype == np.intp and got.shape == want.shape
     np.testing.assert_array_equal(got, want)
     acc = evaluate(blob_from_head(head), StackedSamples(x, labels))
@@ -609,7 +678,8 @@ def test_batch_predict_breaks_exact_ties_toward_lowest_index():
     head = make_head([[1.0, -1.0], [0.0, 1.0], [1.0, -1.0], [-1.0, 0.0]], [0.0, 1.0, 0.0, 0.0])
     grid = np.array([[a, b] for a in (-2.0, -1.0, 0.0, 1.0, 2.0) for b in (-2.0, -1.0, 0.0, 1.0)])
     assert_scores_like_the_oracle(head, grid, np.arange(len(grid)) % 4)
-    assert batch_predict(head, np.array([[1.0, 0.0]])).tolist() == [0]  # logits 1, 1, 1, -1
+    one = np.array([[1.0, 0.0]])
+    assert batch_predict((head.weights, head.bias), one).tolist() == [0]  # logits 1, 1, 1, -1
 
 
 def test_batch_predict_on_infinite_logits():
@@ -619,7 +689,7 @@ def test_batch_predict_on_infinite_logits():
     x = np.array([[big], [-big], [0.0], [1.0]])  # logits: inf, -inf, 1e200, inf ...
     with np.errstate(over="ignore", invalid="ignore"):
         assert_scores_like_the_oracle(head, x, np.array([0, 1, 2, 3]))
-        assert batch_predict(head, x).tolist() == [0, 1, 0, 0]
+        assert batch_predict((head.weights, head.bias), x).tolist() == [0, 1, 0, 0]
 
 
 @pytest.mark.parametrize("nan_class", [0, 1, 2])
@@ -631,7 +701,7 @@ def test_batch_predict_on_nan_logits(nan_class):
     head = make_head(weights, np.zeros(3))
     x = np.array([[np.inf, np.inf], [1.0, 2.0], [-1.0, 5.0], [np.inf, np.inf]])
     with np.errstate(over="ignore", invalid="ignore"):
-        preds = batch_predict(head, x)
+        preds = batch_predict((head.weights, head.bias), x)
         assert_scores_like_the_oracle(head, x, np.array([0, 1, 2, nan_class]))
     assert preds[0] == preds[3] == nan_class
 
@@ -648,7 +718,7 @@ def test_stacked_batch_predict_is_the_per_device_scorer():
     for stack in (slice(0, 2), slice(0, 3)):  # without and with the nan rows
         with np.errstate(over="ignore", invalid="ignore"):
             got = batch_predict((weights[stack], bias[stack]), x[stack])
-            want = [batch_predict(make_head(w, b), f)
+            want = [batch_predict((w, b), f)
                     for w, b, f in zip(weights[stack], bias[stack], x[stack])]
         assert got.dtype == np.intp
         np.testing.assert_array_equal(got, want)
