@@ -181,9 +181,10 @@ def _cmd_serve(args) -> int:
     validation = None
     if args.data:
         dataset = data_mod.load_dataset(args.data)
-        if dataset.embedding_dim != args.dim:
+        if dataset.embedding_dim != args.dim or dataset.num_classes > args.classes:
             raise _UsageError(
-                f"--data {args.data} has embedding dim {dataset.embedding_dim}, --dim is {args.dim}"
+                f"--data {args.data} has embedding dim {dataset.embedding_dim}, --dim is "
+                f"{args.dim}; it has {dataset.num_classes} classes, --classes is {args.classes}"
             )
         validation = dataset.stacked_validation()
     blob = blob_from_head(init_head(args.dim, args.classes, args.init, seed=args.seed))

@@ -80,12 +80,10 @@ class EmbeddingDataset:
     def validation_samples(self) -> list[EmbeddingSample]:
         return [self.sample(i) for i in self.validation_indices()]
 
-    def stack(self, indices) -> StackedSamples:
-        """The samples at `indices`, stacked straight from the arrays."""
-        return StackedSamples(self.features[indices].astype(np.float64), self.labels[indices])
-
     def stacked_validation(self) -> StackedSamples:
-        return self.stack(self.validation_indices())
+        """The validation samples, stacked straight from the arrays."""
+        indices = self.validation_indices()
+        return StackedSamples(self.features[indices].astype(np.float64), self.labels[indices])
 
 
 def _record_dtype(dim: int) -> np.dtype:
@@ -182,13 +180,9 @@ class DeviceStream:
         self.cursor += count
         return chosen
 
-    def take(self, count: int, *, stacked: bool = False):
-        """The next `count` unseen samples: an EmbeddingSample list, or with
-        `stacked` one StackedSamples sliced from the dataset arrays."""
-        chosen = self._consume(count)
-        if stacked:
-            return self.dataset.stack(chosen)
-        return [self.dataset.sample(int(i)) for i in chosen]
+    def take(self, count: int) -> list[EmbeddingSample]:
+        """The next `count` unseen samples as an EmbeddingSample list."""
+        return [self.dataset.sample(int(i)) for i in self._consume(count)]
 
     def take_into(self, features: np.ndarray, labels: np.ndarray) -> None:
         """Take the next len(labels) unseen samples into `features` (n, E) and

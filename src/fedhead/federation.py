@@ -147,41 +147,6 @@ class RoundConfig:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
 
 
-class DeviceState:
-    """One simulated device: its current head and its private stream.
-
-    A round stores the device's trained parameters as (weights, bias) views
-    of its result row; `head` builds the DenseHead from them on first read.
-    """
-
-    def __init__(self, device_id: int, head: DenseHead, stream: DeviceStream,
-                 samples_seen: int = 0) -> None:
-        self.device_id = device_id
-        self.head = head
-        self.stream = stream
-        self.samples_seen = samples_seen
-
-    @property
-    def head(self) -> DenseHead:
-        if self._head is None:
-            self._head = DenseHead(*self._trained)
-        return self._head
-
-    @head.setter
-    def head(self, head: DenseHead) -> None:
-        self._head, self._trained = head, None
-
-    def _store(self, weights: np.ndarray, bias: np.ndarray) -> None:
-        self._head, self._trained = None, (weights, bias)
-
-
-@dataclass(eq=False)
-class RoundResult:
-    global_blob: ModelBlob
-    val_accuracy: float
-    train_accuracies: list[float]
-
-
 def stack_validation(val, embedding_dim: int) -> StackedSamples:
     """Stack a validation set and check that it is non-empty and of the model's dim."""
     val = stack_samples(val)
@@ -204,59 +169,55 @@ def evaluate(blob: ModelBlob, samples) -> float:
 
 
 def federated_round(
-    devices: list[DeviceState],
+    streams: list[DeviceStream],
     global_blob: ModelBlob,
     cfg: RoundConfig,
     val: list[EmbeddingSample] | StackedSamples,
-) -> RoundResult:
-    """Run one global round and advance every device's cursor by batch_size.
+) -> tuple[ModelBlob, float, list[float]]:
+    """Run one global round and advance every stream's cursor by batch_size.
 
-    Each device's batch is gathered straight into one (N, B, E) batch, trained
+    Returns (new global blob, validation accuracy, per-stream train
+    accuracies in `streams` order). Every device starts from the global
+    blob, so a device carries nothing between rounds but its stream.
+
+    Each stream's batch is gathered straight into one (N, B, E) batch, trained
     from the global blob's (weights, bias) views by one `train_batch` call
     into (N, C*E + C) rows, averaged in device-id order into the new global
     blob, whose check is the one check of the result, and scored by one
     `batch_predict` call; no per-device head or blob is built. A validation
     list is stacked once per call; pass it stacked to reuse it. The
-    validation dim and every device's data shape and unseen data are checked
-    before any batch is taken, so such a failed round consumes nothing; a
-    round that fails in training changes no DeviceState.
+    validation dim and every stream's data shape and unseen data are checked
+    before any batch is taken, so such a failed round consumes nothing. A
+    round that fails in training raises and leaves `global_blob` unchanged;
+    its batches stay consumed.
     """
-    if not devices:
+    if not streams:
         raise ValueError("need at least one device")
     e, c = global_blob.embedding_dim, global_blob.num_classes
     start = global_blob.head_views()
     val = stack_validation(val, e)
-    for d in devices:
-        data = d.stream.dataset
-        if data.embedding_dim != e or data.num_classes > c:
+    for s in streams:
+        if s.dataset.embedding_dim != e or s.dataset.num_classes > c:
             raise ShapeError(
-                f"device {d.device_id}: stream has dim {data.embedding_dim} and "
-                f"{data.num_classes} classes, model has dim {e} and {c} classes"
+                f"device {s.device_id}: stream has dim {s.dataset.embedding_dim} and "
+                f"{s.dataset.num_classes} classes, model has dim {e} and {c} classes"
             )
-        if d.stream.remaining() < cfg.batch_size:
+        if s.remaining() < cfg.batch_size:
             raise DataExhaustedError(
-                f"device {d.device_id}: round needs {cfg.batch_size} samples, "
-                f"only {d.stream.remaining()} unseen remain"
+                f"device {s.device_id}: round needs {cfg.batch_size} samples, "
+                f"only {s.remaining()} unseen remain"
             )
-    n = len(devices)
+    n = len(streams)
     batch = StackedSamples(np.empty((n, cfg.batch_size, e)),
                            np.empty((n, cfg.batch_size), dtype=np.int64))
-    for d, features, labels in zip(devices, batch.features, batch.labels):
-        d.stream.take_into(features, labels)
+    for s, features, labels in zip(streams, batch.features, batch.labels):
+        s.take_into(features, labels)
     params = train_batch(start, batch, cfg.learning_rate, cfg.local_episodes)
-    order = sorted(range(n), key=lambda i: devices[i].device_id)
+    order = sorted(range(n), key=lambda i: streams[i].device_id)
     new_global = average_blobs(StackedBlobs(params[order], e, c))
     weights, bias = params[:, : c * e].reshape(n, c, e), params[:, c * e :]
-    preds = batch_predict((weights, bias), batch.features)
-    for i, d in enumerate(devices):
-        d._store(weights[i], bias[i])
-        d.samples_seen += cfg.batch_size
-    hits = np.add.reduce(preds == batch.labels, axis=1)
-    return RoundResult(
-        global_blob=new_global,
-        val_accuracy=evaluate(new_global, val),
-        train_accuracies=(hits / cfg.batch_size).tolist(),
-    )
+    hits = np.add.reduce(batch_predict((weights, bias), batch.features) == batch.labels, axis=1)
+    return new_global, evaluate(new_global, val), (hits / cfg.batch_size).tolist()
 
 
 @dataclass(eq=False)
@@ -288,7 +249,9 @@ def run_training(
 ) -> RunResult:
     """Run cfg.epochs federated rounds from a freshly initialized global head.
 
-    The validation set is stacked and checked once here, scored every round.
+    The run state is the global blob and the `partitions` streams, which
+    every round takes directly. The validation set is stacked and checked
+    once here, scored every round.
     """
     if len(partitions) != cfg.num_devices:
         raise ValueError(
@@ -305,21 +268,19 @@ def run_training(
                 f"need {needed} samples, stream has {stream.remaining()}"
             )
     blob_arg = init_blob.values if isinstance(init_blob, ModelBlob) else init_blob
-    head = init_head(e, c, init_mode, seed=init_seed, blob=blob_arg)
-    global_blob = blob_from_head(head)
-    devices = [DeviceState(s.device_id, head, s) for s in partitions]
+    global_blob = blob_from_head(init_head(e, c, init_mode, seed=init_seed, blob=blob_arg))
     history: list[EpochRecord] = []
     round_blobs: list[ModelBlob] = []
     for t in range(1, cfg.epochs + 1):
-        result = federated_round(devices, global_blob, cfg, val)
-        global_blob = result.global_blob
+        global_blob, val_accuracy, train_accuracies = federated_round(
+            partitions, global_blob, cfg, val)
         round_blobs.append(global_blob)
         history.append(
             EpochRecord(
                 epoch=t,
                 examples_seen=cfg.num_devices * cfg.batch_size * t,
-                val_accuracy=result.val_accuracy,
-                train_accuracy=float(np.mean(result.train_accuracies)),
+                val_accuracy=val_accuracy,
+                train_accuracy=float(np.mean(train_accuracies)),
             )
         )
     return RunResult(history=history, round_blobs=round_blobs)

@@ -367,18 +367,22 @@ def test_agent_device_id_beyond_header_byte_is_a_usage_error(tmp_path, capsys):
     assert "--device-id" in capsys.readouterr().err
 
 
-def test_serve_rejects_a_model_too_large_to_frame(capsys):
+def serve_at_startup(*flags):
+    """`fedhead serve` run with `flags` in a thread; its exit code, which
+    must come at startup rather than after it began serving."""
     rc = {}
     thread = threading.Thread(
-        target=lambda: rc.setdefault("rc", main([
-            "serve", "--listen", "127.0.0.1:0", "--dim", "1280", "--classes", "64",
-        ])),
+        target=lambda: rc.setdefault("rc", main(["serve", "--listen", "127.0.0.1:0", *flags])),
         daemon=True,
     )
     thread.start()
     thread.join(10.0)
     assert not thread.is_alive(), "serve started instead of failing at startup"
-    assert rc["rc"] == 1
+    return rc["rc"]
+
+
+def test_serve_rejects_a_model_too_large_to_frame(capsys):
+    assert serve_at_startup("--dim", "1280", "--classes", "64") == 1
     assert "frames" in capsys.readouterr().err
 
 
@@ -407,19 +411,17 @@ def test_serve_hands_the_server_a_stacked_validation_set(tmp_path, monkeypatch):
 def test_serve_rejects_validation_data_of_another_dim(tmp_path, capsys):
     data = tmp_path / "toy.ds"  # E=8
     assert main(["gen-data", *TINY, "--seed", "3", "--out", str(data)]) == 0
-    rc = {}
-    thread = threading.Thread(
-        target=lambda: rc.setdefault("rc", main([
-            "serve", "--listen", "127.0.0.1:0", "--dim", "16", "--classes", "2",
-            "--data", str(data),
-        ])),
-        daemon=True,
-    )
-    thread.start()
-    thread.join(10.0)
-    assert not thread.is_alive(), "serve started instead of failing at startup"
-    assert rc["rc"] == 1
+    assert serve_at_startup("--dim", "16", "--classes", "2", "--data", str(data)) == 1
     assert "embedding dim 8, --dim is 16" in capsys.readouterr().err
+
+
+def test_serve_rejects_validation_data_with_more_classes_than_the_model(tmp_path, capsys):
+    # A 2-class model can never predict class 2, so its validation accuracy
+    # could not count those samples.
+    data = tmp_path / "toy.ds"  # E=8, C=3
+    assert main(["gen-data", *TINY, "--classes", "3", "--seed", "3", "--out", str(data)]) == 0
+    assert serve_at_startup("--dim", "8", "--classes", "2", "--data", str(data)) == 1
+    assert "3 classes, --classes is 2" in capsys.readouterr().err
 
 
 def test_resolved_config_is_logged(tmp_path, caplog):

@@ -244,21 +244,23 @@ def test_stream_samples_seen_is_monotone():
     assert counts == [3, 6, 9, 12]
 
 
-def test_stacked_take_is_the_stacked_sample_list():
+def test_take_into_gathers_the_stacked_sample_list_in_place():
     ds = synth_separable(6, 3, 90, 4.0, 17, val_fraction=0.2)
     (stream,) = partition(ds, 1, 4)
     (twin,) = partition(ds, 1, 4)
-    for count in (1, 7, 20):
-        got = stream.take(count, stacked=True)
+    for count, seen in ((1, 1), (7, 8), (20, 28)):
+        features, labels = np.empty((count, 6)), np.empty(count, dtype=np.int64)
+        stream.take_into(features, labels)
         want = stack_samples(twin.take(count))
-        assert len(got) == count
-        assert got.features.dtype == np.float64
-        assert np.array_equal(got.features, want.features)
-        assert np.array_equal(got.labels, want.labels)
-    assert stream.samples_seen == twin.samples_seen == 28
-    with pytest.raises(DataExhaustedError):
-        stream.take(stream.remaining() + 1, stacked=True)
+        assert np.array_equal(features, want.features)
+        assert np.array_equal(labels, want.labels)
+        assert stream.samples_seen == twin.samples_seen == seen
+    over = stream.remaining() + 1
+    features, labels = np.full((over, 6), 7.0), np.full(over, 7, dtype=np.int64)
+    with pytest.raises(DataExhaustedError, match="device 0"):
+        stream.take_into(features, labels)
     assert stream.samples_seen == 28
+    assert (features == 7.0).all() and (labels == 7).all()
 
 
 def test_stacked_validation_is_the_stacked_sample_list():

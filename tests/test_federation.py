@@ -7,7 +7,6 @@ import pytest
 from fedhead.data import partition, synth_separable
 from fedhead.errors import DataExhaustedError, ShapeError
 from fedhead.federation import (
-    DeviceState,
     ModelBlob,
     RoundConfig,
     average_blobs,
@@ -195,26 +194,24 @@ def test_round_n1_is_bitwise_sequential_training():
     ds2, (oracle_stream,) = small_setup(0, num_devices=1)
     cfg = RoundConfig(num_devices=1, batch_size=4, local_episodes=3, learning_rate=0.05, epochs=1)
     global_blob = blob_from_head(init_head(8, 2, "random", seed=5))
-    devices = [DeviceState(0, head_from_blob(global_blob), stream)]
     oracle_head = head_from_blob(global_blob)
     for _ in range(10):
-        result = federated_round(devices, global_blob, cfg, ds.validation_samples())
-        global_blob = result.global_blob
+        global_blob, _, _ = federated_round([stream], global_blob, cfg, ds.validation_samples())
         oracle_head = train_batch(oracle_head, oracle_stream.take(4), 0.05, 3)
         assert np.array_equal(global_blob.values, blob_from_head(oracle_head).values)
 
 
-def list_path_round(devices, global_blob, cfg, val):
+def list_path_round(streams, global_blob, cfg, val):
     """One round computed from EmbeddingSample lists: each batch is taken as
     a list, and training and scoring each stack it on their own."""
-    train_accuracies = []
-    for d in devices:
-        batch = d.stream.take(cfg.batch_size)
-        d.head = train_batch(head_from_blob(global_blob), batch, cfg.learning_rate,
-                             cfg.local_episodes)
-        train_accuracies.append(evaluate(blob_from_head(d.head), batch))
-    ordered = sorted(devices, key=lambda d: d.device_id)
-    new_global = average_blobs([blob_from_head(d.head) for d in ordered])
+    trained, train_accuracies = {}, []
+    for s in streams:
+        batch = s.take(cfg.batch_size)
+        head = train_batch(head_from_blob(global_blob), batch, cfg.learning_rate,
+                           cfg.local_episodes)
+        trained[s.device_id] = blob_from_head(head)
+        train_accuracies.append(evaluate(trained[s.device_id], batch))
+    new_global = average_blobs([trained[i] for i in sorted(trained)])
     return new_global, evaluate(new_global, val), train_accuracies
 
 
@@ -225,17 +222,14 @@ def test_round_on_stacked_batches_is_bitwise_the_list_path(num_devices):
     cfg = RoundConfig(num_devices=num_devices, batch_size=6, local_episodes=3,
                       learning_rate=0.05, epochs=1)
     start = blob_from_head(init_head(8, 2, "random", seed=13))
-    devices = [DeviceState(s.device_id, head_from_blob(start), s) for s in streams]
-    oracle = [DeviceState(s.device_id, head_from_blob(start), s) for s in twins]
     val_list, val_stacked = ds.validation_samples(), ds.stacked_validation()
     blob, oracle_blob = start, start
     for _ in range(8):
-        result = federated_round(devices, blob, cfg, val_stacked)
-        oracle_blob, oracle_acc, oracle_train = list_path_round(oracle, oracle_blob, cfg, val_list)
-        blob = result.global_blob
+        blob, acc, train = federated_round(streams, blob, cfg, val_stacked)
+        oracle_blob, oracle_acc, oracle_train = list_path_round(twins, oracle_blob, cfg, val_list)
         assert np.array_equal(blob.values, oracle_blob.values)
-        assert result.val_accuracy == oracle_acc
-        assert result.train_accuracies == oracle_train
+        assert acc == oracle_acc
+        assert train == oracle_train
     assert [s.samples_seen for s in streams] == [s.samples_seen for s in twins]
 
 
@@ -245,66 +239,57 @@ def test_round_over_devices_out_of_id_order_is_bitwise_the_list_path():
     cfg = RoundConfig(num_devices=4, batch_size=5, local_episodes=2, learning_rate=0.2, epochs=1)
     start = blob_from_head(init_head(8, 2, "random", seed=14))
     order = [2, 0, 3, 1]
-    devices = [DeviceState(streams[i].device_id, head_from_blob(start), streams[i]) for i in order]
-    oracle = [DeviceState(twins[i].device_id, head_from_blob(start), twins[i]) for i in order]
+    streams, twins = [streams[i] for i in order], [twins[i] for i in order]
     blob, oracle_blob = start, start
     for _ in range(5):
-        result = federated_round(devices, blob, cfg, ds.stacked_validation())
+        blob, acc, train = federated_round(streams, blob, cfg, ds.stacked_validation())
         oracle_blob, oracle_acc, oracle_train = list_path_round(
-            oracle, oracle_blob, cfg, ds.validation_samples())
-        blob = result.global_blob
+            twins, oracle_blob, cfg, ds.validation_samples())
         assert np.array_equal(blob.values, oracle_blob.values)
-        assert result.val_accuracy == oracle_acc
-        assert result.train_accuracies == oracle_train
-        for d, o in zip(devices, oracle):
-            assert np.array_equal(blob_from_head(d.head).values, blob_from_head(o.head).values)
+        assert acc == oracle_acc
+        assert train == oracle_train
 
 
-def test_round_with_a_nan_feature_changes_no_device_state():
+def test_round_with_a_nan_feature_raises_and_leaves_the_global_blob_unchanged():
     ds, streams = small_setup(15, n=300, num_devices=3)
     cfg = RoundConfig(num_devices=3, batch_size=6, local_episodes=2, learning_rate=0.1, epochs=1)
     global_blob = blob_from_head(init_head(8, 2, "random", seed=15))
-    heads = [init_head(8, 2, "random", seed=i) for i in range(3)]
-    devices = [DeviceState(s.device_id, h, s, samples_seen=7) for s, h in zip(streams, heads)]
+    before = global_blob.values.copy()
     bad = streams[1]
     ds.features[bad.indices[bad.cursor + 3], 2] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        federated_round(devices, global_blob, cfg, ds.stacked_validation())
-    assert all(d.head is h for d, h in zip(devices, heads))
-    assert [d.samples_seen for d in devices] == [7, 7, 7]
+        federated_round(streams, global_blob, cfg, ds.stacked_validation())
+    assert np.array_equal(global_blob.values, before)
 
 
-def test_round_whose_mean_overflows_changes_no_device_state():
+def test_round_whose_mean_overflows_raises_and_leaves_the_global_blob_unchanged():
     # Zero weights and equal huge biases train to finite rows (every logit
     # is the bias), but two such rows sum past the largest float64.
     ds, streams = small_setup(20, n=300, num_devices=2)
     cfg = RoundConfig(num_devices=2, batch_size=6, local_episodes=2, learning_rate=0.1, epochs=1)
     huge = np.finfo(np.float64).max / 1.5
     global_blob = ModelBlob(np.concatenate([np.zeros(2 * 8), [huge, huge]]), 8, 2)
-    heads = [init_head(8, 2, "random", seed=i) for i in range(2)]
-    devices = [DeviceState(s.device_id, h, s, samples_seen=7) for s, h in zip(streams, heads)]
+    before = global_blob.values.copy()
     rows = train_batch(global_blob.head_views(),
                        StackedSamples(np.zeros((2, 6, 8)), np.zeros((2, 6), dtype=np.int64)),
                        cfg.learning_rate, cfg.local_episodes)
     with np.errstate(over="ignore"):
         assert np.isfinite(rows).all() and not np.isfinite(rows[0] + rows[1]).all()
         with pytest.raises(ValueError, match="finite"):
-            federated_round(devices, global_blob, cfg, ds.stacked_validation())
-    assert all(d.head is h for d, h in zip(devices, heads))
-    assert [d.samples_seen for d in devices] == [7, 7]
+            federated_round(streams, global_blob, cfg, ds.stacked_validation())
+    assert np.array_equal(global_blob.values, before)
 
 
 def test_round_rejects_a_stream_of_another_shape_before_any_take():
     ds, (stream,) = small_setup(16, num_devices=1)
     narrow = partition(synth_separable(4, 2, 200, 4.0, 16), 1, 16)[0]
     three = partition(synth_separable(8, 3, 200, 4.0, 16), 1, 16)[0]
+    narrow.device_id = three.device_id = 1
     cfg = RoundConfig(num_devices=2, batch_size=5, local_episodes=1, learning_rate=0.1, epochs=1)
     global_blob = blob_from_head(init_head(8, 2, "zeros"))
     for other, match in ((narrow, "device 1: stream has dim 4"), (three, "3 classes")):
-        devices = [DeviceState(0, head_from_blob(global_blob), stream),
-                   DeviceState(1, head_from_blob(global_blob), other)]
         with pytest.raises(ShapeError, match=match):
-            federated_round(devices, global_blob, cfg, ds.stacked_validation())
+            federated_round([stream, other], global_blob, cfg, ds.stacked_validation())
         assert stream.samples_seen == other.samples_seen == 0
 
 
@@ -313,10 +298,9 @@ def test_round_rejects_validation_of_another_dim_before_training():
     other = synth_separable(4, 2, 50, 4.0, 17)
     cfg = RoundConfig(num_devices=1, batch_size=5, local_episodes=1, learning_rate=0.1, epochs=1)
     global_blob = blob_from_head(init_head(8, 2, "zeros"))
-    devices = [DeviceState(0, head_from_blob(global_blob), stream)]
     for val in (other.validation_samples(), other.stacked_validation()):
         with pytest.raises(ShapeError, match="dim 4, model expects 8"):
-            federated_round(devices, global_blob, cfg, val)
+            federated_round([stream], global_blob, cfg, val)
     assert stream.samples_seen == 0
 
 
@@ -332,10 +316,9 @@ def test_round_leaves_the_callers_global_blob_unchanged():
     cfg = RoundConfig(num_devices=3, batch_size=6, local_episodes=5, learning_rate=0.5, epochs=1)
     global_blob = blob_from_head(init_head(8, 2, "random", seed=18))
     before = global_blob.values.copy()
-    devices = [DeviceState(s.device_id, head_from_blob(global_blob), s) for s in streams]
-    result = federated_round(devices, global_blob, cfg, ds.stacked_validation())
+    new_global, _, _ = federated_round(streams, global_blob, cfg, ds.stacked_validation())
     assert np.array_equal(global_blob.values, before)
-    assert not np.array_equal(result.global_blob.values, before)
+    assert not np.array_equal(new_global.values, before)
 
 
 def test_round_builds_no_head_and_one_blob(monkeypatch):
@@ -344,7 +327,6 @@ def test_round_builds_no_head_and_one_blob(monkeypatch):
     ds, streams = small_setup(19, n=300, num_devices=3)
     cfg = RoundConfig(num_devices=3, batch_size=6, local_episodes=5, learning_rate=0.05, epochs=1)
     global_blob = blob_from_head(init_head(8, 2, "random", seed=19))
-    devices = [DeviceState(s.device_id, head_from_blob(global_blob), s) for s in streams]
     val = ds.stacked_validation()
     built = []
     for cls in (DenseHead, ModelBlob):
@@ -355,48 +337,40 @@ def test_round_builds_no_head_and_one_blob(monkeypatch):
             original(self)
 
         monkeypatch.setattr(cls, "__post_init__", counting)
-    federated_round(devices, global_blob, cfg, val)
+    federated_round(streams, global_blob, cfg, val)
     assert built == ["ModelBlob"]
 
 
 def test_round_identical_devices_average_to_themselves():
     ds, _ = small_setup(1, n=100, num_devices=1)
-    # two streams over the same underlying samples, same order
-    s_a = partition(ds, 1, 3)[0]
-    s_b = partition(ds, 1, 3)[0]
+    # three streams over the same underlying samples, same order
+    s_a, s_b, twin = (partition(ds, 1, 3)[0] for _ in range(3))
+    s_b.device_id = 1
     cfg = RoundConfig(num_devices=2, batch_size=5, local_episodes=2, learning_rate=0.01, epochs=1)
     global_blob = blob_from_head(init_head(8, 2, "random", seed=6))
-    devices = [
-        DeviceState(0, head_from_blob(global_blob), s_a),
-        DeviceState(1, head_from_blob(global_blob), s_b),
-    ]
-    result = federated_round(devices, global_blob, cfg, ds.validation_samples())
-    assert np.allclose(
-        result.global_blob.values, blob_from_head(devices[0].head).values, rtol=0, atol=1e-15
-    )
+    new_global, _, _ = federated_round([s_a, s_b], global_blob, cfg, ds.validation_samples())
+    alone = train_batch(head_from_blob(global_blob), twin.take(5), 0.01, 2)
+    assert np.allclose(new_global.values, blob_from_head(alone).values, rtol=0, atol=1e-15)
 
 
 def test_round_exhaustion_names_device():
     ds, streams = small_setup(2, n=100, num_devices=2)
     cfg = RoundConfig(num_devices=2, batch_size=41, local_episodes=1, learning_rate=0.01, epochs=1)
     global_blob = blob_from_head(init_head(8, 2, "zeros"))
-    devices = [DeviceState(i, head_from_blob(global_blob), s) for i, s in enumerate(streams)]
     with pytest.raises(DataExhaustedError, match="device 0"):
-        federated_round(devices, global_blob, cfg, ds.validation_samples())
+        federated_round(streams, global_blob, cfg, ds.validation_samples())
     # the failed round must not have consumed anything
-    assert devices[0].samples_seen == 0 and devices[1].samples_seen == 0
+    assert streams[0].samples_seen == 0 and streams[1].samples_seen == 0
 
 
 def test_round_advances_cursors_by_batch():
     ds, streams = small_setup(3, n=100, num_devices=2)
     cfg = RoundConfig(num_devices=2, batch_size=7, local_episodes=1, learning_rate=0.01, epochs=1)
     global_blob = blob_from_head(init_head(8, 2, "zeros"))
-    devices = [DeviceState(i, head_from_blob(global_blob), s) for i, s in enumerate(streams)]
-    federated_round(devices, global_blob, cfg, ds.validation_samples())
-    assert all(d.samples_seen == 7 for d in devices)
-    federated_round(devices, average_blobs([blob_from_head(d.head) for d in devices]), cfg,
-                    ds.validation_samples())
-    assert all(d.samples_seen == 14 for d in devices)
+    global_blob, _, _ = federated_round(streams, global_blob, cfg, ds.validation_samples())
+    assert all(s.samples_seen == 7 for s in streams)
+    federated_round(streams, global_blob, cfg, ds.validation_samples())
+    assert all(s.samples_seen == 14 for s in streams)
 
 
 def test_two_devices_reach_high_accuracy_on_separable_data():
@@ -458,7 +432,8 @@ def test_run_training_rejects_an_empty_stacked_validation_set():
     ds, streams = small_setup(16, n=100, num_devices=1)
     cfg = RoundConfig(num_devices=1, batch_size=1, local_episodes=1, learning_rate=0.1, epochs=1)
     with pytest.raises(ValueError, match="validation set must be non-empty"):
-        run_training(cfg, streams, ds.stack(np.arange(0)), "zeros")
+        run_training(cfg, streams, StackedSamples(np.empty((0, 8)), np.empty(0, dtype=np.int64)),
+                     "zeros")
     assert streams[0].samples_seen == 0
 
 

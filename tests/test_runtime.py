@@ -24,7 +24,7 @@ from fedhead.errors import ProtocolError, ShapeError
 from fedhead.federation import (
     ModelBlob, RoundConfig, blob_from_head, evaluate, head_from_blob, run_training,
 )
-from fedhead.nn import init_head, train_batch
+from fedhead.nn import StackedSamples, init_head, train_batch
 from fedhead.runtime import (
     Agent,
     Message,
@@ -1050,9 +1050,10 @@ def test_agent_sync_mode_trains_one_batch_per_install():
 def test_agent_head_is_bitwise_stacked_training_and_its_install_is_unchanged(
     monkeypatch, sync_batch
 ):
-    # The agent draws list batches; the same training on stacked batches must
-    # give its head bit for bit, and must not write into the installed blob,
-    # whose values the head starts out viewing.
+    # The agent draws list batches; the same training on stacked batches
+    # gathered by `take_into`, the round's draw, must give its head bit for
+    # bit, and must not write into the installed blob, whose values the head
+    # starts out viewing.
     agent_module = importlib.import_module("fedhead.runtime.agent")
     decoded = []
 
@@ -1073,11 +1074,14 @@ def test_agent_head_is_bitwise_stacked_training_and_its_install_is_unchanged(
         conn.expect(MessageType.ACK)
         if sync_batch is None:
             assert wait_until(lambda: worker.samples_trained == 8)
-            batches = [twin.take(1, stacked=True) for _ in range(8)]
+            sizes = [1] * 8
         else:
             conn.expect_push()
             assert worker.samples_trained == 4
-            batches = [twin.take(4, stacked=True)]
+            sizes = [4]
+        batches = [StackedSamples(np.empty((n, 8)), np.empty(n, dtype=np.int64)) for n in sizes]
+        for batch in batches:
+            twin.take_into(batch.features, batch.labels)
         (installed, values), = decoded
         head = head_from_blob(installed)
         for batch in batches:
