@@ -19,9 +19,9 @@ from .errors import (
     WireError,
 )
 from .nn import (
-    DenseHead,
     EmbeddingSample,
     Gradients,
+    ModelBlob,
     StackedSamples,
     footprint_bytes,
     gradient_check,
@@ -29,7 +29,6 @@ from .nn import (
     train_batch,
 )
 from .federation import (
-    ModelBlob,
     RoundConfig,
     average_blobs,
     blob_from_head,
@@ -61,7 +60,6 @@ __all__ = [
     "ShapeError",
     "TruncationError",
     "WireError",
-    "DenseHead",
     "EmbeddingSample",
     "Gradients",
     "StackedSamples",

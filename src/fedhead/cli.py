@@ -21,10 +21,10 @@ import numpy as np
 from . import data as data_mod
 from . import simulator, wire
 from .errors import DataExhaustedError, ProtocolError
-from .federation import ModelBlob, blob_from_head
-from .nn import INIT_MODES, check_gradient_check_args, gradient_check, init_head
+from .nn import INIT_MODES, ModelBlob, check_gradient_check_args, gradient_check, init_head
 from .runtime import Agent, RoundPolicy, configure_logging, parse_endpoint, serve
 from .runtime.protocol import MAX_DEVICE_ID
+from .runtime.server import check_round_limits
 
 log = logging.getLogger("fedhead.cli")
 
@@ -177,7 +177,11 @@ def _cmd_serve(args) -> int:
     except ProtocolError as exc:
         raise _UsageError(f"--dim {args.dim} --classes {args.classes}: {exc}") from None
     endpoint = parse_endpoint(args.listen)
-    policy = RoundPolicy.parse(args.policy)
+    try:
+        policy = RoundPolicy.parse(args.policy)
+        check_round_limits(args.timeout, args.rounds)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     validation = None
     if args.data:
         dataset = data_mod.load_dataset(args.data)
@@ -187,7 +191,7 @@ def _cmd_serve(args) -> int:
                 f"{args.dim}; it has {dataset.num_classes} classes, --classes is {args.classes}"
             )
         validation = dataset.stacked_validation()
-    blob = blob_from_head(init_head(args.dim, args.classes, args.init, seed=args.seed))
+    blob = init_head(args.dim, args.classes, args.init, seed=args.seed)
     _log_config("serve", {
         "listen": args.listen, "policy": args.policy, "dim": args.dim,
         "classes": args.classes, "init": args.init, "seed": args.seed,
@@ -209,17 +213,20 @@ def _cmd_agent(args) -> int:
                           f"shards and fit the message header's device byte")
     dataset = data_mod.load_dataset(args.data)
     stream = data_mod.partition(dataset, args.num_devices, args.partition_seed)[args.device_id]
+    try:  # the agent checks its settings when built, before it connects
+        worker = Agent(
+            endpoint[0], endpoint[1], args.device_id, stream,
+            learning_rate=args.lr, local_episodes=args.episodes,
+            sync_batch=args.sync_batch, push_every=args.push_every,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     _log_config("agent", {
         "connect": args.connect, "device_id": args.device_id, "data": args.data,
         "num_devices": args.num_devices, "partition_seed": args.partition_seed,
         "lr": args.lr, "episodes": args.episodes,
         "sync_batch": args.sync_batch, "push_every": args.push_every,
     })
-    worker = Agent(
-        endpoint[0], endpoint[1], args.device_id, stream,
-        learning_rate=args.lr, local_episodes=args.episodes,
-        sync_batch=args.sync_batch, push_every=args.push_every,
-    )
     try:
         worker.run()
     except KeyboardInterrupt:

@@ -1,4 +1,4 @@
-"""Federated averaging over dense heads.
+"""Federated averaging over flat model rows (`ModelBlob`).
 
 One round: every device loads the global parameters, trains on its next
 unseen batch, and the server replaces the global model with the uniform
@@ -14,52 +14,15 @@ import numpy as np
 from .data import DeviceStream
 from .errors import DataExhaustedError, ShapeError
 from .nn import (
-    DenseHead,
     EmbeddingSample,
+    ModelBlob,
     StackedSamples,
     batch_predict,
+    check_classifier,
     init_head,
     stack_samples,
     train_batch,
 )
-
-
-@dataclass(eq=False)
-class ModelBlob:
-    """Canonical flat parameter sequence: weight rows row-major by class,
-    then bias. This is the unit of averaging and of wire transfer."""
-
-    values: np.ndarray
-    embedding_dim: int
-    num_classes: int
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64).ravel()
-        e, c = int(self.embedding_dim), int(self.num_classes)
-        if e < 1 or c < 1:
-            raise ShapeError(f"blob needs E >= 1 and C >= 1, got E={e} C={c}")
-        expected = c * e + c
-        if self.values.shape[0] != expected:
-            raise ShapeError(
-                f"blob for E={e} C={c} needs {expected} values, got {self.values.shape[0]}"
-            )
-        if not np.isfinite(self.values).all():
-            raise ValueError("blob values must be finite")
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def param_count(self) -> int:
-        return self.values.shape[0]
-
-    def head_views(self) -> tuple[np.ndarray, np.ndarray]:
-        """(weights (C, E), bias (C,)) views of the values, the pair that
-        `train_batch` and `batch_predict` take; a head needs C >= 2."""
-        e, c = self.embedding_dim, self.num_classes
-        if c < 2:
-            raise ShapeError("a classification head needs at least 2 classes")
-        return self.values[: c * e].reshape(c, e), self.values[c * e :]
 
 
 @dataclass(eq=False)
@@ -76,19 +39,13 @@ class StackedBlobs:
         return ModelBlob(self.values[i], self.embedding_dim, self.num_classes)
 
 
-def blob_from_head(head: DenseHead) -> ModelBlob:
-    """Flatten a head into canonical order. Lossless (float64 throughout)."""
-    return ModelBlob(
-        values=np.concatenate([head.weights.ravel(), head.bias]),
-        embedding_dim=head.embedding_dim,
-        num_classes=head.num_classes,
-    )
+def blob_from_head(model: ModelBlob) -> ModelBlob:
+    """The model itself: a head is its ModelBlob. This name and
+    `head_from_blob` stay for callers of the former two-type API."""
+    return model
 
 
-def head_from_blob(blob: ModelBlob) -> DenseHead:
-    """Inverse of blob_from_head in O(1): weights and bias are (C, E) and (C,)
-    views of `blob.values`; blobs and heads are never written in place."""
-    return DenseHead(*blob.head_views())
+head_from_blob = blob_from_head
 
 
 def average_blobs(blobs: list[ModelBlob] | StackedBlobs) -> ModelBlob:
@@ -158,14 +115,28 @@ def stack_validation(val, embedding_dim: int) -> StackedSamples:
     return val
 
 
+def check_stream(stream: DeviceStream, model: ModelBlob) -> None:
+    """Raise ShapeError unless `model` can train on `stream`: a classifier of
+    the stream's dim with at least the stream's classes."""
+    check_classifier(model)
+    ds, e, c = stream.dataset, model.embedding_dim, model.num_classes
+    if ds.embedding_dim != e or ds.num_classes > c:
+        raise ShapeError(
+            f"device {stream.device_id}: stream has dim {ds.embedding_dim} and "
+            f"{ds.num_classes} classes, model has dim {e} and {c} classes"
+        )
+
+
 def evaluate(blob: ModelBlob, samples) -> float:
     """Fraction of samples whose argmax prediction matches the label.
 
     `samples` is a list of EmbeddingSample or its stacked form, checked by
     `stack_validation`; a set scored every round should be stacked once.
     """
+    check_classifier(blob)
     val = stack_validation(samples, blob.embedding_dim)
-    return np.count_nonzero(batch_predict(blob.head_views(), val.features) == val.labels) / len(val)
+    hits = batch_predict((blob.weights, blob.bias), val.features) == val.labels
+    return np.count_nonzero(hits) / len(val)
 
 
 def federated_round(
@@ -181,27 +152,22 @@ def federated_round(
     blob, so a device carries nothing between rounds but its stream.
 
     Each stream's batch is gathered straight into one (N, B, E) batch, trained
-    from the global blob's (weights, bias) views by one `train_batch` call
-    into (N, C*E + C) rows, averaged in device-id order into the new global
-    blob, whose check is the one check of the result, and scored by one
-    `batch_predict` call; no per-device head or blob is built. A validation
-    list is stacked once per call; pass it stacked to reuse it. The
-    validation dim and every stream's data shape and unseen data are checked
-    before any batch is taken, so such a failed round consumes nothing. A
-    round that fails in training raises and leaves `global_blob` unchanged;
-    its batches stay consumed.
+    from the global blob by one `train_batch` call into (N, C*E + C) rows,
+    averaged in device-id order into the new global blob, whose check is the
+    one check of the result, and scored by one `batch_predict` call; no
+    per-device blob is built. A validation list is stacked once per call;
+    pass it stacked to reuse it. The validation dim and every stream's data
+    shape (`check_stream`) and unseen data are checked before any batch is
+    taken, so such a failed round consumes nothing. A round that fails in
+    training raises and leaves `global_blob` unchanged; its batches stay
+    consumed.
     """
     if not streams:
         raise ValueError("need at least one device")
     e, c = global_blob.embedding_dim, global_blob.num_classes
-    start = global_blob.head_views()
     val = stack_validation(val, e)
     for s in streams:
-        if s.dataset.embedding_dim != e or s.dataset.num_classes > c:
-            raise ShapeError(
-                f"device {s.device_id}: stream has dim {s.dataset.embedding_dim} and "
-                f"{s.dataset.num_classes} classes, model has dim {e} and {c} classes"
-            )
+        check_stream(s, global_blob)
         if s.remaining() < cfg.batch_size:
             raise DataExhaustedError(
                 f"device {s.device_id}: round needs {cfg.batch_size} samples, "
@@ -212,7 +178,7 @@ def federated_round(
                            np.empty((n, cfg.batch_size), dtype=np.int64))
     for s, features, labels in zip(streams, batch.features, batch.labels):
         s.take_into(features, labels)
-    params = train_batch(start, batch, cfg.learning_rate, cfg.local_episodes)
+    params = train_batch(global_blob, batch, cfg.learning_rate, cfg.local_episodes)
     order = sorted(range(n), key=lambda i: streams[i].device_id)
     new_global = average_blobs(StackedBlobs(params[order], e, c))
     weights, bias = params[:, : c * e].reshape(n, c, e), params[:, c * e :]
@@ -268,7 +234,7 @@ def run_training(
                 f"need {needed} samples, stream has {stream.remaining()}"
             )
     blob_arg = init_blob.values if isinstance(init_blob, ModelBlob) else init_blob
-    global_blob = blob_from_head(init_head(e, c, init_mode, seed=init_seed, blob=blob_arg))
+    global_blob = init_head(e, c, init_mode, seed=init_seed, blob=blob_arg)
     history: list[EpochRecord] = []
     round_blobs: list[ModelBlob] = []
     for t in range(1, cfg.epochs + 1):

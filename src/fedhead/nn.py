@@ -1,5 +1,6 @@
-"""From-scratch dense classification head: scoring, the softmax cross-entropy
-SGD kernel `train_batch` (the only gradient code), and its finite-difference check.
+"""From-scratch dense classification head: its one model type `ModelBlob`,
+scoring, the softmax cross-entropy SGD kernel `train_batch` (the only
+gradient code), and its finite-difference check.
 
 This is the only trainable part of the stack. Inputs are embedding vectors
 produced upstream by a frozen feature extractor; the head is a single fully
@@ -21,46 +22,55 @@ INIT_MODES = ("random", "zeros", "pretrained")
 
 
 @dataclass(eq=False)
-class DenseHead:
-    """Trainable parameters of the classification layer.
+class ModelBlob:
+    """The model: the head's parameters as one flat float64 row, weight rows
+    row-major by class, then bias, trained, averaged and sent as it is.
+    `weights` (C, E) and `bias` (C,) view `values`; treat it as immutable.
+    The wire carries C = 1, but training and scoring need C >= 2."""
 
-    weights: (C, E) float64, one row per class.
-    bias:    (C,) float64.
-
-    Treat instances as immutable: every training operation returns a new head,
-    and a head may view a ModelBlob's values (see `head_from_blob`).
-    """
-
-    weights: np.ndarray
-    bias: np.ndarray
+    values: np.ndarray
+    embedding_dim: int
+    num_classes: int
 
     def __post_init__(self) -> None:
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weights.ndim != 2:
-            raise ShapeError(f"weights must be 2-d, got shape {self.weights.shape}")
-        if self.bias.ndim != 1 or self.bias.shape[0] != self.weights.shape[0]:
+        self.values = np.asarray(self.values, dtype=np.float64).ravel()
+        e, c = int(self.embedding_dim), int(self.num_classes)
+        if e < 1 or c < 1:
+            raise ShapeError(f"blob needs E >= 1 and C >= 1, got E={e} C={c}")
+        expected = c * e + c
+        if self.values.shape[0] != expected:
             raise ShapeError(
-                f"bias shape {self.bias.shape} does not match weights {self.weights.shape}"
+                f"blob for E={e} C={c} needs {expected} values, got {self.values.shape[0]}"
             )
-        if self.num_classes < 2:
-            raise ShapeError("a classification head needs at least 2 classes")
-        if self.embedding_dim < 1:
-            raise ShapeError("embedding_dim must be >= 1")
-        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
-            raise ValueError("head parameters must be finite")
-
-    @property
-    def num_classes(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def embedding_dim(self) -> int:
-        return self.weights.shape[1]
+        if not np.isfinite(self.values).all():
+            raise ValueError("blob values must be finite")
 
     @property
     def param_count(self) -> int:
-        return self.weights.size + self.bias.size
+        return self.values.shape[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        c, e = self.num_classes, self.embedding_dim
+        return self.values[: c * e].reshape(c, e)
+
+    @property
+    def bias(self) -> np.ndarray:
+        return self.values[self.num_classes * self.embedding_dim :]
+
+
+def check_classifier(model: ModelBlob) -> None:
+    """Raise ShapeError for a model that cannot classify: it needs C >= 2."""
+    if model.num_classes < 2:
+        raise ShapeError("a classification head needs at least 2 classes")
+
+
+def check_sgd_settings(lr: float, local_episodes: int) -> None:
+    """Raise ValueError for training settings `train_batch` cannot run."""
+    if local_episodes < 1:
+        raise ValueError(f"local_episodes must be >= 1, got {local_episodes}")
+    if not np.isfinite(lr) or lr < 0:
+        raise ValueError(f"learning rate must be finite and >= 0, got {lr}")
 
 
 @dataclass(eq=False)
@@ -151,16 +161,9 @@ def batch_predict(head: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndar
     return np.argmax(logits, axis=-2) if np.isnan(best).any() else preds
 
 
-def train_batch(
-    head: DenseHead | tuple[np.ndarray, np.ndarray],
-    batch,
-    lr: float,
-    local_episodes: int,
-) -> DenseHead | np.ndarray:
+def train_batch(model: ModelBlob, batch, lr: float, local_episodes: int) -> ModelBlob | np.ndarray:
     """Train on one batch for `local_episodes` passes.
 
-    `head` is a DenseHead, or a checked head's (weights (C, E), bias (C,))
-    pair, such as `ModelBlob.head_views()`, taken as `batch_predict` takes it.
     `batch` is an EmbeddingSample list, stacked here into features X (n, E),
     or a StackedSamples used as is. Each episode is one SGD step along the
     mean softmax cross-entropy gradient g / n, g being (P - Y)^T X for the
@@ -169,24 +172,23 @@ def train_batch(
     order (divide by n, scale by lr, subtract). `batch_gradients` reads this
     step back, and `gradient_check` checks it against central differences.
 
-    A device-stacked batch, features (N, n, E), trains N copies of `head`
+    A device-stacked batch, features (N, n, E), trains N copies of `model`
     and returns their (N, C*E + C) parameters, one flat row per device in
     blob order; every product is the same BLAS call as on one device, so row
-    i is bitwise `train_batch(head, batch_i, ...)`. A 2-D batch is the N = 1
-    case and returns a DenseHead.
+    i is bitwise `train_batch(model, batch_i, ...).values`. A 2-D batch is
+    the N = 1 case and returns a ModelBlob.
 
     Inputs are checked once, before the first step, and the episodes run on
-    raw arrays. The result is checked once, as a DenseHead or by the caller:
+    raw arrays. The result is checked once, as a ModelBlob or by the caller:
     a non-finite gradient leaves its parameter non-finite for good (at
     lr = 0 too, as 0 * inf is nan), so it raises as a per-episode check would.
     """
-    if local_episodes < 1:
-        raise ValueError(f"local_episodes must be >= 1, got {local_episodes}")
+    check_sgd_settings(lr, local_episodes)
+    check_classifier(model)
     batch = stack_samples(batch)
     if not batch:
         raise ValueError("batch must be non-empty")
-    weights, bias = (head.weights, head.bias) if isinstance(head, DenseHead) else head
-    c, e = weights.shape
+    c, e = model.num_classes, model.embedding_dim
     x, labels = batch.features, batch.labels
     if x.shape[-1] != e:
         raise ShapeError(f"batch features must all have shape ({e},)")
@@ -194,8 +196,6 @@ def train_batch(
         raise ValueError("input features must be finite")
     if labels.min() < 0 or labels.max() >= c:
         raise IndexError(f"labels must lie in [0, {c}), got {labels.tolist()}")
-    if not np.isfinite(lr) or lr < 0:
-        raise ValueError(f"learning rate must be finite and >= 0, got {lr}")
     per_device = x.ndim == 3
     if not per_device:
         x, labels = x[None], labels[None]
@@ -203,8 +203,7 @@ def train_batch(
     onehot = np.zeros((devices, n, c))
     onehot.reshape(-1, c)[np.arange(devices * n), labels.ravel()] = 1.0
     params = np.empty((devices, c * e + c))
-    params[:, : c * e] = weights.reshape(-1)
-    params[:, c * e :] = bias
+    params[:] = model.values
     grads = np.empty_like(params)  # the gradients, in the same flat layout
     w, gw = (a[:, : c * e].reshape(devices, c, e) for a in (params, grads))
     b, gb = params[:, None, c * e :], grads[:, c * e :]
@@ -225,10 +224,10 @@ def train_batch(
         params -= grads  # p - lr * (g / n): divide, scale, subtract
     if per_device:
         return params
-    return DenseHead(w[0], params[0, c * e :])
+    return ModelBlob(params[0], e, c)
 
 
-def batch_gradients(head: DenseHead, batch) -> Gradients:
+def batch_gradients(model: ModelBlob, batch) -> Gradients:
     """The mean loss gradient `train_batch` steps along, read off the kernel.
 
     One episode at lr = 1 moves the parameters p0 to p1 = p0 - g, rounded,
@@ -236,16 +235,20 @@ def batch_gradients(head: DenseHead, batch) -> Gradients:
     where g is. `batch` is taken as `train_batch` takes it; a device-stacked
     batch gives (N, C, E) and (N, C) gradients, one row per device.
     """
-    c, e = head.weights.shape
-    p1 = train_batch(head, batch, 1.0, 1)
-    if isinstance(p1, DenseHead):
-        return Gradients(head.weights - p1.weights, head.bias - p1.bias)
-    return Gradients(head.weights - p1[:, : c * e].reshape(-1, c, e), head.bias - p1[:, c * e :])
+    batch = stack_samples(batch)
+    one = batch.features.ndim == 2
+    if one:  # trained as one device, so the kernel returns rows either way
+        batch = StackedSamples(batch.features[None], batch.labels[None])
+    g = model.values - train_batch(model, batch, 1.0, 1)
+    if one:
+        g = g[0]
+    c, e = model.num_classes, model.embedding_dim
+    return Gradients(g[..., : c * e].reshape(*g.shape[:-1], c, e), g[..., c * e :])
 
 
-def sample_gradients(head: DenseHead, sample: EmbeddingSample) -> Gradients:
+def sample_gradients(model: ModelBlob, sample: EmbeddingSample) -> Gradients:
     """Gradients for a single sample: the n = 1 case of `batch_gradients`."""
-    return batch_gradients(head, [sample])
+    return batch_gradients(model, [sample])
 
 
 def init_head(
@@ -255,11 +258,11 @@ def init_head(
     *,
     seed=None,
     blob=None,
-) -> DenseHead:
-    """Create a head in one of three ways.
+) -> ModelBlob:
+    """Create a model in one of three ways.
 
     random:      i.i.d. uniform on [-s, s], s = sqrt(6 / (E + C)), drawn from
-                 a seeded generator (weights first, then bias).
+                 a seeded generator (the C*E weights first, then the C biases).
     zeros:       all parameters zero.
     pretrained:  copy parameters from a flat value sequence of length C*E + C
                  (weight rows row-major by class, then bias).
@@ -268,18 +271,14 @@ def init_head(
     if e < 1 or c < 2:
         raise ShapeError(f"need embedding_dim >= 1 and num_classes >= 2, got E={e} C={c}")
     if mode == "zeros":
-        return DenseHead(np.zeros((c, e)), np.zeros(c))
+        return ModelBlob(np.zeros(c * e + c), e, c)
     if mode == "random":
         rng = np.random.default_rng(seed)
         s = np.sqrt(6.0 / (e + c))
-        return DenseHead(rng.uniform(-s, s, size=(c, e)), rng.uniform(-s, s, size=c))
+        weights = rng.uniform(-s, s, size=c * e)
+        return ModelBlob(np.concatenate([weights, rng.uniform(-s, s, size=c)]), e, c)
     if mode == "pretrained":
-        values = np.asarray(blob, dtype=np.float64).ravel()
-        if values.shape[0] != c * e + c:
-            raise ShapeError(
-                f"pretrained blob has {values.shape[0]} values, expected {c * e + c}"
-            )
-        return DenseHead(values[: c * e].reshape(c, e).copy(), values[c * e :].copy())
+        return ModelBlob(np.array(blob, dtype=np.float64), e, c)  # a copy, checked
     raise ValueError(f"unknown init mode {mode!r}; expected one of {INIT_MODES}")
 
 
@@ -296,14 +295,14 @@ def footprint_bytes(embedding_dim: int, num_classes: int) -> int:
     return 4 * (c * e + c)
 
 
-def finite_difference_gradients(head: DenseHead, batch, step: float = 1e-5) -> Gradients:
+def finite_difference_gradients(model: ModelBlob, batch, step: float = 1e-5) -> Gradients:
     """Central differences of each device's mean clamped cross-entropy, shaped
     like `batch_gradients`; `batch` may also be one EmbeddingSample. Losses are
     evaluated and differenced in np.longdouble: in float64 the round-off, about
     eps * loss / step = 1e-11, is 1e-5 of a coordinate at gradient_check's floor.
     """
     batch = stack_samples([batch] if isinstance(batch, EmbeddingSample) else batch)
-    c, e = head.weights.shape
+    c, e = model.num_classes, model.embedding_dim
     x, labels = batch.features.astype(np.longdouble), batch.labels[..., None]
 
     def mean_loss(params: np.ndarray) -> np.ndarray:
@@ -313,7 +312,7 @@ def finite_difference_gradients(head: DenseHead, batch, step: float = 1e-5) -> G
         true = np.take_along_axis(probs, labels, axis=-1) / probs.sum(axis=-1, keepdims=True)
         return -np.log(np.maximum(true, PROB_CLAMP)).mean(axis=(-2, -1))
 
-    p = np.concatenate([head.weights.ravel(), head.bias]).astype(np.longdouble)
+    p = model.values.astype(np.longdouble)
     g = np.empty((*labels.shape[:-2], p.size))
     for i in range(p.size):
         plus, minus = p.copy(), p.copy()
@@ -364,17 +363,18 @@ def gradient_check(
         c = int(rng.integers(2, max_classes + 1))
         # Small parameters keep softmax away from saturation, where true
         # gradient coordinates shrink below the finite-difference noise floor.
-        head = DenseHead(rng.normal(0, 0.5, size=(c, e)), rng.normal(0, 0.5, size=c))
+        model = ModelBlob(np.concatenate([rng.normal(0, 0.5, size=c * e),
+                                          rng.normal(0, 0.5, size=c)]), e, c)
         form = trial % 3  # a single sample, a batch, a device-stacked batch
         lead = (int(rng.integers(1, 4)),) if form == 2 else ()
         n = int(rng.integers(1, 21)) if form else 1
         batch = StackedSamples(rng.normal(0, 1, size=(*lead, n, e)),
                                rng.integers(0, c, size=(*lead, n)))
         if form == 0:
-            analytic = sample_gradients(head, EmbeddingSample(batch.features[0], batch.labels[0]))
+            analytic = sample_gradients(model, EmbeddingSample(batch.features[0], batch.labels[0]))
         else:
-            analytic = batch_gradients(head, batch)
-        numeric = finite_difference_gradients(head, batch, step)
+            analytic = batch_gradients(model, batch)
+        numeric = finite_difference_gradients(model, batch, step)
         for a, f in ((analytic.d_weights, numeric.d_weights), (analytic.d_bias, numeric.d_bias)):
             denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-6)
             errors.append((np.abs(a - f) / denom).max())

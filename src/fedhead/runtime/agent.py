@@ -13,9 +13,10 @@ Two modes:
       With a count:N server policy this reproduces lockstep federated
       rounds, which is what the offline simulator computes.
 
-The agent never installs a model that fails CRC or shape checks, and a
-lost connection triggers bounded reconnect with exponential backoff while
-free-run training continues offline.
+The agent never installs a model that fails CRC or shape checks or cannot
+train on its own stream (`federation.check_stream`), and a lost connection
+triggers bounded reconnect with exponential backoff while free-run training
+continues offline.
 """
 from __future__ import annotations
 
@@ -24,9 +25,10 @@ import selectors
 import socket
 import time
 
-from ..errors import DataExhaustedError, ProtocolError, ShapeError, WireError
-from ..federation import blob_from_head, head_from_blob
-from ..nn import DenseHead, train_batch
+from ..errors import ProtocolError, ShapeError, WireError
+from ..federation import check_stream
+from ..federation import blob_from_head, head_from_blob  # noqa: F401 - perfbench's agent plan patches these
+from ..nn import ModelBlob, check_sgd_settings, train_batch
 from .protocol import (
     MAX_DEVICE_ID,
     Message,
@@ -63,6 +65,7 @@ class Agent:
             raise ValueError(f"push_every must be >= 1, got {push_every}")
         if not 0 <= device_id <= MAX_DEVICE_ID:
             raise ValueError(f"device_id must be in [0, {MAX_DEVICE_ID}], got {device_id}")
+        check_sgd_settings(learning_rate, local_episodes)
         self.host = host
         self.port = port
         self.device_id = device_id
@@ -75,7 +78,7 @@ class Agent:
         self.backoff_base = backoff_base
         self.backoff_max = backoff_max
 
-        self.head: DenseHead | None = None
+        self.head: ModelBlob | None = None  # trained, framed and sent as it is
         self.installs = 0
         self.samples_trained = 0
         self._need_sync_step = False
@@ -195,7 +198,7 @@ class Agent:
             if self.head is None:
                 self._send(Message(MessageType.ERROR, self.device_id, b"NO_MODEL"))
             else:
-                self._send_model()
+                self._send(self._model_message())
         elif msg.type is MessageType.PUSH_MODEL:
             self._expect += 1
         elif msg.type is MessageType.MODEL_DATA:
@@ -217,18 +220,18 @@ class Agent:
         self._expect -= 1
         try:
             blob = blob_from_model_data(msg.body)
-            head = head_from_blob(blob)
-            if self.head is not None and (
-                head.embedding_dim != self.head.embedding_dim
-                or head.num_classes != self.head.num_classes
+            check_stream(self.stream, blob)
+            if self.head is not None and (blob.embedding_dim, blob.num_classes) != (
+                self.head.embedding_dim, self.head.num_classes
             ):
                 raise ShapeError("pushed model does not match local shape")
         except (WireError, ShapeError) as exc:
-            # Keep the previous head; a bad transfer must never be installed.
+            # Keep the previous head; a bad transfer, or a model that cannot
+            # train on this device's data, must never be installed.
             log.warning("device %d rejected a pushed model: %s", self.device_id, exc)
             self._send(Message(MessageType.ERROR, self.device_id, type(exc).__name__.encode()))
             return
-        self.head = head
+        self.head = blob
         self.installs += 1
         self._need_sync_step = True
         status = STATUS_DATA_EXHAUSTED if self._exhausted() else b""
@@ -236,10 +239,7 @@ class Agent:
         log.debug("device %d installed global #%d", self.device_id, self.installs)
 
     def _model_message(self) -> Message:
-        return Message(MessageType.MODEL_DATA, self.device_id, model_data_body(blob_from_head(self.head)))
-
-    def _send_model(self) -> None:
-        self._send(self._model_message())
+        return Message(MessageType.MODEL_DATA, self.device_id, model_data_body(self.head))
 
     def _push_model(self) -> None:
         # One write: the server wakes once for the announcement and its model.
@@ -259,25 +259,21 @@ class Agent:
         return True
 
     def _train_step(self) -> bool:
-        """Run one training step if there is one to run; True if it ran."""
-        if not self._has_training_work():
+        """Run one training step if there is one to run; True if it ran.
+
+        A sync step trains one batch of sync_batch samples and pushes; a
+        free-run step trains one sample and pushes every push_every samples.
+        """
+        if not self._has_training_work():  # so the stream holds the batch
             return False
-        if self.sync_batch is not None:
-            batch = self.stream.take(self.sync_batch)
-            self.head = train_batch(self.head, batch, self.learning_rate, self.local_episodes)
-            self.samples_trained += len(batch)
-            self._need_sync_step = False
-            if self._sock is not None:
-                self._push_model()
-            return True
-        try:
-            batch = self.stream.take(1)
-        except DataExhaustedError:
-            return False
+        batch = self.stream.take(self.sync_batch or 1)
         self.head = train_batch(self.head, batch, self.learning_rate, self.local_episodes)
-        self.samples_trained += 1
+        self.samples_trained += len(batch)
+        self._need_sync_step = False
         self._since_push += 1
-        if self.push_every is not None and self._since_push >= self.push_every and self._sock is not None:
+        due = self.sync_batch is not None or (
+            self.push_every is not None and self._since_push >= self.push_every)
+        if due and self._sock is not None:
             self._push_model()
             self._since_push = 0
         return True

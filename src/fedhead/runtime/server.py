@@ -23,6 +23,7 @@ so a peer that stops reading can stall the loop.
 from __future__ import annotations
 
 import logging
+import math
 import selectors
 import socket
 import time
@@ -57,6 +58,8 @@ class RoundPolicy:
     def __post_init__(self) -> None:
         if self.kind not in ("count", "timer"):
             raise ValueError(f"policy kind must be count or timer, got {self.kind!r}")
+        if not math.isfinite(self.value):  # no round would ever trigger
+            raise ValueError(f"policy value must be finite, got {self.value}")
         if self.kind == "count" and (self.value != int(self.value) or self.value < 1):
             raise ValueError(f"count policy needs a positive integer, got {self.value}")
         if self.kind == "timer" and self.value <= 0:
@@ -68,6 +71,14 @@ class RoundPolicy:
         if not sep:
             raise ValueError(f"policy must be count:K or timer:SECONDS, got {text!r}")
         return cls(kind, float(value))
+
+
+def check_round_limits(round_timeout: float, max_rounds: int | None) -> None:
+    """Raise ValueError for a collection deadline or round limit that cannot work."""
+    if not (math.isfinite(round_timeout) and round_timeout > 0):
+        raise ValueError(f"round timeout must be finite and > 0, got {round_timeout}")
+    if max_rounds is not None and max_rounds < 1:
+        raise ValueError(f"max rounds must be >= 1, got {max_rounds}")
 
 
 @dataclass(eq=False)
@@ -117,6 +128,7 @@ class Server:
     history: list[RoundRecord] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        check_round_limits(self.round_timeout, self.max_rounds)
         # Framed before binding, so a model u16 frame numbers cannot frame fails here.
         self._install(self.initial_blob)
         # No legitimate message body is larger than a MODEL_DATA of this model.

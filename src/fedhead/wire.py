@@ -36,7 +36,7 @@ from .errors import (
     ProtocolError,
     TruncationError,
 )
-from .federation import ModelBlob
+from .nn import ModelBlob
 
 MODEL_MAGIC = b"FTL1"
 _MODEL_HEADER = struct.Struct("<4sIII")

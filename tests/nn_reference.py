@@ -10,10 +10,17 @@ central-difference oracle, which works in np.longdouble.
 import numpy as np
 
 from fedhead.errors import ShapeError
-from fedhead.nn import PROB_CLAMP, DenseHead, Gradients, StackedSamples, stack_samples
+from fedhead.nn import PROB_CLAMP, Gradients, ModelBlob, StackedSamples, stack_samples
 
 
-def forward(head: DenseHead, x: np.ndarray) -> np.ndarray:
+def make_head(weights, bias) -> ModelBlob:
+    """The ModelBlob of a (C, E) weights and (C,) bias pair."""
+    weights = np.asarray(weights, dtype=np.float64)
+    return ModelBlob(np.concatenate([weights.ravel(), np.asarray(bias, dtype=np.float64)]),
+                     weights.shape[1], weights.shape[0])
+
+
+def forward(head: ModelBlob, x: np.ndarray) -> np.ndarray:
     """Compute logits: logits[c] = bias[c] + sum_e weights[c][e] * x[e]."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != head.embedding_dim:
@@ -42,7 +49,7 @@ def cross_entropy(probs: np.ndarray, label: int) -> float:
     return float(-np.log(max(probs[label], PROB_CLAMP)))
 
 
-def backward(head: DenseHead, x: np.ndarray, probs: np.ndarray, label: int) -> Gradients:
+def backward(head: ModelBlob, x: np.ndarray, probs: np.ndarray, label: int) -> Gradients:
     """Gradients of softmax cross-entropy w.r.t. the head's parameters.
 
     With delta[c] = probs[c] - 1{c == label}:
@@ -62,7 +69,7 @@ def backward(head: DenseHead, x: np.ndarray, probs: np.ndarray, label: int) -> G
     return Gradients(d_weights=np.outer(delta, x), d_bias=delta)
 
 
-def sgd_step(head: DenseHead, g: Gradients, lr: float) -> DenseHead:
+def sgd_step(head: ModelBlob, g: Gradients, lr: float) -> ModelBlob:
     """One gradient-descent update: p <- p - lr * g_p. Returns a new head."""
     if not np.isfinite(lr) or lr < 0:
         raise ValueError(f"learning rate must be finite and >= 0, got {lr}")
@@ -70,24 +77,21 @@ def sgd_step(head: DenseHead, g: Gradients, lr: float) -> DenseHead:
         raise ShapeError("gradient shapes do not match head")
     if not (np.isfinite(g.d_weights).all() and np.isfinite(g.d_bias).all()):
         raise ValueError("gradients must be finite")
-    return DenseHead(
-        weights=head.weights - lr * g.d_weights,
-        bias=head.bias - lr * g.d_bias,
-    )
+    return make_head(head.weights - lr * g.d_weights, head.bias - lr * g.d_bias)
 
 
-def sample_gradients(head: DenseHead, sample) -> Gradients:
+def sample_gradients(head: ModelBlob, sample) -> Gradients:
     """Gradients for a single sample: forward, softmax, backward in one go."""
     probs = softmax(forward(head, sample.features))
     return backward(head, sample.features, probs, sample.label)
 
 
-def predict(head: DenseHead, x: np.ndarray) -> int:
+def predict(head: ModelBlob, x: np.ndarray) -> int:
     """Argmax class; ties go to the lowest class index."""
     return int(np.argmax(forward(head, x)))
 
 
-def finite_difference_gradients(head: DenseHead, batch, step: float = 1e-5) -> Gradients:
+def finite_difference_gradients(head: ModelBlob, batch, step: float = 1e-5) -> Gradients:
     """Central differences of each device's mean clamped cross-entropy in
     float64, the oracle's old precision: each difference carries round-off of
     about eps * loss / step. `batch` is stacked, 2-D or device-stacked."""

@@ -367,6 +367,26 @@ def test_agent_device_id_beyond_header_byte_is_a_usage_error(tmp_path, capsys):
     assert "--device-id" in capsys.readouterr().err
 
 
+def logged_commands(caplog):
+    return [json.loads(r.getMessage().split("resolved config: ", 1)[1])["command"]
+            for r in caplog.records if "resolved config" in r.getMessage()]
+
+
+@pytest.mark.parametrize("flags", [
+    ("--episodes", "0"), ("--lr", "-0.1"), ("--lr", "nan"), ("--sync-batch", "0"),
+    ("--push-every", "0"),
+])
+def test_agent_training_settings_that_cannot_work_are_usage_errors(tmp_path, caplog, capsys, flags):
+    # Rejected before the agent connects: nothing listens on port 1.
+    data = tmp_path / "toy.ds"
+    assert main(["gen-data", *TINY, "--out", str(data)]) == 0
+    caplog.set_level(logging.INFO, logger="fedhead.cli")
+    rc = main(["agent", "--connect", "127.0.0.1:1", "--data", str(data), "--device-id", "0", *flags])
+    assert rc == 1
+    assert "fedhead: error:" in capsys.readouterr().err
+    assert "agent" not in logged_commands(caplog)
+
+
 def serve_at_startup(*flags):
     """`fedhead serve` run with `flags` in a thread; its exit code, which
     must come at startup rather than after it began serving."""
@@ -384,6 +404,18 @@ def serve_at_startup(*flags):
 def test_serve_rejects_a_model_too_large_to_frame(capsys):
     assert serve_at_startup("--dim", "1280", "--classes", "64") == 1
     assert "frames" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--rounds", "0"), ("--timeout", "0"), ("--timeout", "-1"), ("--timeout", "nan"),
+    ("--timeout", "inf"), ("--policy", "count:0"), ("--policy", "timer"),
+    ("--policy", "count:inf"), ("--policy", "timer:nan"),
+])
+def test_serve_round_settings_that_cannot_work_are_usage_errors(caplog, capsys, flags):
+    caplog.set_level(logging.INFO, logger="fedhead.cli")
+    assert serve_at_startup(*flags) == 1
+    assert "fedhead: error:" in capsys.readouterr().err
+    assert "serve" not in logged_commands(caplog)
 
 
 def test_serve_hands_the_server_a_stacked_validation_set(tmp_path, monkeypatch):

@@ -17,8 +17,7 @@ from fedhead.federation import (
     run_training,
 )
 from fedhead.nn import (
-    DenseHead, EmbeddingSample, StackedSamples, batch_predict, init_head, stack_samples,
-    train_batch,
+    EmbeddingSample, StackedSamples, batch_predict, init_head, stack_samples, train_batch,
 )
 from nn_reference import predict
 
@@ -38,17 +37,15 @@ def test_blob_length_is_validated():
 
 
 def test_blob_head_round_trip_is_lossless():
+    # A head is its blob: the two former conversions are the identity.
     rng = np.random.default_rng(0)
     head = init_head(5, 3, "random", seed=1)
-    blob = blob_from_head(head)
-    assert np.array_equal(blob.values[:15], head.weights.ravel())
-    assert np.array_equal(blob.values[15:], head.bias)
-    back = head_from_blob(blob)
-    assert np.array_equal(back.weights, head.weights)
-    assert np.array_equal(back.bias, head.bias)
-    # and the reverse direction
-    blob2 = blob_from_head(head_from_blob(random_blob(rng)))
-    assert blob2.param_count == 8
+    assert isinstance(head, ModelBlob)
+    assert np.array_equal(head.values[:15], head.weights.ravel())
+    assert np.array_equal(head.values[15:], head.bias)
+    assert blob_from_head(head) is head and head_from_blob(head) is head
+    blob = random_blob(rng)
+    assert blob_from_head(head_from_blob(blob)) is blob
 
 
 def test_blob_rejects_nonfinite():
@@ -121,7 +118,7 @@ def balanced_samples(rng, n, e=4):
 def test_evaluate_zero_head_on_balanced_set_is_half():
     rng = np.random.default_rng(8)
     samples = balanced_samples(rng, 40)
-    blob = blob_from_head(init_head(4, 2, "zeros"))
+    blob = init_head(4, 2, "zeros")
     assert evaluate(blob, samples) == 0.5
 
 
@@ -130,18 +127,15 @@ def test_evaluate_perfect_separator_is_one():
         EmbeddingSample(np.array([1.0, 0.0]), 0),
         EmbeddingSample(np.array([0.0, 1.0]), 1),
     ] * 5
-    blob = blob_from_head(
-        head_from_blob(ModelBlob(np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]), 2, 2))
-    )
+    blob = ModelBlob(np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]), 2, 2)
     assert evaluate(blob, samples) == 1.0
 
 
 def test_evaluate_matches_argmax_oracle():
     rng = np.random.default_rng(9)
     blob = random_blob(rng, 6, 3)
-    head = head_from_blob(blob)
     samples = [EmbeddingSample(rng.normal(size=6), int(rng.integers(3))) for _ in range(97)]
-    correct = sum(1 for s in samples if predict(head, s.features) == s.label)
+    correct = sum(1 for s in samples if predict(blob, s.features) == s.label)
     assert evaluate(blob, samples) == correct / 97
 
 
@@ -165,11 +159,10 @@ def test_evaluate_scores_the_blob_views_bitwise_like_its_head():
         feats = rng.normal(size=(101, e))
         feats[::9] = 0.0  # exact ties
         labels = rng.integers(0, c, size=101)
-        head = head_from_blob(blob)
-        want = np.count_nonzero(batch_predict((head.weights, head.bias), feats) == labels) / 101
+        want = np.count_nonzero(batch_predict((blob.weights, blob.bias), feats) == labels) / 101
         assert evaluate(blob, StackedSamples(feats, labels)) == want
-        weights, bias = blob.head_views()
-        assert np.shares_memory(weights, blob.values) and np.shares_memory(bias, blob.values)
+        assert np.shares_memory(blob.weights, blob.values)
+        assert np.shares_memory(blob.bias, blob.values)
 
 
 def test_evaluate_stacked_set_matches_list():
@@ -193,12 +186,12 @@ def test_round_n1_is_bitwise_sequential_training():
     ds, (stream,) = small_setup(0, num_devices=1)
     ds2, (oracle_stream,) = small_setup(0, num_devices=1)
     cfg = RoundConfig(num_devices=1, batch_size=4, local_episodes=3, learning_rate=0.05, epochs=1)
-    global_blob = blob_from_head(init_head(8, 2, "random", seed=5))
-    oracle_head = head_from_blob(global_blob)
+    global_blob = init_head(8, 2, "random", seed=5)
+    oracle_head = global_blob
     for _ in range(10):
         global_blob, _, _ = federated_round([stream], global_blob, cfg, ds.validation_samples())
         oracle_head = train_batch(oracle_head, oracle_stream.take(4), 0.05, 3)
-        assert np.array_equal(global_blob.values, blob_from_head(oracle_head).values)
+        assert np.array_equal(global_blob.values, oracle_head.values)
 
 
 def list_path_round(streams, global_blob, cfg, val):
@@ -207,9 +200,8 @@ def list_path_round(streams, global_blob, cfg, val):
     trained, train_accuracies = {}, []
     for s in streams:
         batch = s.take(cfg.batch_size)
-        head = train_batch(head_from_blob(global_blob), batch, cfg.learning_rate,
-                           cfg.local_episodes)
-        trained[s.device_id] = blob_from_head(head)
+        trained[s.device_id] = train_batch(global_blob, batch, cfg.learning_rate,
+                                           cfg.local_episodes)
         train_accuracies.append(evaluate(trained[s.device_id], batch))
     new_global = average_blobs([trained[i] for i in sorted(trained)])
     return new_global, evaluate(new_global, val), train_accuracies
@@ -221,7 +213,7 @@ def test_round_on_stacked_batches_is_bitwise_the_list_path(num_devices):
     _, twins = small_setup(12, n=300, num_devices=num_devices)
     cfg = RoundConfig(num_devices=num_devices, batch_size=6, local_episodes=3,
                       learning_rate=0.05, epochs=1)
-    start = blob_from_head(init_head(8, 2, "random", seed=13))
+    start = init_head(8, 2, "random", seed=13)
     val_list, val_stacked = ds.validation_samples(), ds.stacked_validation()
     blob, oracle_blob = start, start
     for _ in range(8):
@@ -237,7 +229,7 @@ def test_round_over_devices_out_of_id_order_is_bitwise_the_list_path():
     ds, streams = small_setup(14, n=400, num_devices=4)
     _, twins = small_setup(14, n=400, num_devices=4)
     cfg = RoundConfig(num_devices=4, batch_size=5, local_episodes=2, learning_rate=0.2, epochs=1)
-    start = blob_from_head(init_head(8, 2, "random", seed=14))
+    start = init_head(8, 2, "random", seed=14)
     order = [2, 0, 3, 1]
     streams, twins = [streams[i] for i in order], [twins[i] for i in order]
     blob, oracle_blob = start, start
@@ -253,7 +245,7 @@ def test_round_over_devices_out_of_id_order_is_bitwise_the_list_path():
 def test_round_with_a_nan_feature_raises_and_leaves_the_global_blob_unchanged():
     ds, streams = small_setup(15, n=300, num_devices=3)
     cfg = RoundConfig(num_devices=3, batch_size=6, local_episodes=2, learning_rate=0.1, epochs=1)
-    global_blob = blob_from_head(init_head(8, 2, "random", seed=15))
+    global_blob = init_head(8, 2, "random", seed=15)
     before = global_blob.values.copy()
     bad = streams[1]
     ds.features[bad.indices[bad.cursor + 3], 2] = np.nan
@@ -270,7 +262,7 @@ def test_round_whose_mean_overflows_raises_and_leaves_the_global_blob_unchanged(
     huge = np.finfo(np.float64).max / 1.5
     global_blob = ModelBlob(np.concatenate([np.zeros(2 * 8), [huge, huge]]), 8, 2)
     before = global_blob.values.copy()
-    rows = train_batch(global_blob.head_views(),
+    rows = train_batch(global_blob,
                        StackedSamples(np.zeros((2, 6, 8)), np.zeros((2, 6), dtype=np.int64)),
                        cfg.learning_rate, cfg.local_episodes)
     with np.errstate(over="ignore"):
@@ -286,18 +278,26 @@ def test_round_rejects_a_stream_of_another_shape_before_any_take():
     three = partition(synth_separable(8, 3, 200, 4.0, 16), 1, 16)[0]
     narrow.device_id = three.device_id = 1
     cfg = RoundConfig(num_devices=2, batch_size=5, local_episodes=1, learning_rate=0.1, epochs=1)
-    global_blob = blob_from_head(init_head(8, 2, "zeros"))
+    global_blob = init_head(8, 2, "zeros")
     for other, match in ((narrow, "device 1: stream has dim 4"), (three, "3 classes")):
         with pytest.raises(ShapeError, match=match):
             federated_round([stream, other], global_blob, cfg, ds.stacked_validation())
         assert stream.samples_seen == other.samples_seen == 0
 
 
+def test_round_rejects_a_one_class_global_before_any_take():
+    ds, (stream,) = small_setup(21, num_devices=1)
+    cfg = RoundConfig(num_devices=1, batch_size=5, local_episodes=1, learning_rate=0.1, epochs=1)
+    with pytest.raises(ShapeError, match="at least 2 classes"):
+        federated_round([stream], ModelBlob(np.zeros(9), 8, 1), cfg, ds.stacked_validation())
+    assert stream.samples_seen == 0
+
+
 def test_round_rejects_validation_of_another_dim_before_training():
     ds, (stream,) = small_setup(17, num_devices=1)
     other = synth_separable(4, 2, 50, 4.0, 17)
     cfg = RoundConfig(num_devices=1, batch_size=5, local_episodes=1, learning_rate=0.1, epochs=1)
-    global_blob = blob_from_head(init_head(8, 2, "zeros"))
+    global_blob = init_head(8, 2, "zeros")
     for val in (other.validation_samples(), other.stacked_validation()):
         with pytest.raises(ShapeError, match="dim 4, model expects 8"):
             federated_round([stream], global_blob, cfg, val)
@@ -307,14 +307,17 @@ def test_round_rejects_validation_of_another_dim_before_training():
 def test_head_from_blob_views_the_blob_values():
     blob = random_blob(np.random.default_rng(2), e=5, c=3)
     head = head_from_blob(blob)
+    assert head is blob
+    assert head.weights.shape == (3, 5) and head.bias.shape == (3,)
     assert np.shares_memory(head.weights, blob.values)
     assert np.shares_memory(head.bias, blob.values)
+    assert np.array_equal(np.concatenate([head.weights.ravel(), head.bias]), blob.values)
 
 
 def test_round_leaves_the_callers_global_blob_unchanged():
     ds, streams = small_setup(18, n=300, num_devices=3)
     cfg = RoundConfig(num_devices=3, batch_size=6, local_episodes=5, learning_rate=0.5, epochs=1)
-    global_blob = blob_from_head(init_head(8, 2, "random", seed=18))
+    global_blob = init_head(8, 2, "random", seed=18)
     before = global_blob.values.copy()
     new_global, _, _ = federated_round(streams, global_blob, cfg, ds.stacked_validation())
     assert np.array_equal(global_blob.values, before)
@@ -322,23 +325,22 @@ def test_round_leaves_the_callers_global_blob_unchanged():
 
 
 def test_round_builds_no_head_and_one_blob(monkeypatch):
-    # Building a head or a blob re-checks every parameter for finiteness;
-    # the round checks its result once, as the new global blob.
+    # Building a blob re-checks every parameter for finiteness; the round
+    # checks its result once, as the new global blob.
     ds, streams = small_setup(19, n=300, num_devices=3)
     cfg = RoundConfig(num_devices=3, batch_size=6, local_episodes=5, learning_rate=0.05, epochs=1)
-    global_blob = blob_from_head(init_head(8, 2, "random", seed=19))
+    global_blob = init_head(8, 2, "random", seed=19)
     val = ds.stacked_validation()
     built = []
-    for cls in (DenseHead, ModelBlob):
-        original = cls.__post_init__
+    original = ModelBlob.__post_init__
 
-        def counting(self, original=original):
-            built.append(type(self).__name__)
-            original(self)
+    def counting(self):
+        built.append(self)
+        original(self)
 
-        monkeypatch.setattr(cls, "__post_init__", counting)
-    federated_round(streams, global_blob, cfg, val)
-    assert built == ["ModelBlob"]
+    monkeypatch.setattr(ModelBlob, "__post_init__", counting)
+    new_global, _, _ = federated_round(streams, global_blob, cfg, val)
+    assert built == [new_global]
 
 
 def test_round_identical_devices_average_to_themselves():
@@ -347,16 +349,16 @@ def test_round_identical_devices_average_to_themselves():
     s_a, s_b, twin = (partition(ds, 1, 3)[0] for _ in range(3))
     s_b.device_id = 1
     cfg = RoundConfig(num_devices=2, batch_size=5, local_episodes=2, learning_rate=0.01, epochs=1)
-    global_blob = blob_from_head(init_head(8, 2, "random", seed=6))
+    global_blob = init_head(8, 2, "random", seed=6)
     new_global, _, _ = federated_round([s_a, s_b], global_blob, cfg, ds.validation_samples())
-    alone = train_batch(head_from_blob(global_blob), twin.take(5), 0.01, 2)
-    assert np.allclose(new_global.values, blob_from_head(alone).values, rtol=0, atol=1e-15)
+    alone = train_batch(global_blob, twin.take(5), 0.01, 2)
+    assert np.allclose(new_global.values, alone.values, rtol=0, atol=1e-15)
 
 
 def test_round_exhaustion_names_device():
     ds, streams = small_setup(2, n=100, num_devices=2)
     cfg = RoundConfig(num_devices=2, batch_size=41, local_episodes=1, learning_rate=0.01, epochs=1)
-    global_blob = blob_from_head(init_head(8, 2, "zeros"))
+    global_blob = init_head(8, 2, "zeros")
     with pytest.raises(DataExhaustedError, match="device 0"):
         federated_round(streams, global_blob, cfg, ds.validation_samples())
     # the failed round must not have consumed anything
@@ -366,7 +368,7 @@ def test_round_exhaustion_names_device():
 def test_round_advances_cursors_by_batch():
     ds, streams = small_setup(3, n=100, num_devices=2)
     cfg = RoundConfig(num_devices=2, batch_size=7, local_episodes=1, learning_rate=0.01, epochs=1)
-    global_blob = blob_from_head(init_head(8, 2, "zeros"))
+    global_blob = init_head(8, 2, "zeros")
     global_blob, _, _ = federated_round(streams, global_blob, cfg, ds.validation_samples())
     assert all(s.samples_seen == 7 for s in streams)
     federated_round(streams, global_blob, cfg, ds.validation_samples())

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 import fedhead.nn as nn
 import nn_reference
 from fedhead.errors import ShapeError
-from fedhead.federation import blob_from_head, evaluate
+from fedhead.federation import evaluate
 from fedhead.nn import (
-    DenseHead,
     EmbeddingSample,
     Gradients,
+    ModelBlob,
     StackedSamples,
     batch_predict,
     finite_difference_gradients,
@@ -29,6 +29,7 @@ from nn_reference import (
     backward,
     cross_entropy,
     forward,
+    make_head,
     predict,
     sample_gradients,
     sgd_step,
@@ -36,12 +37,8 @@ from nn_reference import (
 )
 
 
-def make_head(weights, bias):
-    return DenseHead(np.asarray(weights, dtype=np.float64), np.asarray(bias, dtype=np.float64))
-
-
 def random_head(rng, e, c, scale=0.5):
-    return DenseHead(rng.normal(0, scale, size=(c, e)), rng.normal(0, scale, size=c))
+    return make_head(rng.normal(0, scale, size=(c, e)), rng.normal(0, scale, size=c))
 
 
 # -- forward --------------------------------------------------------------
@@ -167,8 +164,8 @@ def test_backward_matches_finite_differences_small_instance():
             w_plus[c, e] += step
             w_minus[c, e] -= step
             est = (
-                _loss_of(DenseHead(w_plus, head.bias.copy()), x, label)
-                - _loss_of(DenseHead(w_minus, head.bias.copy()), x, label)
+                _loss_of(make_head(w_plus, head.bias.copy()), x, label)
+                - _loss_of(make_head(w_minus, head.bias.copy()), x, label)
             ) / (2 * step)
             denom = max(abs(est), abs(g.d_weights[c, e]), 1e-6)
             assert abs(g.d_weights[c, e] - est) / denom <= 1e-5
@@ -178,8 +175,8 @@ def test_backward_matches_finite_differences_small_instance():
         b_plus[c] += step
         b_minus[c] -= step
         est = (
-            _loss_of(DenseHead(head.weights.copy(), b_plus), x, label)
-            - _loss_of(DenseHead(head.weights.copy(), b_minus), x, label)
+            _loss_of(make_head(head.weights.copy(), b_plus), x, label)
+            - _loss_of(make_head(head.weights.copy(), b_minus), x, label)
         ) / (2 * step)
         denom = max(abs(est), abs(g.d_bias[c]), 1e-6)
         assert abs(g.d_bias[c] - est) / denom <= 1e-5
@@ -322,6 +319,7 @@ def test_train_batch_degenerate_equals_single_step():
     sample = EmbeddingSample(rng.normal(size=4), 1)
     direct = sgd_step(head, sample_gradients(head, sample), 0.05)
     batched = train_batch(head, [sample], 0.05, 1)
+    assert isinstance(batched, ModelBlob)
     assert np.array_equal(direct.weights, batched.weights)
     assert np.array_equal(direct.bias, batched.bias)
 
@@ -396,7 +394,7 @@ def test_train_batch_keeps_all_zero_feature_columns_frozen():
 
 
 def head_and_gradients_train_batch(head, batch, lr, local_episodes):
-    """The matrix kernel built from the reference pieces: a DenseHead, a
+    """The matrix kernel built from the reference pieces: a ModelBlob, a
     Gradients and an sgd_step (with its checks) every episode."""
     x, labels = batch.features, batch.labels
     n = len(batch)
@@ -429,7 +427,7 @@ def test_train_batch_raises_when_logits_overflow_at_the_first_step(episodes, lr)
     # Finite features near 1e200 against weights near 1e150: every logit is
     # +inf, so the softmax and the gradients are nan from the first step.
     rng = np.random.default_rng(3)
-    head = DenseHead(rng.uniform(1, 2, size=(2, 4)) * 1e150, np.zeros(2))
+    head = make_head(rng.uniform(1, 2, size=(2, 4)) * 1e150, np.zeros(2))
     batch = StackedSamples(rng.uniform(1, 2, size=(3, 4)) * 1e200, np.array([0, 1, 0]))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError):
@@ -498,24 +496,6 @@ def test_device_stacked_train_batch_rows_are_bitwise_per_device(devices, n, e, c
         for i in range(devices):
             one = train_batch(head, StackedSamples(batch.features[i], batch.labels[i]), 0.3, episodes)
             assert np.array_equal(params[i], np.concatenate([one.weights.ravel(), one.bias]))
-
-
-@pytest.mark.parametrize("devices", [None, 1, 3])
-def test_train_batch_on_a_weights_bias_pair_is_bitwise_the_head(devices):
-    rng = np.random.default_rng(41)
-    head = random_head(rng, 12, 3)
-    lead = () if devices is None else (devices,)
-    batch = StackedSamples(rng.normal(size=(*lead, 9, 12)), rng.integers(0, 3, size=(*lead, 9)))
-    weights, bias = head.weights.copy(), head.bias.copy()
-    for episodes in (1, 5):
-        want = train_batch(head, batch, 0.3, episodes)
-        got = train_batch((weights, bias), batch, 0.3, episodes)
-        if devices is None:
-            assert np.array_equal(got.weights, want.weights)
-            assert np.array_equal(got.bias, want.bias)
-        else:
-            assert np.array_equal(got, want)
-    assert np.array_equal(weights, head.weights) and np.array_equal(bias, head.bias)
 
 
 def test_device_stacked_samples_are_validated():
@@ -626,11 +606,30 @@ def test_footprint_invariant_under_training():
 
 def test_dense_head_validation():
     with pytest.raises(ShapeError):
-        DenseHead(np.zeros((2, 3)), np.zeros(3))
+        ModelBlob(np.zeros(9), 3, 2)  # needs 2*3+2 = 8 values
     with pytest.raises(ShapeError):
-        DenseHead(np.zeros((1, 3)), np.zeros(1))  # C >= 2
+        ModelBlob(np.zeros(0), 0, 2)  # E >= 1
     with pytest.raises(ValueError):
-        DenseHead(np.full((2, 2), np.nan), np.zeros(2))
+        ModelBlob(np.full(6, np.nan), 2, 2)
+    head = make_head([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], [7.0, 8.0])
+    assert head.weights.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+    assert head.bias.tolist() == [7.0, 8.0]
+    assert np.shares_memory(head.weights, head.values) and np.shares_memory(head.bias, head.values)
+
+
+def test_a_one_class_model_cannot_train_or_score():
+    # The wire carries a C = 1 blob, but a classification head needs C >= 2.
+    one = ModelBlob(np.zeros(4), 3, 1)
+    batch = [EmbeddingSample(np.zeros(3), 0)]
+    stacked = StackedSamples(np.zeros((2, 1, 3)), np.zeros((2, 1), dtype=np.int64))
+    for call in (lambda: train_batch(one, batch, 0.1, 1),
+                 lambda: train_batch(one, stacked, 0.1, 1),
+                 lambda: nn.batch_gradients(one, batch),
+                 lambda: nn.batch_gradients(one, stacked),
+                 lambda: nn.sample_gradients(one, batch[0]),
+                 lambda: evaluate(one, batch)):
+        with pytest.raises(ShapeError, match="at least 2 classes"):
+            call()
 
 
 def test_parameters_stay_finite_through_training():
@@ -657,7 +656,7 @@ def assert_scores_like_the_oracle(head, x, labels):
     got = batch_predict((head.weights, head.bias), x)
     assert got.dtype == np.intp and got.shape == want.shape
     np.testing.assert_array_equal(got, want)
-    acc = evaluate(blob_from_head(head), StackedSamples(x, labels))
+    acc = evaluate(head, StackedSamples(x, labels))
     assert acc == np.count_nonzero(want == labels) / len(labels)
 
 

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from fedhead.data import partition, synth_separable
 from fedhead.errors import ProtocolError, ShapeError
 from fedhead.federation import (
-    ModelBlob, RoundConfig, blob_from_head, evaluate, head_from_blob, run_training,
+    ModelBlob, RoundConfig, evaluate, run_training,
 )
 from fedhead.nn import StackedSamples, init_head, train_batch
 from fedhead.runtime import (
@@ -46,7 +46,7 @@ from fedhead.wire import decode_model, encode_model, encoded_size, framed_size
 
 def make_blob(seed, e=8, c=2):
     """A random head whose values are exactly representable in float32."""
-    return decode_model(encode_model(blob_from_head(init_head(e, c, "random", seed=seed))))
+    return decode_model(encode_model(init_head(e, c, "random", seed=seed)))
 
 
 def make_stream(n, seed=0, e=8):
@@ -58,10 +58,9 @@ def make_stream(n, seed=0, e=8):
 def replay_training(blob, samples, *, learning_rate, local_episodes, batch_size=1):
     """What an agent does to an installed blob: train_batch over consecutive
     batches. The same samples in the same order reproduce its head bitwise."""
-    head = head_from_blob(blob)
     for i in range(0, len(samples), batch_size):
-        head = train_batch(head, samples[i : i + batch_size], learning_rate, local_episodes)
-    return blob_from_head(head)
+        blob = train_batch(blob, samples[i : i + batch_size], learning_rate, local_episodes)
+    return blob
 
 
 def wait_until(pred, timeout=5.0):
@@ -312,7 +311,8 @@ def test_parse_endpoint():
 def test_round_policy_parsing():
     assert RoundPolicy.parse("count:3") == RoundPolicy("count", 3.0)
     assert RoundPolicy.parse("timer:0.5") == RoundPolicy("timer", 0.5)
-    for bad in ("count", "count:0", "count:2.5", "timer:-1", "often:3"):
+    for bad in ("count", "count:0", "count:2.5", "timer:-1", "often:3",
+                "count:inf", "count:nan", "timer:inf", "timer:nan"):
         with pytest.raises(ValueError):
             RoundPolicy.parse(bad)
 
@@ -578,7 +578,7 @@ def test_model_transfers_are_one_write_each():
     assert [message_types(w) for w in rec.writes] == [transfer]
 
     agent = Agent("127.0.0.1", 1, 0, make_stream(1))
-    agent.head = head_from_blob(mine)
+    agent.head = mine
     agent._sock = RecordingSocket()
     agent._push_model()
     assert [message_types(w) for w in agent._sock.writes] == [transfer]
@@ -1083,7 +1083,7 @@ def test_agent_head_is_bitwise_stacked_training_and_its_install_is_unchanged(
         for batch in batches:
             twin.take_into(batch.features, batch.labels)
         (installed, values), = decoded
-        head = head_from_blob(installed)
+        head = installed
         for batch in batches:
             head = train_batch(head, batch, 0.3, 3)
         assert np.array_equal(worker.head.weights, head.weights)
@@ -1091,6 +1091,69 @@ def test_agent_head_is_bitwise_stacked_training_and_its_install_is_unchanged(
         assert np.array_equal(installed.values, values)
         conn.close()
     fake.close()
+
+
+@pytest.mark.parametrize("sync_batch", [None, 4])
+def test_agent_step_builds_one_blob_and_frames_that_blob(monkeypatch, sync_batch):
+    # The agent's model is the ModelBlob train_batch returns; a push frames
+    # that object, with no copy into another blob.
+    agent_module = importlib.import_module("fedhead.runtime.agent")
+    agent = Agent("127.0.0.1", 1, 0, make_stream(8), local_episodes=2,
+                  sync_batch=sync_batch, push_every=1 if sync_batch is None else None)
+    agent.head, agent._need_sync_step = make_blob(26), True
+    agent._sock = RecordingSocket()
+    built, framed = [], []
+    original_post_init, original_body = ModelBlob.__post_init__, agent_module.model_data_body
+
+    def counting(self):
+        built.append(self)
+        original_post_init(self)
+
+    def recording(blob):
+        framed.append(blob)
+        return original_body(blob)
+
+    monkeypatch.setattr(ModelBlob, "__post_init__", counting)
+    monkeypatch.setattr(agent_module, "model_data_body", recording)
+    assert agent._train_step()
+    assert len(built) == 1 and len(framed) == 1
+    assert framed[0] is built[0] is agent.head
+    assert len(agent._sock.writes) == 1
+
+
+@pytest.mark.parametrize("e, classes", [(8, 3), (16, 2)])
+def test_agent_rejects_a_global_that_cannot_train_on_its_stream(caplog, e, classes):
+    # Installed, such a global (E = 8, C = 2) would kill the agent at its
+    # first training step; it replies ERROR ShapeError and keeps running.
+    ds = synth_separable(e, classes, 60, 4.0, 5, val_fraction=0.0)
+    (stream,) = partition(ds, 1, 5)
+    caplog.set_level(logging.WARNING, logger="fedhead.runtime.server")
+    with running_server(make_blob(40), RoundPolicy("count", 1)) as (server, _):
+        worker = Agent(server.address[0], server.address[1], 0, stream, sync_batch=5)
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        try:
+            assert wait_until(lambda: any("sent ERROR: ShapeError" in r.getMessage()
+                                          for r in caplog.records))
+            time.sleep(0.1)
+            assert thread.is_alive()
+            assert worker.installs == 0 and worker.head is None
+            assert stream.samples_seen == 0
+            assert server._devices[0].unacked == 1  # no ACK
+            assert server.history == []
+        finally:
+            worker.stop()
+            thread.join(5.0)
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("kw", [
+    {"round_timeout": 0.0}, {"round_timeout": -1.0}, {"round_timeout": float("nan")},
+    {"round_timeout": float("inf")}, {"max_rounds": 0},
+])
+def test_server_rejects_round_limits_that_cannot_work(kw):
+    with pytest.raises(ValueError, match="round"):
+        Server("127.0.0.1", 0, make_blob(1), RoundPolicy("count", 1), **kw)
 
 
 def test_agent_gives_up_after_bounded_reconnects_but_trains_offline():
@@ -1120,10 +1183,12 @@ def test_agent_rejects_device_id_outside_header_byte():
 
 
 def test_agent_validates_mode_arguments():
-    with pytest.raises(ValueError):
-        Agent("h", 1, 0, make_stream(4), sync_batch=0)
-    with pytest.raises(ValueError):
-        Agent("h", 1, 0, make_stream(4), push_every=0)
+    # The training settings follow train_batch's own rules.
+    for kw in ({"sync_batch": 0}, {"push_every": 0}, {"local_episodes": 0},
+               {"learning_rate": -0.1}, {"learning_rate": float("nan")},
+               {"learning_rate": float("inf")}):
+        with pytest.raises(ValueError):
+            Agent("h", 1, 0, make_stream(4), **kw)
 
 
 # -- end to end: live rounds equal the offline simulation ---------------------------

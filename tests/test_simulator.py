@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import importlib
 import io
+import os
 
 import numpy as np
 import pytest
@@ -82,30 +83,22 @@ def test_sweep_point_matches_hand_built_run():
     assert got == want
 
 
-# Names the benchmark's tracer and sim-fig timer patch, by module. The
-# simulator and the round must keep looking them up there at call time.
-PATCHED_NAMES = {
-    "fedhead.data": ["DeviceStream.take", "EmbeddingDataset.validation_samples",
-                     "load_dataset", "partition", "synth_separable"],
-    "fedhead.wire": ["encode_model", "frame_stream", "frames_to_bytes",
-                     "frames_from_bytes", "unframe_stream", "decode_model"],
-    "fedhead.simulator": ["run_sweep", "run_training"],
-    "fedhead.federation": ["federated_round", "evaluate", "average_blobs", "train_batch"],
-    "fedhead.runtime.server": ["evaluate", "average_blobs", "encode_model", "encode_message",
-                               "model_data_body", "blob_from_model_data"],
-    "fedhead.runtime.agent": ["train_batch", "head_from_blob", "blob_from_head",
-                              "encode_message", "model_data_body", "blob_from_model_data"],
-}
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
-def test_names_the_benchmark_patches_exist():
-    for module, names in PATCHED_NAMES.items():
-        mod = importlib.import_module(module)
-        for name in names:
-            owner = mod
-            for part in name.split("."):
-                owner = getattr(owner, part)
-            assert callable(owner), f"{module}.{name}"
+def test_names_the_benchmark_patches_exist(monkeypatch):
+    # Every (owner, attr) in perfbench's tracer plans, and the round the
+    # sim-fig timer wraps, must resolve on the real modules: a name dropped
+    # from fedhead fails here instead of in a traced benchmark run.
+    import fedhead.federation as fed
+    import fedhead.runtime  # noqa: F401 - the plans find the runtime modules in sys.modules
+
+    monkeypatch.syspath_prepend(PERFBENCH)
+    layers = importlib.import_module("layers")
+    plans = layers.sim_plan() + layers.server_plan() + layers.agent_plan()
+    assert len(plans) > 30
+    for owner, attr, span, _ in plans + [(fed, "federated_round", "sim-fig timer", None)]:
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr} ({span})"
 
 
 def test_sweep_calls_the_patched_names_once_per_use(monkeypatch):
