@@ -211,7 +211,7 @@ def run_training(
     init_mode: str = "random",
     *,
     init_seed=None,
-    init_blob=None,
+    init_blob: ModelBlob | None = None,
 ) -> RunResult:
     """Run cfg.epochs federated rounds from a freshly initialized global head.
 
@@ -225,6 +225,9 @@ def run_training(
         )
     e = partitions[0].dataset.embedding_dim
     c = partitions[0].dataset.num_classes
+    if init_blob is not None and (init_blob.embedding_dim, init_blob.num_classes) != (e, c):
+        raise ShapeError(f"init blob has dim {init_blob.embedding_dim} and {init_blob.num_classes} "
+                         f"classes, partitions have dim {e} and {c} classes")
     val = stack_validation(val, e)
     needed = cfg.batch_size * cfg.epochs
     for stream in partitions:
@@ -233,8 +236,8 @@ def run_training(
                 f"device {stream.device_id}: {cfg.epochs} epochs of {cfg.batch_size} "
                 f"need {needed} samples, stream has {stream.remaining()}"
             )
-    blob_arg = init_blob.values if isinstance(init_blob, ModelBlob) else init_blob
-    global_blob = init_head(e, c, init_mode, seed=init_seed, blob=blob_arg)
+    global_blob = init_head(e, c, init_mode, seed=init_seed,
+                            blob=None if init_blob is None else init_blob.values)
     history: list[EpochRecord] = []
     round_blobs: list[ModelBlob] = []
     for t in range(1, cfg.epochs + 1):

@@ -98,12 +98,6 @@ class MessageBuffer:
         del self._buf[: HEADER_SIZE + length]
         return Message(mtype, device_id, body)
 
-    def pop_all(self) -> list[Message]:
-        out = []
-        while (msg := self.pop()) is not None:
-            out.append(msg)
-        return out
-
 
 def model_data_body(blob: ModelBlob) -> bytes:
     """Encode and frame a blob into a MODEL_DATA body."""

@@ -3,7 +3,9 @@
 Single-threaded selector loop. A round is triggered by policy (every K
 device pushes, or a timer), then proceeds: take each live registered
 device's contribution, average the contributions in device-id order,
-install the mean as the new global, and push it back to everyone.
+install the mean as the new global, and push it back to everyone. Only
+then is the new global scored on the validation set and the round logged,
+so the server scores while the devices train on it.
 
 A device's contribution is its latest validated push made after it ACKed
 the current global, so a sync agent uploads its model once per round. Live
@@ -30,7 +32,7 @@ import time
 import zlib
 from dataclasses import dataclass, field
 
-from ..errors import ShapeError, WireError
+from ..errors import ProtocolError, ShapeError, WireError
 from ..federation import ModelBlob, average_blobs, evaluate, stack_validation
 from ..nn import StackedSamples, stack_samples
 from ..wire import encode_model, frame_bytes
@@ -43,7 +45,6 @@ from .protocol import (
     blob_from_model_data,
     model_data_body,  # noqa: F401 - unused; perfbench's server plan patches the name here
 )
-from ..errors import ProtocolError
 
 log = logging.getLogger("fedhead.runtime.server")
 
@@ -83,6 +84,10 @@ def check_round_limits(round_timeout: float, max_rounds: int | None) -> None:
 
 @dataclass(eq=False)
 class RoundRecord:
+    """One finished round. `val_accuracy` is set once the global is scored,
+    after its push: a thread reading `history` while the server runs can
+    briefly see None for the newest round."""
+
     index: int
     blob: ModelBlob
     checksum: int
@@ -379,25 +384,22 @@ class Server:
             return
         ordered = [collected[d] for d in sorted(collected)]
         checksum = self._install(average_blobs(ordered))
+        # Recorded before the push: a device that has the push finds its round.
+        record = RoundRecord(len(self.history) + 1, self.global_blob, checksum,
+                             tuple(sorted(collected)))
+        self.history.append(record)
+        # A failed send drops its device from the dict, so iterate a copy.
+        for conn in list(self._devices.values()):
+            self._push_global(conn)
+        # Scored after the push: no device waits on an accuracy it never uses.
         acc = None
         if self._validation is not None:
-            acc = evaluate(self.global_blob, self._validation)
-        record = RoundRecord(
-            index=len(self.history) + 1,
-            blob=self.global_blob,
-            checksum=checksum,
-            participants=tuple(sorted(collected)),
-            val_accuracy=acc,
-        )
-        self.history.append(record)
+            acc = record.val_accuracy = evaluate(record.blob, self._validation)
         log.info(
             "round %d: %d devices, checksum %08x%s",
             record.index, len(record.participants), checksum,
             "" if acc is None else f", val_acc {acc:.4f}",
         )
-        # A failed send drops its device from the dict, so iterate a copy.
-        for conn in list(self._devices.values()):
-            self._push_global(conn)
 
 
 def serve(

@@ -453,6 +453,17 @@ def test_run_training_validates_partition_count():
         run_training(cfg, streams, ds.validation_samples(), "zeros")
 
 
+@pytest.mark.parametrize("e, c", [(8, 3), (5, 3), (2, 6)])
+def test_run_training_rejects_a_pretrained_blob_of_another_shape_before_any_take(e, c):
+    # (5, 3) and (2, 6) hold as many values as the partitions' (8, 2) model: 18.
+    ds, streams = small_setup(9, n=100, num_devices=2)
+    cfg = RoundConfig(num_devices=2, batch_size=5, local_episodes=1, learning_rate=0.01, epochs=2)
+    blob = ModelBlob(np.zeros(c * e + c), e, c)
+    with pytest.raises(ShapeError, match=f"init blob has dim {e} and {c} classes"):
+        run_training(cfg, streams, ds.validation_samples(), "pretrained", init_blob=blob)
+    assert [s.remaining() for s in streams] == [40, 40]
+
+
 def test_run_training_checks_data_upfront():
     ds, streams = small_setup(8, n=100, num_devices=2)  # 40 train samples per device
     cfg = RoundConfig(num_devices=2, batch_size=5, local_episodes=1, learning_rate=0.01, epochs=9)

@@ -195,8 +195,8 @@ def test_buffer_reassembles_byte_at_a_time():
     for i, byte in enumerate(stream):
         buf.feed(bytes([byte]))
         if i < len(stream) - 1:
-            got.extend(buf.pop_all())
-    got.extend(buf.pop_all())
+            got.extend(iter(buf.pop, None))
+    got.extend(iter(buf.pop, None))
     assert [(m.type, m.body) for m in got] == [
         (MessageType.HELLO, b""),
         (MessageType.ACK, b"xyz"),
@@ -253,7 +253,7 @@ def feed_in_chunks(data, cuts):
     try:
         for lo, hi in zip(bounds, bounds[1:]):
             buf.feed(data[lo:hi])
-            got.extend(buf.pop_all())
+            got.extend(iter(buf.pop, None))
     except ProtocolError as exc:
         return got, str(exc)
     return got, None
@@ -275,7 +275,7 @@ def test_buffer_raises_the_same_error_for_a_bad_header_under_any_chunking(msgs, 
     whole, whole_error = feed_in_chunks(data, [])
     got, error = feed_in_chunks(data, cuts)
     assert whole_error is not None and error == whole_error
-    assert whole == [] and got == msgs[: len(got)]
+    assert whole == got == msgs  # every message before the bad header is popped
 
 
 def test_model_data_body_round_trip_and_size():
@@ -559,7 +559,7 @@ class RecordingSocket:
 def message_types(data):
     buf = MessageBuffer()
     buf.feed(data)
-    return [m.type for m in buf.pop_all()]
+    return [m.type for m in iter(buf.pop, None)]
 
 
 def test_model_transfers_are_one_write_each():
@@ -875,6 +875,57 @@ def test_server_scores_a_stacked_validation_set_like_the_list():
     with pytest.raises(ShapeError, match="dim 8, model expects 16"):
         Server("127.0.0.1", 0, make_blob(1, e=16), RoundPolicy("count", 1),
                validation=ds.stacked_validation())
+
+
+def test_server_pushes_the_new_global_before_it_scores_it(monkeypatch):
+    # Scoring waits for the device to hold the new global; scored first, the
+    # push would come only after the wait timed out.
+    pushed, waits = threading.Event(), []
+
+    def gated_evaluate(blob, samples):
+        waits.append(pushed.wait(2.0))
+        return evaluate(blob, samples)
+
+    monkeypatch.setattr(server_module, "evaluate", gated_evaluate)
+    initial, mine = make_blob(1), make_blob(2)
+    ds = synth_separable(8, 2, 50, 4.0, 1, val_fraction=0.5)
+    with running_server(initial, RoundPolicy("count", 1), validation=ds.validation_samples(),
+                        max_rounds=1) as (server, thread):
+        dev = ScriptedPeer.connect(server.address)
+        dev.send(Message(MessageType.HELLO, 3))
+        dev.expect_push()
+        dev.send(Message(MessageType.ACK, 3))
+        dev.push(3, mine)
+        assert dev.expect_push().body == model_data_body(mine)
+        pushed.set()
+        thread.join(5.0)
+        assert not thread.is_alive()
+        dev.close()
+    assert waits == [True]
+    assert server.history[0].val_accuracy == evaluate(mine, ds.validation_samples())
+
+
+def test_server_logs_each_rounds_checksum_and_accuracy_in_order(caplog):
+    caplog.set_level(logging.INFO, logger="fedhead.runtime.server")
+    ds = synth_separable(8, 2, 90, 4.0, 32, val_fraction=1 / 3)
+    streams = partition(ds, 2, 32)
+    with running_server(make_blob(33), RoundPolicy("count", 2), max_rounds=3,
+                        validation=ds.validation_samples()) as (server, thread):
+        with running_agent(server.address, 0, streams[0], sync_batch=5, local_episodes=2):
+            with running_agent(server.address, 1, streams[1], sync_batch=5, local_episodes=2):
+                thread.join(30.0)
+                assert not thread.is_alive()
+
+    logged = [r.getMessage() for r in caplog.records
+              if r.name == "fedhead.runtime.server" and r.getMessage().startswith("round ")]
+    assert logged == [
+        f"round {r.index}: 2 devices, checksum {r.checksum:08x}, val_acc {r.val_accuracy:.4f}"
+        for r in server.history
+    ]
+    assert [r.index for r in server.history] == [1, 2, 3]
+    for r in server.history:
+        assert r.checksum == zlib.crc32(encode_model(r.blob))
+        assert r.val_accuracy == evaluate(r.blob, ds.validation_samples())
 
 
 def test_server_rejects_a_model_too_large_to_frame():
