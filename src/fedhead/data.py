@@ -81,9 +81,9 @@ class EmbeddingDataset:
         return [self.sample(i) for i in self.validation_indices()]
 
     def stacked_validation(self) -> StackedSamples:
-        """The validation samples, stacked straight from the arrays."""
-        indices = self.validation_indices()
-        return StackedSamples(self.features[indices].astype(np.float64), self.labels[indices])
+        """The validation samples, stacked E-major straight from the arrays."""
+        i = self.validation_indices()
+        return StackedSamples(self.features[i].astype(np.float64, order="F"), self.labels[i])
 
 
 def _record_dtype(dim: int) -> np.dtype:

@@ -105,8 +105,10 @@ class RoundConfig:
 
 
 def stack_validation(val, embedding_dim: int) -> StackedSamples:
-    """Stack a validation set and check that it is non-empty and of the model's dim."""
-    val = stack_samples(val)
+    """Stack a validation set once, checked non-empty and of the model's dim. A
+    list stacks E-major, straight into column-major (n, E) float64, so BLAS takes
+    `batch_predict`'s x.T without a transposing pack; a StackedSamples is used as given."""
+    val = stack_samples(val, order="F")
     if not val:
         raise ValueError("validation set must be non-empty")
     if val.features.shape[1] != embedding_dim:
@@ -130,8 +132,8 @@ def check_stream(stream: DeviceStream, model: ModelBlob) -> None:
 def evaluate(blob: ModelBlob, samples) -> float:
     """Fraction of samples whose argmax prediction matches the label.
 
-    `samples` is a list of EmbeddingSample or its stacked form, checked by
-    `stack_validation`; a set scored every round should be stacked once.
+    `samples`, checked by `stack_validation`, is an EmbeddingSample list (stacked
+    E-major) or a StackedSamples scored as given; stack a set scored every round once.
     """
     check_classifier(blob)
     val = stack_validation(samples, blob.embedding_dim)

@@ -114,8 +114,8 @@ class StackedSamples:
         return self.labels.size
 
 
-def stack_samples(samples) -> StackedSamples:
-    """Stack an EmbeddingSample list once; a StackedSamples passes through.
+def stack_samples(samples, order: str = "C") -> StackedSamples:
+    """Stack an EmbeddingSample list once into `order` features; a StackedSamples passes through.
 
     An empty list stacks to an empty StackedSamples; callers reject it.
     """
@@ -126,7 +126,7 @@ def stack_samples(samples) -> StackedSamples:
     if len({s.features.shape for s in samples}) != 1:
         raise ShapeError("samples must all have the same feature shape")
     return StackedSamples(
-        np.array([s.features for s in samples], dtype=np.float64),
+        np.array([s.features for s in samples], dtype=np.float64, order=order),
         np.array([s.label for s in samples]),
     )
 
@@ -146,8 +146,11 @@ def batch_predict(head: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndar
     `head` is a (weights, bias) pair: (C, E) and (C,), or (N, C, E) and
     (N, C) to score (N, n, E) features device by device into (N, n).
     The class-major logits W @ x.T + b are bitwise its transpose for C-ordered
-    and strided x (not for a C-ordered x.T). The argmax takes C - 1 vector steps;
-    the strict > keeps the lowest index on ties, and a NaN defers to np.argmax.
+    and strided x. Validation sets are stacked E-major (column-major x, so BLAS
+    takes x.T untransposed); those logits may differ from the C-ordered ones in
+    the last bits (below 1e-13 seen), so fedhead stacks every such set alike. The
+    argmax takes C - 1 vector steps; the strict > keeps the lowest index on
+    ties, and a NaN defers to np.argmax.
     """
     weights, bias = head
     logits = weights @ x.swapaxes(-1, -2)

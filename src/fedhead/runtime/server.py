@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from ..errors import ProtocolError, ShapeError, WireError
 from ..federation import ModelBlob, average_blobs, evaluate, stack_validation
-from ..nn import StackedSamples, stack_samples
+from ..nn import StackedSamples
 from ..wire import encode_model, frame_bytes
 from .protocol import (
     Message,
@@ -139,8 +139,8 @@ class Server:
         # No legitimate message body is larger than a MODEL_DATA of this model.
         self._max_body = len(self._global_body)
         # Stacked once: evaluate scores the same set after every round.
-        stacked, e = stack_samples(self.validation or []), self.initial_blob.embedding_dim
-        self._validation = stack_validation(stacked, e) if stacked else None
+        e = self.initial_blob.embedding_dim
+        self._validation = stack_validation(self.validation, e) if self.validation else None
         self._sel = selectors.DefaultSelector()
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)

@@ -19,7 +19,9 @@ frame layout: u16 seq | u8 flags | u8 len | len payload bytes.
 
 `Frame` and its stream functions are the byte-layout reference. The runtime
 frames a whole message at once with `frame_bytes`/`unframe_bytes`, which
-produce and accept the same bytes and raise the same errors.
+produce and accept the same bytes and raise the same errors. Whole 4-byte
+frames, as an encoded model (16 + 4k bytes) has, are (n, 2) little-endian u32
+words: the header seq | flags << 16 | len << 24, then the payload.
 """
 from __future__ import annotations
 
@@ -195,41 +197,34 @@ def framed_size(nbytes: int) -> int:
     return _frames_for(nbytes) * FRAME_HEADER_SIZE + nbytes
 
 
-# One wire frame as a record; a full frame is 8 bytes.
-_FRAME_DTYPE = np.dtype(
-    [("seq", "<u2"), ("flags", "u1"), ("len", "u1"), ("payload", "u1", (FRAME_PAYLOAD,))]
-)
+def _full_frame_headers(count: int) -> np.ndarray:
+    """Header words of count full frames: seq | flags << 16 | len << 24."""
+    headers = np.arange(count, dtype="<u4") | FRAME_PAYLOAD << 24
+    headers[-1] |= FLAG_LAST << 16
+    return headers
 
 
 def frame_bytes(data: bytes) -> bytes:
-    """The wire form of frame_stream(data), built as one record array."""
+    """The wire form of frame_stream(data): whole 4-byte frames as u32 word
+    pairs, any other length through the Frame reference."""
     count = frame_count(len(data))
-    frames = np.zeros(count, dtype=_FRAME_DTYPE)
-    frames["seq"] = np.arange(count)
-    frames["len"] = FRAME_PAYLOAD
-    frames["len"][-1] = len(data) - FRAME_PAYLOAD * (count - 1)
-    frames["flags"][-1] = FLAG_LAST
-    payload = np.zeros(count * FRAME_PAYLOAD, dtype=np.uint8)
-    payload[: len(data)] = np.frombuffer(data, np.uint8)
-    frames["payload"] = payload.reshape(count, FRAME_PAYLOAD)
-    # A short last frame sends only its len payload bytes.
-    return frames.tobytes()[: framed_size(len(data))]
+    if not data or len(data) % FRAME_PAYLOAD:
+        return frames_to_bytes(frame_stream(data))
+    frames = np.empty((count, 2), dtype="<u4")
+    frames[:, 0] = _full_frame_headers(count)
+    frames[:, 1] = np.frombuffer(data, dtype="<u4")
+    return frames.tobytes()
 
 
 def unframe_bytes(body: bytes) -> bytes:
-    """unframe_stream(frames_from_bytes(body)), checked as one record array.
+    """unframe_stream(frames_from_bytes(body)), checked as u32 word pairs.
 
-    Bodies of full frames in order are unpacked here. Anything else, a
-    short last frame included, goes through the Frame reference, which
-    returns its bytes or raises its error."""
-    count, rest = divmod(len(body), _FRAME_DTYPE.itemsize)
+    A body of full frames with exactly frame_bytes's header words is unpacked
+    here. Anything else, a short last frame included, goes through the Frame
+    reference, which returns its bytes or raises its error."""
+    count, rest = divmod(len(body), FRAME_HEADER_SIZE + FRAME_PAYLOAD)
     if not rest and 0 < count <= MAX_FRAMES:
-        frames = np.frombuffer(body, dtype=_FRAME_DTYPE)
-        if (
-            (frames["seq"] == np.arange(count)).all()
-            and not frames["flags"][:-1].any()
-            and frames["flags"][-1] == FLAG_LAST
-            and (frames["len"] == FRAME_PAYLOAD).all()
-        ):
-            return frames["payload"].tobytes()
+        frames = np.frombuffer(body, dtype="<u4").reshape(count, 2)
+        if np.array_equal(frames[:, 0], _full_frame_headers(count)):
+            return frames[:, 1].tobytes()
     return unframe_stream(frames_from_bytes(body))

@@ -1,10 +1,11 @@
 """Round averaging, the N=1 baseline identity, and full training runs."""
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from fedhead.data import partition, synth_separable
+from fedhead.data import EmbeddingDataset, partition, synth_separable
 from fedhead.errors import DataExhaustedError, ShapeError
 from fedhead.federation import (
     ModelBlob,
@@ -15,6 +16,7 @@ from fedhead.federation import (
     federated_round,
     head_from_blob,
     run_training,
+    stack_validation,
 )
 from fedhead.nn import (
     EmbeddingSample, StackedSamples, batch_predict, init_head, stack_samples, train_batch,
@@ -171,6 +173,57 @@ def test_evaluate_stacked_set_matches_list():
     samples = [EmbeddingSample(rng.normal(size=6), int(rng.integers(3))) for _ in range(97)]
     stacked = stack_samples(samples)
     assert evaluate(blob, stacked) == evaluate(blob, samples)
+
+
+# -- validation layout --------------------------------------------------------------
+
+
+def traced_peak(fn, *args):
+    """(result, peak bytes tracemalloc saw while fn ran)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_validation_sets_stack_e_major_in_one_pass():
+    # E = 1280, n = 1000: the paper's MobileNet head, as the live server scores it.
+    ds = synth_separable(1280, 2, 1250, 4.0, 41, val_fraction=0.8)
+    samples = ds.validation_samples()
+    row_major = stack_samples(samples)
+    stacked, peak = traced_peak(stack_validation, samples, 1280)
+    assert stacked.features.nbytes == 10_240_000
+    # Straight into column-major: a row-major stack plus a copy would peak at 2x.
+    assert peak <= 1.25 * stacked.features.nbytes
+    for got in (stacked, ds.stacked_validation()):
+        assert got.features.dtype == np.float64 and got.features.flags.f_contiguous
+        assert got.features.T.flags.c_contiguous
+        assert np.array_equal(got.features, row_major.features)
+        assert np.array_equal(got.labels, row_major.labels)
+
+
+def test_evaluate_scores_a_passed_set_as_given():
+    ds = synth_separable(1280, 2, 1250, 4.0, 42, val_fraction=0.8)
+    blob = random_blob(np.random.default_rng(42), 1280, 2)
+    e_major = ds.stacked_validation()
+    for val in (e_major, stack_samples(ds.validation_samples())):
+        assert stack_validation(val, 1280) is val
+        accuracy, peak = traced_peak(evaluate, blob, val)
+        assert peak < 1_000_000  # no 10 MB re-layout per call
+    assert accuracy == evaluate(blob, e_major)  # these logits agree in both layouts
+
+
+@pytest.mark.parametrize("e", [1, 16, 1280])
+@pytest.mark.parametrize("c", [2, 3, 10])
+def test_a_listed_and_a_stacked_validation_set_score_bitwise_alike(e, c):
+    rng = np.random.default_rng(e * c)
+    ds = EmbeddingDataset("mixed", rng.normal(size=(400, e)), rng.integers(0, c, size=400),
+                          rng.integers(0, 2, size=400), c)
+    for _ in range(3):
+        blob = random_blob(rng, e, c)
+        assert evaluate(blob, ds.validation_samples()) == evaluate(blob, ds.stacked_validation())
 
 
 # -- federated_round --------------------------------------------------------------

@@ -24,7 +24,7 @@ from fedhead.errors import ProtocolError, ShapeError
 from fedhead.federation import (
     ModelBlob, RoundConfig, evaluate, run_training,
 )
-from fedhead.nn import StackedSamples, init_head, train_batch
+from fedhead.nn import StackedSamples, init_head, stack_samples, train_batch
 from fedhead.runtime import (
     Agent,
     Message,
@@ -877,6 +877,17 @@ def test_server_scores_a_stacked_validation_set_like_the_list():
                validation=ds.stacked_validation())
 
 
+def test_server_stacks_a_validation_list_e_major():
+    ds = synth_separable(1280, 2, 1250, 4.0, 43, val_fraction=0.8)
+    samples = ds.validation_samples()
+    with running_server(make_blob(1, e=1280), RoundPolicy("count", 1),
+                        validation=samples) as (server, _):
+        got = server._validation
+    assert got.features.dtype == np.float64 and got.features.flags.f_contiguous
+    assert np.array_equal(got.features, stack_samples(samples).features)
+    assert np.array_equal(got.labels, ds.labels[ds.validation_indices()])
+
+
 def test_server_pushes_the_new_global_before_it_scores_it(monkeypatch):
     # Scoring waits for the device to hold the new global; scored first, the
     # push would come only after the wait timed out.
@@ -926,6 +937,7 @@ def test_server_logs_each_rounds_checksum_and_accuracy_in_order(caplog):
     for r in server.history:
         assert r.checksum == zlib.crc32(encode_model(r.blob))
         assert r.val_accuracy == evaluate(r.blob, ds.validation_samples())
+        assert r.val_accuracy == evaluate(r.blob, ds.stacked_validation())
 
 
 def test_server_rejects_a_model_too_large_to_frame():
