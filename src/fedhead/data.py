@@ -58,7 +58,7 @@ class EmbeddingDataset:
             raise DatasetFormatError("num_classes must be >= 1")
         if n and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise DatasetFormatError("labels must lie in [0, num_classes)")
-        if n and not np.isin(self.splits, (SPLIT_TRAIN, SPLIT_VALIDATION)).all():
+        if n and not (self.splits <= SPLIT_VALIDATION).all():  # uint8, so exactly {0, 1}
             raise DatasetFormatError("split tags must be 0 (train) or 1 (validation)")
 
     def __len__(self) -> int:
@@ -128,7 +128,7 @@ def load_dataset(path, name: str | None = None) -> EmbeddingDataset:
                 f"({count} records of {record.itemsize} bytes)"
             )
         records = np.fromfile(fh, dtype=record, count=count)
-    bad_split = (records["split"] != SPLIT_TRAIN) & (records["split"] != SPLIT_VALIDATION)
+    bad_split = records["split"] > SPLIT_VALIDATION
     bad_label = records["label"] >= classes
     bad = np.flatnonzero(bad_split | bad_label)
     if bad.size:

@@ -57,26 +57,23 @@ def average_blobs(blobs: list[ModelBlob] | StackedBlobs) -> ModelBlob:
 
     The fixed accumulation order makes the result reproducible; callers that
     care about device order (the round loop does) sort by device id first.
-    The mean of one blob is that blob (x / 1 == x).
+    The mean of one blob has that blob's values (x / 1 == x).
     """
     if isinstance(blobs, StackedBlobs):
         rows, e, c = blobs.values, blobs.embedding_dim, blobs.num_classes
-        if len(rows) == 1:
-            return blobs[0]
     else:
         if not blobs:
             raise ValueError("cannot average an empty list of blobs")
-        first = blobs[0]
-        e, c = first.embedding_dim, first.num_classes
+        e, c = blobs[0].embedding_dim, blobs[0].num_classes
         for b in blobs[1:]:
             if (b.embedding_dim, b.num_classes) != (e, c):
                 raise ShapeError(
                     f"blob shape E={b.embedding_dim} C={b.num_classes} does not match "
                     f"E={e} C={c}"
                 )
-        if len(blobs) == 1:
-            return first
         rows = [b.values for b in blobs]
+    if len(rows) == 1:
+        return ModelBlob(rows[0], e, c)
     acc = rows[0].copy()
     for row in rows[1:]:
         acc += row
@@ -182,7 +179,8 @@ def federated_round(
         s.take_into(features, labels)
     params = train_batch(global_blob, batch, cfg.learning_rate, cfg.local_episodes)
     order = sorted(range(n), key=lambda i: streams[i].device_id)
-    new_global = average_blobs(StackedBlobs(params[order], e, c))
+    rows = params if order == list(range(n)) else params[order]
+    new_global = average_blobs(StackedBlobs(rows, e, c))
     weights, bias = params[:, : c * e].reshape(n, c, e), params[:, c * e :]
     hits = np.add.reduce(batch_predict((weights, bias), batch.features) == batch.labels, axis=1)
     return new_global, evaluate(new_global, val), (hits / cfg.batch_size).tolist()
@@ -193,7 +191,7 @@ class EpochRecord:
     epoch: int  # 1-based round number
     examples_seen: int  # cumulative across all devices
     val_accuracy: float
-    train_accuracy: float  # mean of the per-device batch accuracies
+    train_accuracy: float  # np.mean of the per-device batch accuracies, bitwise
 
 
 @dataclass(eq=False)
@@ -251,7 +249,7 @@ def run_training(
                 epoch=t,
                 examples_seen=cfg.num_devices * cfg.batch_size * t,
                 val_accuracy=val_accuracy,
-                train_accuracy=float(np.mean(train_accuracies)),
+                train_accuracy=float(np.add.reduce(train_accuracies) / len(train_accuracies)),
             )
         )
     return RunResult(history=history, round_blobs=round_blobs)

@@ -9,6 +9,7 @@ float32 appears only at the storage/wire boundary (see `fedhead.wire`).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +70,7 @@ def check_sgd_settings(lr: float, local_episodes: int) -> None:
     """Raise ValueError for training settings `train_batch` cannot run."""
     if local_episodes < 1:
         raise ValueError(f"local_episodes must be >= 1, got {local_episodes}")
-    if not np.isfinite(lr) or lr < 0:
+    if not math.isfinite(lr) or lr < 0:
         raise ValueError(f"learning rate must be finite and >= 0, got {lr}")
 
 
@@ -148,20 +149,21 @@ def batch_predict(head: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndar
     The class-major logits W @ x.T + b are bitwise its transpose for C-ordered
     and strided x. Validation sets are stacked E-major (column-major x, so BLAS
     takes x.T untransposed); those logits may differ from the C-ordered ones in
-    the last bits (below 1e-13 seen), so fedhead stacks every such set alike. The
-    argmax takes C - 1 vector steps; the strict > keeps the lowest index on
-    ties, and a NaN defers to np.argmax.
+    the last bits (below 1e-13 seen), so fedhead stacks every such set alike.
+    Logits holding a NaN go to np.argmax; else C - 1 vector comparisons with
+    the running max take the argmax, their strict > keeping ties lowest.
     """
     weights, bias = head
     logits = weights @ x.swapaxes(-1, -2)
     logits += bias[..., None]
-    by_class = logits.swapaxes(0, -2)  # (C, [N,] n)
-    best = by_class[0]
-    preds = np.zeros(best.shape, dtype=np.intp)
-    for c in range(1, by_class.shape[0]):
-        preds[by_class[c] > best] = c
-        best = np.maximum(best, by_class[c])
-    return np.argmax(logits, axis=-2) if np.isnan(best).any() else preds
+    if np.isnan(logits).any():
+        return np.argmax(logits, axis=-2)
+    by_class = logits.swapaxes(0, -2)  # (C, [N,] n); row 0 becomes the running max
+    preds = (by_class[1] > by_class[0]).astype(np.intp)
+    for c in range(2, by_class.shape[0]):
+        np.maximum(by_class[0], by_class[c - 1], out=by_class[0])
+        np.copyto(preds, c, where=by_class[c] > by_class[0])
+    return preds
 
 
 def train_batch(model: ModelBlob, batch, lr: float, local_episodes: int) -> ModelBlob | np.ndarray:
@@ -181,10 +183,11 @@ def train_batch(model: ModelBlob, batch, lr: float, local_episodes: int) -> Mode
     i is bitwise `train_batch(model, batch_i, ...).values`. A 2-D batch is
     the N = 1 case and returns a ModelBlob.
 
-    Inputs are checked once, before the first step, and the episodes run on
-    raw arrays. The result is checked once, as a ModelBlob or by the caller:
-    a non-finite gradient leaves its parameter non-finite for good (at
-    lr = 0 too, as 0 * inf is nan), so it raises as a per-episode check would.
+    Inputs are checked once, before the first step, Y is built in one np.equal
+    of the labels with 0..C-1, and the episodes run on raw arrays. The result
+    is checked once, as a ModelBlob or by the caller: a non-finite gradient
+    leaves its parameter non-finite for good (at lr = 0 too, as 0 * inf is
+    nan), so it raises as a per-episode check would.
     """
     check_sgd_settings(lr, local_episodes)
     check_classifier(model)
@@ -203,8 +206,7 @@ def train_batch(model: ModelBlob, batch, lr: float, local_episodes: int) -> Mode
     if not per_device:
         x, labels = x[None], labels[None]
     devices, n = labels.shape
-    onehot = np.zeros((devices, n, c))
-    onehot.reshape(-1, c)[np.arange(devices * n), labels.ravel()] = 1.0
+    onehot = np.equal(labels[..., None], np.arange(c), out=np.empty((devices, n, c)))
     params = np.empty((devices, c * e + c))
     params[:] = model.values
     grads = np.empty_like(params)  # the gradients, in the same flat layout

@@ -403,6 +403,15 @@ def test_dataset_invariants_enforced():
         EmbeddingDataset("x", feats, np.array([0, 1, 0]), np.full(3, 5, np.uint8), 2)
 
 
+@pytest.mark.parametrize("tag", [2, 255])
+def test_dataset_rejects_a_split_tag_past_validation(tag):
+    feats = np.zeros((3, 4), dtype=np.float32)
+    labels = np.array([0, 1, 0])
+    EmbeddingDataset("x", feats, labels, np.array([SPLIT_TRAIN, SPLIT_VALIDATION, 0], np.uint8), 2)
+    with pytest.raises(DatasetFormatError, match=r"split tags must be 0 \(train\) or 1"):
+        EmbeddingDataset("x", feats, labels, np.array([0, tag, 1], np.uint8), 2)
+
+
 def test_save_rejects_labels_beyond_byte_range(tmp_path):
     feats = np.zeros((2, 3), dtype=np.float32)
     ds = EmbeddingDataset("x", feats, np.array([0, 299]), np.zeros(2, np.uint8), 300)

@@ -295,6 +295,25 @@ def test_round_over_devices_out_of_id_order_is_bitwise_the_list_path():
         assert train == oracle_train
 
 
+def test_round_over_nine_devices_in_and_out_of_id_order_is_bitwise_alike():
+    # In id order the trained rows are averaged as they are; out of order they
+    # are sorted first. Nine rows cross numpy's 8-element pairwise block.
+    ds, streams = small_setup(17, n=900, num_devices=9)
+    _, twins = small_setup(17, n=900, num_devices=9)
+    cfg = RoundConfig(num_devices=9, batch_size=7, local_episodes=2, learning_rate=0.3, epochs=1)
+    order = [4, 0, 8, 2, 7, 1, 5, 3, 6]
+    shuffled = [twins[i] for i in order]
+    blob = shuffled_blob = init_head(8, 2, "random", seed=17)
+    val = ds.stacked_validation()
+    for _ in range(4):
+        blob, acc, train = federated_round(streams, blob, cfg, val)
+        shuffled_blob, shuffled_acc, shuffled_train = federated_round(shuffled, shuffled_blob,
+                                                                      cfg, val)
+        assert np.array_equal(blob.values, shuffled_blob.values)
+        assert acc == shuffled_acc
+        assert shuffled_train == [train[i] for i in order]
+
+
 def test_round_with_a_nan_feature_raises_and_leaves_the_global_blob_unchanged():
     ds, streams = small_setup(15, n=300, num_devices=3)
     cfg = RoundConfig(num_devices=3, batch_size=6, local_episodes=2, learning_rate=0.1, epochs=1)
@@ -452,6 +471,30 @@ def test_run_training_history_and_accounting():
     assert all(s.samples_seen == 5 * 9 for s in streams)
     assert len(result.round_blobs) == 9
     assert np.array_equal(result.final_blob.values, result.round_blobs[-1].values)
+
+
+@pytest.mark.parametrize("num_devices", [1, 2, 7, 8, 9, 16])
+def test_run_training_train_accuracy_is_bitwise_np_mean(monkeypatch, num_devices):
+    # Arbitrary floats make the summation order show in the last bit: past
+    # eight values numpy's pairwise sum is not a left-to-right sum.
+    import fedhead.federation as fed
+
+    rng = np.random.default_rng(num_devices)
+    returned = []
+
+    def round_with_given_accuracies(streams, global_blob, cfg, val):
+        returned.append(rng.random(len(streams)).tolist())
+        return global_blob, 0.5, returned[-1]
+
+    monkeypatch.setattr(fed, "federated_round", round_with_given_accuracies)
+    ds, streams = small_setup(6, n=40 * num_devices, num_devices=num_devices)
+    cfg = RoundConfig(num_devices=num_devices, batch_size=2, local_episodes=1,
+                      learning_rate=0.1, epochs=12)
+    history = run_training(cfg, streams, ds.validation_samples(), "zeros").history
+    assert len(history) == len(returned) == 12
+    for record, accuracies in zip(history, returned):
+        assert type(record.train_accuracy) is float
+        assert record.train_accuracy == float(np.mean(accuracies))
 
 
 def test_run_training_is_deterministic():

@@ -724,6 +724,47 @@ def test_stacked_batch_predict_is_the_per_device_scorer():
     assert got[2, 5] == got[2, 17] == 1
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 10]), st.sampled_from([(), (1,), (3,)]),
+       st.integers(min_value=1, max_value=12), st.sampled_from([0.0, 0.1, 0.5]),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_batch_predict_is_np_argmax_on_ties_infinities_and_nans(c, lead, n, rate, seed):
+    # Small integers make every finite logit exact and tie often. The last two
+    # features are 0, or +-inf in some rows; every class weighs them +-1, so such
+    # a row scores +inf, -inf or inf - inf = nan in each class, whatever order or
+    # fused multiply-adds the matmul uses. Some biases are +-inf or nan.
+    rng = np.random.default_rng(seed)
+    weights = rng.integers(-2, 3, size=(*lead, c, 4)).astype(np.float64)
+    weights[..., 2:] = rng.choice([-1.0, 1.0], size=(*lead, c, 2))
+    bias = rng.integers(-2, 3, size=(*lead, c)).astype(np.float64)
+    special = rng.random(bias.shape) < rate / 4
+    bias[special] = rng.choice([np.inf, -np.inf, np.nan], size=np.count_nonzero(special))
+    x = rng.integers(-2, 3, size=(*lead, n, 4)).astype(np.float64)
+    x[..., 2:] = np.where(rng.random((*lead, n, 2)) < rate,
+                          rng.choice([np.inf, -np.inf], size=(*lead, n, 2)), 0.0)
+    with np.errstate(invalid="ignore"):
+        logits = weights @ x.swapaxes(-1, -2) + bias[..., None]
+        got = batch_predict((weights, bias), x)
+    assert got.dtype == np.intp
+    np.testing.assert_array_equal(got, np.argmax(logits, axis=-2), strict=True)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_train_batch_one_hot_does_not_depend_on_the_label_dtype(lead):
+    rng = np.random.default_rng(42)
+    head = random_head(rng, 5, 4)
+    features = rng.normal(size=(*lead, 9, 5))
+    labels = rng.integers(0, 4, size=(*lead, 9))
+
+    def trained_rows(dtype):
+        out = train_batch(head, StackedSamples(features, labels.astype(dtype)), 0.3, 3)
+        return out if lead else out.values
+
+    want = trained_rows(np.int64)
+    for dtype in (np.int32, np.uint8):
+        assert np.array_equal(trained_rows(dtype), want)
+
+
 @settings(max_examples=50)
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=2, max_value=4),
        st.integers(min_value=0, max_value=2**31 - 1))
