@@ -22,7 +22,7 @@ from . import data as data_mod
 from . import simulator, wire
 from .errors import DataExhaustedError, ProtocolError
 from .nn import INIT_MODES, ModelBlob, check_gradient_check_args, gradient_check, init_head
-from .runtime import Agent, RoundPolicy, configure_logging, parse_endpoint, serve
+from .runtime import Agent, RoundPolicy, Server, configure_logging, parse_endpoint
 from .runtime.protocol import MAX_DEVICE_ID
 from .runtime.server import check_round_limits
 
@@ -176,8 +176,8 @@ def _cmd_serve(args) -> int:
         wire.frame_count(wire.encoded_size(args.dim, args.classes))
     except ProtocolError as exc:
         raise _UsageError(f"--dim {args.dim} --classes {args.classes}: {exc}") from None
-    endpoint = parse_endpoint(args.listen)
     try:
+        endpoint = parse_endpoint(args.listen)
         policy = RoundPolicy.parse(args.policy)
         check_round_limits(args.timeout, args.rounds)
     except ValueError as exc:
@@ -197,16 +197,21 @@ def _cmd_serve(args) -> int:
         "classes": args.classes, "init": args.init, "seed": args.seed,
         "rounds": args.rounds, "timeout": args.timeout, "data": args.data,
     })
-    server = serve(
-        endpoint, blob, policy,
-        validation=validation, round_timeout=args.timeout, max_rounds=args.rounds,
-    )
+    server = Server(endpoint[0], endpoint[1], blob, policy, validation=validation,
+                    round_timeout=args.timeout, max_rounds=args.rounds)
+    try:
+        server.run()
+    except KeyboardInterrupt:
+        log.info("interrupted; shutting down")
     print(f"served {len(server.history)} rounds on {server.address[0]}:{server.address[1]}")
     return 0
 
 
 def _cmd_agent(args) -> int:
-    endpoint = parse_endpoint(args.connect)
+    try:
+        endpoint = parse_endpoint(args.connect)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     limit = min(args.num_devices, MAX_DEVICE_ID + 1)
     if not 0 <= args.device_id < limit:
         raise _UsageError(f"--device-id must be in [0, {limit}) to pick one of --num-devices "

@@ -11,7 +11,7 @@ from .protocol import (
     model_data_body,
     parse_endpoint,
 )
-from .server import RoundPolicy, RoundRecord, Server, serve
+from .server import RoundPolicy, RoundRecord, Server
 from .agent import Agent
 
 __all__ = [
@@ -28,6 +28,5 @@ __all__ = [
     "RoundPolicy",
     "RoundRecord",
     "Server",
-    "serve",
     "Agent",
 ]

@@ -1,6 +1,6 @@
 """Device agent: trains a local head between server contacts.
 
-Single-threaded: each loop iteration drains the socket, then runs at most
+Single-threaded: each loop iteration drains the link, then runs at most
 one training step, so a PULL_MODEL is always answered within one step's
 latency and the head is never touched concurrently.
 
@@ -14,12 +14,14 @@ Two modes:
       rounds, which is what the offline simulator computes.
 
 The agent never installs a model that fails CRC or shape checks or cannot
-train on its own stream (`federation.check_stream`), and a lost connection
-triggers bounded reconnect with exponential backoff while free-run training
+train on its own stream (`federation.check_stream`). A lost connection, or
+a server that leaves more than `MAX_QUEUED_WRITES` writes unread, triggers
+bounded reconnect with exponential backoff while free-run training
 continues offline.
 """
 from __future__ import annotations
 
+import contextlib
 import logging
 import selectors
 import socket
@@ -31,6 +33,7 @@ from ..federation import blob_from_head, head_from_blob  # noqa: F401 - perfbenc
 from ..nn import ModelBlob, check_sgd_settings, train_batch
 from .protocol import (
     MAX_DEVICE_ID,
+    Link,
     Message,
     MessageBuffer,
     MessageType,
@@ -41,6 +44,11 @@ from .protocol import (
 )
 
 log = logging.getLogger("fedhead.runtime.agent")
+
+# Connect attempts before giving up; the offline backoff doubles from BASE to MAX s.
+RECONNECT_ATTEMPTS = 5
+BACKOFF_BASE = 0.05
+BACKOFF_MAX = 2.0
 
 
 class Agent:
@@ -55,9 +63,6 @@ class Agent:
         local_episodes: int = 20,
         sync_batch: int | None = None,
         push_every: int | None = None,
-        reconnect_attempts: int = 5,
-        backoff_base: float = 0.05,
-        backoff_max: float = 2.0,
     ) -> None:
         if sync_batch is not None and sync_batch < 1:
             raise ValueError(f"sync_batch must be >= 1, got {sync_batch}")
@@ -74,9 +79,6 @@ class Agent:
         self.local_episodes = local_episodes
         self.sync_batch = sync_batch
         self.push_every = push_every
-        self.reconnect_attempts = reconnect_attempts
-        self.backoff_base = backoff_base
-        self.backoff_max = backoff_max
 
         self.head: ModelBlob | None = None  # trained, framed and sent as it is
         self.installs = 0
@@ -85,8 +87,8 @@ class Agent:
         self._since_push = 0
         self._expect = 0  # PUSH_MODEL announcements not yet matched by a MODEL_DATA
         self._stopped = False
-        self._sock: socket.socket | None = None
-        self._buf = MessageBuffer()
+        self._sel: selectors.BaseSelector | None = None  # made by run()
+        self._link: Link | None = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -95,42 +97,39 @@ class Agent:
 
     def run(self) -> None:
         """Train until stop(); raises ConnectionError once reconnects run out."""
-        self._connect()
-        if self._sock is None:  # stopped while connecting
-            return
-        sel = selectors.DefaultSelector()
-        sel.register(self._sock, selectors.EVENT_READ)
+        self._sel = selectors.DefaultSelector()
         try:
+            self._connect()
             while not self._stopped:
-                busy = self._has_training_work()
-                ready = sel.select(timeout=0.0 if busy else 0.05)
-                if ready:
-                    if not self._drain(sel):
-                        continue
+                ready = self._sel.select(timeout=0.0 if self._has_training_work() else 0.05)
+                if ready and not self._drain(ready[0][1]):  # the link is the one key
+                    continue
                 try:
                     self._train_step()
                 except OSError:  # push failed mid-step
-                    self._reconnect(sel)
+                    self._connect()
         finally:
-            sel.close()
-            if self._sock is not None:
-                self._sock.close()
+            self._close_link()
+            self._sel.close()
 
     def _connect(self) -> None:
-        delay = self.backoff_base
-        for attempt in range(self.reconnect_attempts):
+        """Connect, first closing a lost link; train offline between attempts."""
+        if self._link is not None:
+            log.warning("device %d lost its connection; reconnecting", self.device_id)
+            self._close_link()
+        delay = BACKOFF_BASE
+        for attempt in range(RECONNECT_ATTEMPTS):
             if self._stopped:
                 return
             try:
-                self._sock = socket.create_connection((self.host, self.port), timeout=5.0)
-                self._sock.settimeout(None)
-                self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                self._buf = MessageBuffer()
+                sock = socket.create_connection((self.host, self.port), timeout=5.0)
+                self._link = Link(sock, self._sel, MessageBuffer())
                 self._expect = 0
                 self._send(Message(MessageType.HELLO, self.device_id))
                 log.info("device %d connected to %s:%d", self.device_id, self.host, self.port)
                 return
             except OSError as exc:
+                self._close_link()  # if it connected but the HELLO failed
                 log.warning(
                     "device %d connect attempt %d failed: %s", self.device_id, attempt + 1, exc
                 )
@@ -139,57 +138,39 @@ class Agent:
                 while time.monotonic() < deadline and not self._stopped:
                     if not self._train_step():
                         time.sleep(min(0.05, delay))
-                delay = min(delay * 2, self.backoff_max)
+                delay = min(delay * 2, BACKOFF_MAX)
         raise ConnectionError(
-            f"device {self.device_id}: gave up after {self.reconnect_attempts} attempts"
+            f"device {self.device_id}: gave up after {RECONNECT_ATTEMPTS} attempts"
         )
 
-    def _reconnect(self, sel: selectors.DefaultSelector) -> None:
-        if self._sock is not None:
-            try:
-                sel.unregister(self._sock)
-            except (KeyError, ValueError):
-                pass
-            self._sock.close()
-            self._sock = None
-        if self._stopped:
-            return
-        log.warning("device %d lost its connection; reconnecting", self.device_id)
-        self._connect()
-        if self._sock is not None:
-            sel.register(self._sock, selectors.EVENT_READ)
+    def _close_link(self) -> None:
+        if self._link is not None:
+            self._link.close()
+            self._link = None
 
     # -- socket I/O ------------------------------------------------------------
 
     def _send(self, *msgs: Message) -> None:
-        self._sock.sendall(b"".join(encode_message(m) for m in msgs))
+        self._link.send(b"".join(encode_message(m) for m in msgs))
 
-    def _drain(self, sel) -> bool:
-        """Read and handle everything available; False if the link dropped."""
+    def _drain(self, events: int) -> bool:
+        """Flush queued writes, then handle what one read brings; False if the link dropped."""
         try:
-            data = self._sock.recv(65536)
-        except OSError:
-            data = b""
-        if not data:
-            self._reconnect(sel)
-            return False
-        self._buf.feed(data)
-        try:
-            # One at a time: messages before a bad header are handled, however TCP split them.
-            while (msg := self._buf.pop()) is not None:
-                self._handle(msg)
+            if events & selectors.EVENT_WRITE:
+                self._link.flush()
+            if events & selectors.EVENT_READ:
+                for msg in self._link.messages():
+                    self._handle(msg)
         except ProtocolError as exc:
             log.error("device %d: protocol error: %s", self.device_id, exc)
-            try:
+            with contextlib.suppress(OSError):
                 self._send(Message(MessageType.ERROR, self.device_id, str(exc).encode()))
-            except OSError:
-                pass
-            self._reconnect(sel)
-            return False
         except OSError:
-            self._reconnect(sel)
-            return False
-        return True
+            pass
+        else:
+            return True
+        self._connect()
+        return False
 
     # -- message handling --------------------------------------------------------
 
@@ -273,7 +254,7 @@ class Agent:
         self._since_push += 1
         due = self.sync_batch is not None or (
             self.push_every is not None and self._since_push >= self.push_every)
-        if due and self._sock is not None:
+        if due and self._link is not None:
             self._push_model()
             self._since_push = 0
         return True

@@ -13,12 +13,21 @@ pull reply otherwise. One write also wakes the receiver once per transfer,
 not once per message. The server counts its unanswered pulls per
 device, since a push can cross its PULL_MODEL on the way; the agent only
 ever receives pushes, and counts their announcements.
+
+Both ends talk through a `Link`: a non-blocking socket in the owner's
+selector, the owner's `MessageBuffer` and a queue of bytes the socket has
+not taken yet. No write blocks, so a peer that stops reading stalls no one;
+once it leaves more than `MAX_QUEUED_WRITES` writes unread, `send` raises
+ConnectionError and the owner drops it.
 """
 from __future__ import annotations
 
 import enum
 import logging
 import os
+import selectors
+import socket
+from collections import deque
 from dataclasses import dataclass
 from struct import Struct
 
@@ -34,6 +43,9 @@ MAX_BODY = 1 << 28
 
 # Device ids travel in the u8 header field.
 MAX_DEVICE_ID = 0xFF
+
+# Writes a peer may leave unread before its link fails: a few model transfers.
+MAX_QUEUED_WRITES = 4
 
 # ASCII status placed in an ACK or ERROR body. Plain ACKs are empty.
 STATUS_DATA_EXHAUSTED = b"DATA_EXHAUSTED"
@@ -99,6 +111,71 @@ class MessageBuffer:
         return Message(mtype, device_id, body)
 
 
+class Link:
+    """A peer connection: a non-blocking socket in its owner's selector, keyed to the Link."""
+
+    def __init__(self, sock, sel: selectors.BaseSelector, buf: MessageBuffer) -> None:
+        sock.setblocking(False)
+        # Rounds are chains of small messages; Nagle + delayed ACK would add ~40 ms to each.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.sock = sock
+        self.buf = buf
+        self.closed = False
+        self._sel = sel
+        self._events = selectors.EVENT_READ
+        self._queue: deque[memoryview] = deque()  # bytes the socket has not taken yet
+        sel.register(sock, self._events, self)
+
+    def send(self, data: bytes) -> None:
+        """One write when nothing is queued; what the socket does not take waits in the queue."""
+        if self.closed:
+            raise ConnectionError("send on a closed link")
+        if len(self._queue) >= MAX_QUEUED_WRITES:
+            raise ConnectionError(f"peer left {len(self._queue)} writes unread")
+        self._queue.append(memoryview(data))
+        if len(self._queue) == 1:
+            self.flush()
+
+    def flush(self) -> None:
+        """Write queued bytes until the socket would block; watch EVENT_WRITE while any remain."""
+        while self._queue:
+            try:
+                sent = self.sock.send(self._queue[0])
+            except BlockingIOError:
+                break
+            if sent < len(self._queue[0]):
+                self._queue[0] = self._queue[0][sent:]
+                break
+            self._queue.popleft()
+        events = selectors.EVENT_READ | (selectors.EVENT_WRITE if self._queue else 0)
+        if events != self._events and not self.closed:
+            self._events = events
+            self._sel.modify(self.sock, events, self)
+
+    def messages(self):
+        """Read once, then yield each complete message until the link closes; the
+        messages before a bad header come before its ProtocolError."""
+        if self.closed:
+            return
+        try:
+            data = self.sock.recv(65536)
+        except BlockingIOError:  # readiness without data: nothing to read
+            return
+        if not data:
+            raise ConnectionError("peer closed the connection")
+        self.buf.feed(data)
+        while not self.closed and (msg := self.buf.pop()) is not None:
+            yield msg
+
+    def close(self) -> None:
+        """Unregister and close the socket, dropping any bytes still queued."""
+        if not self.closed:
+            self.closed = True
+            self._queue.clear()
+            self._sel.unregister(self.sock)
+            self.sock.close()
+
+
 def model_data_body(blob: ModelBlob) -> bytes:
     """Encode and frame a blob into a MODEL_DATA body."""
     return wire.frame_bytes(wire.encode_model(blob))
@@ -110,10 +187,10 @@ def blob_from_model_data(body: bytes) -> ModelBlob:
 
 
 def parse_endpoint(text: str) -> tuple[str, int]:
-    """Split 'host:port'. Host may be empty (bind-all)."""
+    """Split 'host:port' with a port in 0-65535. Host may be empty (bind-all)."""
     host, sep, port = text.rpartition(":")
-    if not sep or not port.isdigit():
-        raise ValueError(f"endpoint must be host:port, got {text!r}")
+    if not sep or not port.isdigit() or int(port) > 0xFFFF:
+        raise ValueError(f"endpoint must be host:port with a port in 0-65535, got {text!r}")
     return host or "0.0.0.0", int(port)
 
 

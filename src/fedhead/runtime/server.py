@@ -17,10 +17,8 @@ Devices that miss the collection deadline are marked stale and excluded
 until they next speak; a device whose MODEL_DATA fails wire validation gets
 an ERROR reply and drops out of that round only. A declared message body
 longer than the session's framed model is a protocol error that drops the
-connection. Writes use blocking
-sendall, although a MODEL_DATA message is already 20,536 bytes at E=1280,
-C=2 and about 102 KB at C=10, larger than a default 64 KB socket buffer,
-so a peer that stops reading can stall the loop.
+connection. No write blocks the loop: a peer that leaves more than
+`MAX_QUEUED_WRITES` writes unread is dropped.
 """
 from __future__ import annotations
 
@@ -37,6 +35,7 @@ from ..federation import ModelBlob, average_blobs, evaluate, stack_validation
 from ..nn import StackedSamples
 from ..wire import encode_model, frame_bytes
 from .protocol import (
+    Link,
     Message,
     MessageBuffer,
     MessageType,
@@ -95,11 +94,10 @@ class RoundRecord:
     val_accuracy: float | None = None
 
 
-class _Conn:
-    def __init__(self, sock: socket.socket, addr, max_body: int) -> None:
-        self.sock = sock
+class _Conn(Link):
+    def __init__(self, sock: socket.socket, addr, sel: selectors.BaseSelector, max_body: int) -> None:
+        super().__init__(sock, sel, MessageBuffer(max_body))
         self.addr = addr
-        self.buf = MessageBuffer(max_body)
         self.device_id: int | None = None
         self.stale = False
         self.announced = False  # the previous message was PUSH_MODEL
@@ -130,7 +128,7 @@ class Server:
     validation: list | StackedSamples | None = None
     round_timeout: float = 5.0
     max_rounds: int | None = None
-    history: list[RoundRecord] = field(default_factory=list)
+    history: list[RoundRecord] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         check_round_limits(self.round_timeout, self.max_rounds)
@@ -169,11 +167,11 @@ class Server:
         )
         try:
             while not self._stopped:
-                for key, _ in self._sel.select(timeout=0.05):
+                for key, events in self._sel.select(timeout=0.05):
                     if key.data is None:
                         self._accept()
                     else:
-                        self._service(key.data)
+                        self._service(key.data, events)
                 self._drive_round()
                 if self.max_rounds is not None and len(self.history) >= self.max_rounds:
                     break
@@ -181,33 +179,21 @@ class Server:
             self._shutdown()
 
     def _shutdown(self) -> None:
-        for conn in list(self._conns()):
-            self._drop(conn)
-        self._sel.unregister(self._listener)
+        for key in list(self._sel.get_map().values()):
+            if key.data is not None:
+                self._drop(key.data)
         self._listener.close()
         self._sel.close()
-
-    def _conns(self):
-        return [k.data for k in list(self._sel.get_map().values()) if k.data is not None]
 
     # -- connection handling -----------------------------------------------
 
     def _accept(self) -> None:
         sock, addr = self._listener.accept()
-        sock.setblocking(True)  # reads are driven by readiness; writes block briefly
-        # Rounds are chains of small sequential messages; Nagle + delayed ACK
-        # would add ~40ms to every exchange.
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        conn = _Conn(sock, addr, self._max_body)
-        self._sel.register(sock, selectors.EVENT_READ, conn)
+        _Conn(sock, addr, self._sel, self._max_body)
         log.debug("connection from %s", addr)
 
     def _drop(self, conn: _Conn) -> None:
-        try:
-            self._sel.unregister(conn.sock)
-        except (KeyError, ValueError):
-            pass
-        conn.sock.close()
+        conn.close()
         if conn.device_id is not None and self._devices.get(conn.device_id) is conn:
             del self._devices[conn.device_id]
             log.info("device %d disconnected", conn.device_id)
@@ -216,28 +202,25 @@ class Server:
 
     def _send(self, conn: _Conn, *msgs: Message) -> bool:
         try:
-            conn.sock.sendall(b"".join(encode_message(m) for m in msgs))
+            conn.send(b"".join(encode_message(m) for m in msgs))
             return True
         except OSError as exc:
             log.warning("send to %s failed: %s", conn.addr, exc)
             self._drop(conn)
             return False
 
-    def _service(self, conn: _Conn) -> None:
+    def _service(self, conn: _Conn, events: int) -> None:
         try:
-            data = conn.sock.recv(65536)
-        except OSError as exc:
-            log.warning("recv from %s failed: %s", conn.addr, exc)
+            if events & selectors.EVENT_WRITE:
+                conn.flush()
+            if events & selectors.EVENT_READ:
+                # A dropped connection yields no more messages: a HELLO behind
+                # a failed send must not register a closed connection.
+                for msg in conn.messages():
+                    self._handle(conn, msg)
+        except OSError as exc:  # the peer closed or reset the connection
+            log.info("connection from %s closed: %s", conn.addr, exc)
             self._drop(conn)
-            return
-        if not data:
-            self._drop(conn)
-            return
-        conn.buf.feed(data)
-        try:
-            # One at a time: messages before a bad header are handled, however TCP split them.
-            while (msg := conn.buf.pop()) is not None:
-                self._handle(conn, msg)
         except ProtocolError as exc:
             # Header-level corruption: framing is lost, drop the connection.
             log.error("protocol error from %s: %s", conn.addr, exc)
@@ -400,24 +383,3 @@ class Server:
             record.index, len(record.participants), checksum,
             "" if acc is None else f", val_acc {acc:.4f}",
         )
-
-
-def serve(
-    endpoint: tuple[str, int],
-    initial_blob: ModelBlob,
-    policy: RoundPolicy,
-    *,
-    validation=None,
-    round_timeout: float = 5.0,
-    max_rounds: int | None = None,
-) -> Server:
-    """Run a server in the calling thread until stopped; returns its record."""
-    server = Server(
-        endpoint[0], endpoint[1], initial_blob, policy,
-        validation=validation, round_timeout=round_timeout, max_rounds=max_rounds,
-    )
-    try:
-        server.run()
-    except KeyboardInterrupt:
-        log.info("interrupted; shutting down")
-    return server

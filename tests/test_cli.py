@@ -387,6 +387,21 @@ def test_agent_training_settings_that_cannot_work_are_usage_errors(tmp_path, cap
     assert "agent" not in logged_commands(caplog)
 
 
+@pytest.mark.parametrize("argv", [
+    ["serve", "--listen", "nonsense"],
+    ["serve", "--listen", "127.0.0.1:70000"],
+    ["agent", "--connect", "127.0.0.1:73236"],
+])
+def test_an_endpoint_that_is_not_host_and_port_is_a_usage_error(tmp_path, caplog, capsys, argv):
+    # Rejected before the dataset is read: the agent's file does not exist.
+    caplog.set_level(logging.INFO, logger="fedhead.cli")
+    if argv[0] == "agent":
+        argv = [*argv, "--device-id", "0", "--data", str(tmp_path / "absent.ds")]
+    assert main(argv) == 1
+    assert "port in 0-65535" in capsys.readouterr().err
+    assert argv[0] not in logged_commands(caplog)
+
+
 def serve_at_startup(*flags):
     """`fedhead serve` run with `flags` in a thread; its exit code, which
     must come at startup rather than after it began serving."""
@@ -427,11 +442,13 @@ def test_serve_hands_the_server_a_stacked_validation_set(tmp_path, monkeypatch):
         history = []
         address = ("127.0.0.1", 0)
 
-    def fake_serve(endpoint, blob, policy, *, validation, **kw):
-        seen["validation"] = validation
-        return FakeServer()
+        def __init__(self, host, port, blob, policy, *, validation, **kw):
+            seen["validation"] = validation
 
-    monkeypatch.setattr(cli, "serve", fake_serve)
+        def run(self):
+            pass
+
+    monkeypatch.setattr(cli, "Server", FakeServer)
     assert main(["serve", "--listen", "127.0.0.1:0", "--dim", "8", "--classes", "2",
                  "--data", str(data)]) == 0
     validation = seen["validation"]

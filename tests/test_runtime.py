@@ -8,6 +8,7 @@ import collections
 import contextlib
 import importlib
 import logging
+import selectors
 import socket
 import struct
 import threading
@@ -40,7 +41,7 @@ from fedhead.runtime import (
     parse_endpoint,
 )
 from fedhead.runtime import server as server_module
-from fedhead.runtime.protocol import MAX_BODY
+from fedhead.runtime.protocol import MAX_BODY, MAX_QUEUED_WRITES, Link
 from fedhead.wire import decode_model, encode_model, encoded_size, framed_size
 
 
@@ -306,6 +307,45 @@ def test_parse_endpoint():
         parse_endpoint("no-port")
     with pytest.raises(ValueError):
         parse_endpoint("host:seven")
+    assert parse_endpoint("h:0") == ("h", 0)
+    assert parse_endpoint("h:65535") == ("h", 65535)
+    for text in ("h:65536", "127.0.0.1:70000", "127.0.0.1:73236"):
+        with pytest.raises(ValueError, match="0-65535"):
+            parse_endpoint(text)
+
+
+def test_link_queues_what_the_socket_does_not_take_and_flushes_it_in_order():
+    mine, theirs = loopback_pair()
+    mine.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 65536)
+    theirs.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 65536)
+    sel = selectors.DefaultSelector()
+    link = Link(mine, sel, MessageBuffer())
+    sel.register(theirs, selectors.EVENT_READ, None)
+    # Far more than the connection buffers, so the first write is partial.
+    payloads = [bytes([i]) * 300_000 for i in range(MAX_QUEUED_WRITES)]
+    try:
+        for payload in payloads:
+            link.send(payload)
+        assert sel.get_key(mine).events == selectors.EVENT_READ | selectors.EVENT_WRITE
+        with pytest.raises(ConnectionError, match="unread"):
+            link.send(b"one write too many")
+        received = bytearray()
+        while len(received) < sum(map(len, payloads)):
+            for key, events in sel.select(timeout=5.0):
+                if key.data is None:
+                    received += theirs.recv(1 << 20)
+                elif events & selectors.EVENT_WRITE:
+                    link.flush()
+        assert received == b"".join(payloads)
+        assert sel.get_key(mine).events == selectors.EVENT_READ
+        link.send(b"queue empty again")
+        assert theirs.recv(64) == b"queue empty again"
+    finally:
+        link.close()
+        theirs.close()
+        sel.close()
+    with pytest.raises(ConnectionError):
+        link.send(b"closed")
 
 
 def test_round_policy_parsing():
@@ -531,29 +571,51 @@ class FailingPushSocket:
     def __init__(self, sock):
         self._sock = sock
 
-    def sendall(self, data):
+    def send(self, data):
         if data[0] == MessageType.PUSH_MODEL:
             raise OSError("injected send failure")
-        self._sock.sendall(data)
+        return self._sock.send(data)
 
     def __getattr__(self, name):
         return getattr(self._sock, name)
 
 
 class RecordingSocket:
-    """A socket wrapper that keeps every sendall payload and passes it on."""
+    """A socket wrapper that keeps every send payload and passes it on."""
 
-    def __init__(self, sock=None):
+    def __init__(self, sock):
         self._sock = sock
         self.writes = []
 
-    def sendall(self, data):
+    def send(self, data):
         self.writes.append(bytes(data))
-        if self._sock is not None:
-            self._sock.sendall(data)
+        return self._sock.send(data)
 
     def __getattr__(self, name):
         return getattr(self._sock, name)
+
+
+def loopback_pair():
+    """The two ends of one loopback TCP connection."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        mine = socket.create_connection(listener.getsockname(), timeout=5.0)
+        theirs, _ = listener.accept()
+    theirs.settimeout(5.0)
+    return mine, theirs
+
+
+@contextlib.contextmanager
+def recording_link():
+    """A Link over a RecordingSocket; the other end of the connection takes the bytes."""
+    mine, theirs = loopback_pair()
+    sel = selectors.DefaultSelector()
+    link = Link(RecordingSocket(mine), sel, MessageBuffer())
+    try:
+        yield link
+    finally:
+        link.close()
+        theirs.close()
+        sel.close()
 
 
 def message_types(data):
@@ -579,9 +641,9 @@ def test_model_transfers_are_one_write_each():
 
     agent = Agent("127.0.0.1", 1, 0, make_stream(1))
     agent.head = mine
-    agent._sock = RecordingSocket()
-    agent._push_model()
-    assert [message_types(w) for w in agent._sock.writes] == [transfer]
+    with recording_link() as agent._link:
+        agent._push_model()
+    assert [message_types(w) for w in agent._link.sock.writes] == [transfer]
 
 
 def test_server_survives_a_failed_push_of_the_new_global():
@@ -614,6 +676,27 @@ def test_server_survives_a_failed_push_of_the_new_global():
         assert [r.participants for r in server.history] == [(0, 1), (0,)]
         for dev in devs.values():
             dev.close()
+
+
+def test_server_keeps_running_rounds_past_a_peer_that_stops_reading(caplog):
+    # The deaf peer's socket buffers fill with pushed globals (about 102 KB
+    # each at E = 1280, C = 10); once MAX_QUEUED_WRITES more wait, it is dropped.
+    caplog.set_level(logging.WARNING, logger="fedhead.runtime.server")
+    ds = synth_separable(1280, 10, 400, 4.0, 72, val_fraction=0.0)
+    (stream,) = partition(ds, 1, 72)
+    blob0 = make_blob(72, e=1280, c=10)
+    with running_server(blob0, RoundPolicy("count", 1), round_timeout=0.2) as (server, _):
+        with running_agent(server.address, 0, stream, sync_batch=1, local_episodes=1):
+            assert wait_until(lambda: len(server.history) >= 1)
+            deaf = socket.socket()
+            deaf.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            deaf.connect(server.address)
+            deaf.sendall(encode_message(Message(MessageType.HELLO, 9)))
+            start = len(server.history)
+            assert wait_until(lambda: len(server.history) >= start + 200, timeout=30.0)
+            assert wait_until(lambda: 9 not in server._devices)
+            deaf.close()
+    assert any("writes unread" in r.getMessage() for r in caplog.records)
 
 
 def test_server_pulls_a_device_whose_push_came_before_its_ack():
@@ -1164,7 +1247,6 @@ def test_agent_step_builds_one_blob_and_frames_that_blob(monkeypatch, sync_batch
     agent = Agent("127.0.0.1", 1, 0, make_stream(8), local_episodes=2,
                   sync_batch=sync_batch, push_every=1 if sync_batch is None else None)
     agent.head, agent._need_sync_step = make_blob(26), True
-    agent._sock = RecordingSocket()
     built, framed = [], []
     original_post_init, original_body = ModelBlob.__post_init__, agent_module.model_data_body
 
@@ -1178,10 +1260,11 @@ def test_agent_step_builds_one_blob_and_frames_that_blob(monkeypatch, sync_batch
 
     monkeypatch.setattr(ModelBlob, "__post_init__", counting)
     monkeypatch.setattr(agent_module, "model_data_body", recording)
-    assert agent._train_step()
+    with recording_link() as agent._link:
+        assert agent._train_step()
     assert len(built) == 1 and len(framed) == 1
     assert framed[0] is built[0] is agent.head
-    assert len(agent._sock.writes) == 1
+    assert len(agent._link.sock.writes) == 1
 
 
 @pytest.mark.parametrize("e, classes", [(8, 3), (16, 2)])
@@ -1210,6 +1293,28 @@ def test_agent_rejects_a_global_that_cannot_train_on_its_stream(caplog, e, class
     assert not thread.is_alive()
 
 
+def test_free_run_agent_reconnects_when_its_server_stops_reading():
+    ds = synth_separable(1280, 10, 300, 4.0, 74, val_fraction=0.0)
+    (stream,) = partition(ds, 1, 74)
+    fake = ScriptedServer()
+    with running_agent(fake.address, 3, stream, push_every=1, local_episodes=1) as worker:
+        deaf = fake.accept()
+        deaf.expect(MessageType.HELLO)
+        deaf.sock.sendall(
+            encode_message(Message(MessageType.PUSH_MODEL, 0))
+            + encode_message(Message(MessageType.MODEL_DATA, 0,
+                                     model_data_body(make_blob(74, e=1280, c=10))))
+        )
+        # The server reads nothing more: each push (about 102 KB) stays unread.
+        again = fake.accept()
+        again.expect(MessageType.HELLO)
+        trained = worker.samples_trained
+        assert wait_until(lambda: worker.samples_trained > trained)
+        again.close()
+        deaf.close()
+    fake.close()
+
+
 @pytest.mark.parametrize("kw", [
     {"round_timeout": 0.0}, {"round_timeout": -1.0}, {"round_timeout": float("nan")},
     {"round_timeout": float("inf")}, {"max_rounds": 0},
@@ -1229,7 +1334,6 @@ def test_agent_gives_up_after_bounded_reconnects_but_trains_offline():
     worker = Agent(
         "127.0.0.1", dead_port, 5, stream,
         learning_rate=0.05, local_episodes=1,
-        reconnect_attempts=2, backoff_base=0.2, backoff_max=0.2,
     )
     worker.head = init_head(8, 2, "random", seed=6)  # as if previously installed
     start = time.monotonic()
@@ -1290,3 +1394,50 @@ def test_loopback_rounds_match_offline_simulation():
         assert drift <= 1e-6, f"round {t + 1} drifted by {drift}"
     live_acc = evaluate(server.history[-1].blob, ds.validation_samples())
     assert abs(live_acc - sim.history[-1].val_accuracy) <= 0.1
+
+
+@pytest.mark.parametrize("fault", ["garbage_after_hello", "disconnect_mid_model_data"])
+def test_faulty_peer_leaves_loopback_rounds_equal_to_offline_simulation(fault):
+    rounds, batch = 6, 5
+    ds = synth_separable(8, 2, 90, 4.0, 30, val_fraction=1 / 3)
+    blob0 = make_blob(31)
+    sim = run_training(
+        RoundConfig(num_devices=2, batch_size=batch, local_episodes=2,
+                    learning_rate=0.05, epochs=rounds),
+        partition(ds, 2, 30),
+        ds.validation_samples(),
+        "pretrained",
+        init_blob=blob0,
+    )
+
+    streams = partition(ds, 2, 30)
+    kw = dict(learning_rate=0.05, local_episodes=2, sync_batch=batch)
+    with running_server(blob0, RoundPolicy("count", 2), max_rounds=rounds) as (server, thread):
+        with running_agent(server.address, 0, streams[0], **kw):
+            # Device 0 has pushed; round 1 waits for device 1's push.
+            assert wait_until(lambda: server._updates == 1)
+            rogue = ScriptedPeer.connect(server.address)
+            if fault == "garbage_after_hello":
+                rogue.sock.sendall(encode_message(Message(MessageType.HELLO, 9)) + b"\xff" * 64)
+                rogue.expect_push()
+                rogue.expect(MessageType.ERROR)
+                assert rogue.sock.recv(65536) == b""  # dropped
+            else:
+                rogue.send(Message(MessageType.HELLO, 9))
+                rogue.expect_push()
+                upload = encode_message(Message(MessageType.MODEL_DATA, 9, model_data_body(blob0)))
+                rogue.send(Message(MessageType.PUSH_MODEL, 9))
+                rogue.sock.sendall(upload[: len(upload) // 2])
+            with running_agent(server.address, 1, streams[1], **kw):
+                if fault == "disconnect_mid_model_data":
+                    rogue.expect(MessageType.PULL_MODEL)  # round 1 waits on the rogue
+                    rogue.close()
+                thread.join(30.0)
+                assert not thread.is_alive()
+            rogue.close()
+
+    assert len(server.history) == rounds
+    for t, record in enumerate(server.history):
+        assert record.participants == (0, 1)
+        drift = np.max(np.abs(record.blob.values - sim.round_blobs[t].values))
+        assert drift <= 1e-6, f"round {t + 1} drifted by {drift}"
