@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataExhaustedError, DatasetFormatError
-from .nn import EmbeddingSample, StackedSamples
+from .nn import EmbeddingSample, StackedSamples, check_finite_validation
 
 DATASET_MAGIC = b"FTED"
 _HEADER = struct.Struct("<4sIII")
@@ -81,9 +81,12 @@ class EmbeddingDataset:
         return [self.sample(i) for i in self.validation_indices()]
 
     def stacked_validation(self) -> StackedSamples:
-        """The validation samples, stacked E-major straight from the arrays."""
+        """The validation samples, stacked E-major straight from the arrays and
+        checked finite (ValueError)."""
         i = self.validation_indices()
-        return StackedSamples(self.features[i].astype(np.float64, order="F"), self.labels[i])
+        val = StackedSamples(self.features[i].astype(np.float64, order="F"), self.labels[i])
+        check_finite_validation(val)
+        return val
 
 
 def _record_dtype(dim: int) -> np.dtype:

@@ -19,6 +19,7 @@ from .nn import (
     StackedSamples,
     batch_predict,
     check_classifier,
+    check_finite_validation,
     init_head,
     stack_samples,
     train_batch,
@@ -104,8 +105,11 @@ class RoundConfig:
 def stack_validation(val, embedding_dim: int) -> StackedSamples:
     """Stack a validation set once, checked non-empty and of the model's dim. A
     list stacks E-major, straight into column-major (n, E) float64, so BLAS takes
-    `batch_predict`'s x.T without a transposing pack; a StackedSamples is used as given."""
-    val = stack_samples(val, order="F")
+    `batch_predict`'s x.T without a transposing pack, and is checked finite; a
+    StackedSamples is used as given."""
+    if not isinstance(val, StackedSamples):
+        val = stack_samples(val, order="F")
+        check_finite_validation(val)
     if not val:
         raise ValueError("validation set must be non-empty")
     if val.features.shape[1] != embedding_dim:

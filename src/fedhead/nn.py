@@ -132,6 +132,15 @@ def stack_samples(samples, order: str = "C") -> StackedSamples:
     )
 
 
+def check_finite_validation(val: StackedSamples) -> None:
+    """Raise ValueError unless a newly stacked validation set's features are all
+    finite: `batch_predict` would score a non-finite row as class 0 without a word."""
+    finite = np.isfinite(val.features)
+    if not finite.all():
+        bad = len(val) - np.count_nonzero(finite.all(axis=-1))
+        raise ValueError(f"validation features must be finite; {bad} of {len(val)} samples are not")
+
+
 @dataclass(eq=False)
 class Gradients:
     """Mean loss gradients shaped like the head's (weights, bias), with a

@@ -10,7 +10,9 @@ Seed derivation (stable, relied on for reproducibility): repetition r uses
 rep_seed = base_seed + r, and its data generation, partitioning, and head
 init consume the three children of np.random.SeedSequence([rep_seed]) in
 that order. Repetitions are therefore independent of sweep-value order and
-of which other values appear in the sweep.
+of which other values appear in the sweep, so a sweep runs repetition-major:
+repetition r builds its dataset and stacks its validation set once, runs
+every sweep point on them, and frees them before repetition r + 1 is built.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import data as data_mod
 from .errors import DataExhaustedError
-from .federation import ModelBlob, RoundConfig, RunResult, run_training
+from .federation import ModelBlob, RoundConfig, run_training
 from .nn import INIT_MODES
 
 SWEEP_AXES = ("devices", "batch_size", "local_episodes", "init_mode")
@@ -229,25 +231,25 @@ def make_pretrained_blob(embedding_dim: int, num_classes: int, seed) -> ModelBlo
     return result.final_blob
 
 
-def _run_repetition(
-    round_cfg: RoundConfig,
-    source: SyntheticSpec | data_mod.EmbeddingDataset,
-    init_mode: str,
-    rep_seed: int,
-    pretrained: ModelBlob | None,
-) -> RunResult:
-    root = np.random.SeedSequence([rep_seed])
-    data_ss, part_ss, init_ss = root.spawn(3)
+def _run_repetition(cfg: ExperimentConfig, point_cfgs: list[tuple[RoundConfig, str]],
+                    source: SyntheticSpec | data_mod.EmbeddingDataset, r: int,
+                    pretrained: ModelBlob | None, curves: np.ndarray) -> None:
+    """Run repetition r at every sweep point into curves[point, :, r], the (val,
+    train) accuracy after each round; a point's init mode picks `pretrained` or
+    the init seed. The data is local, so it is freed before the next build."""
+    data_ss, part_ss, init_ss = np.random.SeedSequence([cfg.base_seed + r]).spawn(3)
     dataset = source.build(data_ss) if isinstance(source, SyntheticSpec) else source
-    parts = data_mod.partition(dataset, round_cfg.num_devices, part_ss)
     val = dataset.stacked_validation()
-    if init_mode == "pretrained":
-        return run_training(round_cfg, parts, val, "pretrained", init_blob=pretrained)
-    return run_training(round_cfg, parts, val, init_mode, init_seed=init_ss)
+    for p, (round_cfg, init_mode) in enumerate(point_cfgs):
+        parts = data_mod.partition(dataset, round_cfg.num_devices, part_ss)
+        result = run_training(round_cfg, parts, val, init_mode, init_seed=init_ss,
+                              init_blob=pretrained)
+        curves[p, :, r] = [[rec.val_accuracy for rec in result.history],
+                           [rec.train_accuracy for rec in result.history]]
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
-    """Run every sweep point for `repetitions` seeded repetitions each."""
+    """Run `repetitions` seeded repetitions, each at every sweep point on one build of its data."""
     needs_pretrained = cfg.init_mode == "pretrained" or (
         cfg.sweep_param == "init_mode" and "pretrained" in cfg.sweep_values
     )
@@ -261,17 +263,14 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     pretrained = None
     if needs_pretrained:
         pretrained = make_pretrained_blob(source.embedding_dim, source.num_classes, cfg.base_seed)
+    point_cfgs = [_point_config(cfg, value) for value in cfg.sweep_values]
+    # (point, val/train, repetition, round): each point's (R, T) curves are
+    # laid out as np.asarray of R lists would be, so the stats keep their bits.
+    curves = np.empty((len(point_cfgs), 2, cfg.repetitions, cfg.epochs))
+    for r in range(cfg.repetitions):
+        _run_repetition(cfg, point_cfgs, source, r, pretrained, curves)
     points = []
-    for value in cfg.sweep_values:
-        round_cfg, init_mode = _point_config(cfg, value)
-        val_curves = []
-        train_curves = []
-        for r in range(cfg.repetitions):
-            result = _run_repetition(round_cfg, source, init_mode, cfg.base_seed + r, pretrained)
-            val_curves.append([rec.val_accuracy for rec in result.history])
-            train_curves.append([rec.train_accuracy for rec in result.history])
-        val_arr = np.asarray(val_curves)
-        train_arr = np.asarray(train_curves)
+    for value, (round_cfg, _), (val_arr, train_arr) in zip(cfg.sweep_values, point_cfgs, curves):
         epochs = [
             EpochStats(
                 epoch=t + 1,

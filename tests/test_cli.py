@@ -182,6 +182,25 @@ def test_missing_dataset_file_is_a_runtime_error(capsys):
     assert "fedhead:" in capsys.readouterr().err
 
 
+
+def test_non_finite_validation_features_fail_before_the_first_round(tmp_path, monkeypatch, capsys):
+    import fedhead.federation as fed
+    from fedhead.data import EmbeddingDataset, save_dataset, synth_separable
+
+    ds = synth_separable(16, 2, 400, 4.0, 3)
+    features = ds.features.copy()
+    features[ds.validation_indices()[:10], 3] = np.nan  # training rows stay clean
+    data = tmp_path / "nan-val.ds"
+    save_dataset(EmbeddingDataset("nan-val", features, ds.labels, ds.splits, 2), data)
+    rounds = []
+    monkeypatch.setattr(fed, "federated_round", lambda *a, **kw: rounds.append(a))
+    out = tmp_path / "run.csv"
+    rc = main(["simulate", "--data", str(data), "-N", "2", "-B", "5", "-L", "1", "-T", "20",
+               "-R", "1", "--out", str(out)])
+    assert rc == 2
+    assert "validation features must be finite; 10 of 80 samples" in capsys.readouterr().err
+    assert rounds == [] and not out.exists()
+
 def test_missing_config_file_is_a_runtime_error(capsys):
     assert main(["sweep", "--config", "/nonexistent/exp.cfg"]) == 2
     assert "FileNotFoundError" in capsys.readouterr().err

@@ -226,6 +226,22 @@ def test_a_listed_and_a_stacked_validation_set_score_bitwise_alike(e, c):
         assert evaluate(blob, ds.validation_samples()) == evaluate(blob, ds.stacked_validation())
 
 
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_validation_set_fails_when_stacked(bad):
+    # batch_predict scores a NaN row as class 0, so stacking checks the set once.
+    ds = synth_separable(8, 2, 200, 4.0, 44, val_fraction=0.2)
+    ds.features[ds.validation_indices()[[3, 17]], 5] = bad
+    blob = random_blob(np.random.default_rng(44), 8, 2)
+    for stack in (ds.stacked_validation, lambda: stack_validation(ds.validation_samples(), 8),
+                  lambda: evaluate(blob, ds.validation_samples())):
+        with pytest.raises(ValueError, match="2 of 40 samples"):
+            stack()
+    # A caller's stacked set is scored as given: no check on the per-round pass-through.
+    given = stack_samples(ds.validation_samples(), order="F")
+    assert stack_validation(given, 8) is given
+    assert 0.0 <= evaluate(blob, given) <= 1.0
+
 # -- federated_round --------------------------------------------------------------
 
 

@@ -1324,6 +1324,14 @@ def test_server_rejects_round_limits_that_cannot_work(kw):
         Server("127.0.0.1", 0, make_blob(1), RoundPolicy("count", 1), **kw)
 
 
+
+def test_server_rejects_a_non_finite_validation_set_at_construction():
+    ds = synth_separable(8, 2, 50, 4.0, 9, val_fraction=0.2)
+    validation = ds.validation_samples()
+    validation[4].features[1] = np.inf  # a view of ds.features
+    with pytest.raises(ValueError, match="validation features must be finite"):
+        Server("127.0.0.1", 0, make_blob(1), RoundPolicy("count", 1), validation=validation)
+
 def test_agent_gives_up_after_bounded_reconnects_but_trains_offline():
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))

@@ -5,11 +5,12 @@ import hashlib
 import importlib
 import io
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fedhead.data import partition
+from fedhead.data import partition, save_dataset
 from fedhead.errors import DataExhaustedError
 from fedhead.federation import RoundConfig, run_training
 from fedhead.simulator import (
@@ -135,15 +136,59 @@ def test_sweep_calls_the_patched_names_once_per_use(monkeypatch):
     assert calls["evaluate"] == rounds
 
 
-def test_repetitions_independent_of_sweep_value_list():
-    """Stats for a sweep value do not depend on which other values ran."""
-    lone = run_sweep(small_config(sweep_values=[2]))
-    paired = run_sweep(small_config(sweep_values=[1, 2]))
-    lone_stats = lone.points[0].epochs
-    paired_stats = paired.points[1].epochs
-    for a, b in zip(lone_stats, paired_stats):
-        assert a.val_acc_mean == b.val_acc_mean
-        assert a.val_acc_std == b.val_acc_std
+@pytest.mark.parametrize("axis, lone, sweep", [
+    pytest.param("devices", 2, [1, 2, 3], id="devices"),
+    pytest.param("batch_size", 5, [3, 5], id="batch_size"),
+    pytest.param("local_episodes", 2, [3, 1, 2], id="local_episodes"),
+    pytest.param("init_mode", "random", ["pretrained", "random"], id="init_mode-random"),
+    pytest.param("init_mode", "pretrained", ["pretrained", "random"], id="init_mode-pretrained"),
+    pytest.param("dataset file", 2, [1, 2, 3], id="dataset-file"),
+])
+def test_repetitions_independent_of_sweep_value_list(tmp_path, axis, lone, sweep):
+    """A swept point's stats equal the same point run alone, bit for bit."""
+    overrides = {"sweep_param": axis, "repetitions": 3}
+    if axis == "dataset file":
+        path = tmp_path / "task.ds"
+        save_dataset(SMALL_SPEC.build(7), path)
+        overrides.update(sweep_param="devices", dataset=str(path))
+    alone = run_sweep(small_config(sweep_values=[lone], **overrides)).points[0].epochs
+    swept = run_sweep(small_config(sweep_values=sweep, **overrides)).points[sweep.index(lone)]
+    assert swept.sweep_value == lone
+    for a, b in zip(alone, swept.epochs, strict=True):
+        assert (a.val_acc_mean, a.val_acc_std, a.train_acc_mean, a.train_acc_std) == (
+            b.val_acc_mean, b.val_acc_std, b.train_acc_mean, b.train_acc_std)
+
+
+def test_sweep_builds_each_repetitions_data_once(monkeypatch):
+    import fedhead.data as data_mod
+
+    builds, stacks = [], []
+    build, stack = SyntheticSpec.build, data_mod.EmbeddingDataset.stacked_validation
+    monkeypatch.setattr(SyntheticSpec, "build",
+                        lambda self, seed: builds.append(seed) or build(self, seed))
+    monkeypatch.setattr(data_mod.EmbeddingDataset, "stacked_validation",
+                        lambda self: stacks.append(self) or stack(self))
+    run_sweep(small_config(sweep_values=[1, 2, 3], repetitions=2, epochs=2))
+    assert len(builds) == len(stacks) == 2
+
+
+def test_sweep_holds_one_repetitions_data_at_a_time():
+    # A sweep that kept every repetition's data, or the last one while the
+    # next is built, would peak at twice this or more.
+    cfg = dataclasses.replace(default_presets()["fig2"], sweep_values=[1, 2, 4],
+                              repetitions=3, epochs=5)
+    ds = cfg.dataset.build(0)
+    val = ds.stacked_validation()
+    one_repetition = (ds.features.nbytes + ds.labels.nbytes + ds.splits.nbytes
+                      + val.features.nbytes + val.labels.nbytes)
+    del ds, val
+    tracemalloc.start()
+    try:
+        run_sweep(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * one_repetition
 
 
 def test_examples_seen_uses_the_point_device_count():
