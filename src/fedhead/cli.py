@@ -46,6 +46,11 @@ def _log_config(command: str, resolved: dict) -> None:
     log.info("resolved config: %s", json.dumps({"command": command, **resolved}, default=str))
 
 
+def _log_flags(args) -> None:
+    """Log the subcommand's parsed flags, in definition order, as its resolved config."""
+    _log_config(args.command, {k: v for k, v in vars(args).items() if k not in ("command", "func")})
+
+
 # -- dataset helpers -----------------------------------------------------------
 
 
@@ -121,12 +126,13 @@ def _print_sweep_summary(result: simulator.SweepResult) -> None:
 def _run_sweep(command: str, cfg: simulator.ExperimentConfig) -> simulator.SweepResult:
     """Log the resolved config, run the sweep and print its summary.
 
-    A synthetic task too small for a sweep point is a usage error, found
-    before the log line; a dataset file's size is checked once it is read.
+    A synthetic task too small for a sweep point, or with no validation
+    sample, is a usage error, found before the log line; a dataset file's
+    sizes are checked once it is read.
     """
     if isinstance(cfg.dataset, simulator.SyntheticSpec):
         try:
-            simulator.check_data_need(cfg, cfg.dataset.train_count)
+            simulator.check_data_need(cfg, *cfg.dataset.split_counts)
         except DataExhaustedError as exc:
             raise _UsageError(str(exc)) from None
     _log_config(command, dataclasses.asdict(cfg))
@@ -162,7 +168,7 @@ def _cmd_gradcheck(args) -> int:
         raise _UsageError(str(exc)) from None
     if not (np.isfinite(args.tol) and args.tol >= 0):
         raise _UsageError(f"--tol must be finite and >= 0, got {args.tol}")
-    _log_config("gradcheck", {**settings, "tol": args.tol})
+    _log_flags(args)
     worst = gradient_check(**settings)
     print(f"max relative error over {args.trials} trials: {worst:.3e}")
     if not worst <= args.tol:  # a NaN error fails
@@ -191,12 +197,10 @@ def _cmd_serve(args) -> int:
                 f"{args.dim}; it has {dataset.num_classes} classes, --classes is {args.classes}"
             )
         validation = dataset.stacked_validation()
+        if not validation:
+            raise _UsageError(f"--data {args.data} has no validation samples to score rounds on")
     blob = init_head(args.dim, args.classes, args.init, seed=args.seed)
-    _log_config("serve", {
-        "listen": args.listen, "policy": args.policy, "dim": args.dim,
-        "classes": args.classes, "init": args.init, "seed": args.seed,
-        "rounds": args.rounds, "timeout": args.timeout, "data": args.data,
-    })
+    _log_flags(args)
     server = Server(endpoint[0], endpoint[1], blob, policy, validation=validation,
                     round_timeout=args.timeout, max_rounds=args.rounds)
     try:
@@ -226,12 +230,7 @@ def _cmd_agent(args) -> int:
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    _log_config("agent", {
-        "connect": args.connect, "device_id": args.device_id, "data": args.data,
-        "num_devices": args.num_devices, "partition_seed": args.partition_seed,
-        "lr": args.lr, "episodes": args.episodes,
-        "sync_batch": args.sync_batch, "push_every": args.push_every,
-    })
+    _log_flags(args)
     try:
         worker.run()
     except KeyboardInterrupt:

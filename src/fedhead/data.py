@@ -39,7 +39,6 @@ class EmbeddingDataset:
     save/load round trip is lossless. Training code widens to float64 on use.
     """
 
-    name: str
     features: np.ndarray  # (n, E) float32
     labels: np.ndarray  # (n,) int64
     splits: np.ndarray  # (n,) uint8
@@ -78,6 +77,10 @@ class EmbeddingDataset:
         return np.flatnonzero(self.splits == SPLIT_VALIDATION)
 
     def validation_samples(self) -> list[EmbeddingSample]:
+        """The validation samples as an EmbeddingSample list: the list API, for
+        callers that want samples (acceptance 2, 9 and 10, perfbench's
+        `server_proc` and live reference run). `stacked_validation` is the
+        fast path that training and the server score with."""
         return [self.sample(i) for i in self.validation_indices()]
 
     def stacked_validation(self) -> StackedSamples:
@@ -107,7 +110,7 @@ def save_dataset(dataset: EmbeddingDataset, path) -> None:
         records.tofile(fh)
 
 
-def load_dataset(path, name: str | None = None) -> EmbeddingDataset:
+def load_dataset(path) -> EmbeddingDataset:
     """Read and validate a dataset file; errors carry the failing record/offset.
 
     The records are read straight into one array and the features stay a
@@ -142,7 +145,6 @@ def load_dataset(path, name: str | None = None) -> EmbeddingDataset:
         )
         raise DatasetFormatError(f"record {i} (offset {_HEADER.size + i * record.itemsize}): {problem}")
     return EmbeddingDataset(
-        name=name if name is not None else str(path),
         features=records["features"],
         labels=records["label"].astype(np.int64),
         splits=records["split"].copy(),
@@ -161,7 +163,7 @@ class DeviceStream:
     device_id: int
     dataset: EmbeddingDataset
     indices: np.ndarray
-    cursor: int = field(default=0)
+    cursor: int = field(default=0, init=False)
 
     def remaining(self) -> int:
         return len(self.indices) - self.cursor
@@ -184,7 +186,9 @@ class DeviceStream:
         return chosen
 
     def take(self, count: int) -> list[EmbeddingSample]:
-        """The next `count` unseen samples as an EmbeddingSample list."""
+        """The next `count` unseen samples as an EmbeddingSample list: the list
+        API, used by the agent's train step, acceptance 2 and 5 and perfbench's
+        `ProbeStream`. `take_into` is the fast path that rounds train from."""
         return [self.dataset.sample(int(i)) for i in self._consume(count)]
 
     def take_into(self, features: np.ndarray, labels: np.ndarray) -> None:
@@ -219,14 +223,6 @@ def partition(dataset: EmbeddingDataset, num_devices: int, seed=None) -> list[De
         stop = start + base if d < num_devices - 1 else len(order)
         streams.append(DeviceStream(device_id=d, dataset=dataset, indices=order[start:stop]))
     return streams
-
-
-def _class_centroids(dim: int, num_classes: int, margin: float, rng) -> np.ndarray:
-    # Orthonormal directions scaled so every centroid pair sits exactly
-    # `margin` apart: |a*q_i - a*q_j| = a*sqrt(2) with a = margin/sqrt(2).
-    gauss = rng.standard_normal((dim, num_classes))
-    q, _ = np.linalg.qr(gauss)
-    return (q * (margin / np.sqrt(2.0))).T  # (C, dim)
 
 
 # Noise values drawn per block by the synthetic generators: the float64
@@ -280,77 +276,44 @@ def validation_count(n: int, val_fraction: float) -> int:
     return int(round(n * val_fraction))
 
 
-def _assemble(name, features, labels, num_classes, val_fraction):
-    n = features.shape[0]
-    val_count = validation_count(n, val_fraction)
-    splits = np.full(n, SPLIT_TRAIN, dtype=np.uint8)
-    if val_count:
-        splits[n - val_count :] = SPLIT_VALIDATION
-    return EmbeddingDataset(
-        name=name,
-        features=features.astype(np.float32, copy=False),
-        labels=labels,
-        splits=splits,
-        num_classes=num_classes,
-    )
+def _synth_clusters(embedding_dim: int, num_classes: int, n: int, margin: float, seed,
+                    val_fraction: float, active_dims: int | None = None) -> EmbeddingDataset:
+    """Gaussian class clusters: centroids `margin` apart, isotropic noise with
+    sigma = margin/6, balanced interleaved labels, and the last
+    round(n * val_fraction) samples tagged validation.
 
-
-def synth_separable(
-    embedding_dim: int,
-    num_classes: int,
-    n: int,
-    margin: float,
-    seed=None,
-    *,
-    val_fraction: float = 0.2,
-    name: str | None = None,
-) -> EmbeddingDataset:
-    """Linearly separable clusters: class centroids `margin` apart, isotropic
-    Gaussian noise with sigma = margin/6, balanced interleaved labels.
-
-    The last round(n * val_fraction) samples are tagged validation.
-    """
-    check_synth_task(embedding_dim, num_classes, n, margin, val_fraction)
-    rng = np.random.default_rng(seed)
-    centroids = _class_centroids(embedding_dim, num_classes, margin, rng)
-    labels = np.arange(n, dtype=np.int64) % num_classes
-    features = np.empty((n, embedding_dim), dtype=np.float32)
-    _fill_clusters(features, slice(None), centroids, labels, margin / 6.0, rng)
-    return _assemble(
-        name or f"synthetic-separable-E{embedding_dim}-C{num_classes}",
-        features,
-        labels,
-        num_classes,
-        val_fraction,
-    )
-
-
-def synth_sparse(
-    embedding_dim: int,
-    active_dims: int,
-    num_classes: int,
-    n: int,
-    seed=None,
-    *,
-    margin: float = 4.0,
-    val_fraction: float = 0.2,
-    name: str | None = None,
-) -> EmbeddingDataset:
-    """Sparse-extractor pathology: a fixed seeded subset of `active_dims`
-    dimensions carries class signal; the other E-k dimensions are exactly
-    zero in every sample.
+    `active_dims` None spreads the signal over all E dims (the separable task);
+    otherwise a seeded subset of that many dims, drawn first, carries it and
+    every other dim is exactly zero (the sparse task).
     """
     check_synth_task(embedding_dim, num_classes, n, margin, val_fraction, active_dims)
     rng = np.random.default_rng(seed)
-    dims = np.sort(rng.choice(embedding_dim, size=active_dims, replace=False))
-    centroids = _class_centroids(active_dims, num_classes, margin, rng)
+    if active_dims is None:  # every value is written by _fill_clusters
+        cols, features = slice(None), np.empty((n, embedding_dim), dtype=np.float32)
+    else:
+        cols = np.sort(rng.choice(embedding_dim, size=active_dims, replace=False))
+        features = np.zeros((n, embedding_dim), dtype=np.float32)
+    # Orthonormal directions scaled so every centroid pair sits exactly
+    # `margin` apart: |a*q_i - a*q_j| = a*sqrt(2) with a = margin/sqrt(2).
+    q, _ = np.linalg.qr(rng.standard_normal((active_dims or embedding_dim, num_classes)))
+    centroids = (q * (margin / np.sqrt(2.0))).T  # (C, width)
     labels = np.arange(n, dtype=np.int64) % num_classes
-    features = np.zeros((n, embedding_dim), dtype=np.float32)
-    _fill_clusters(features, dims, centroids, labels, margin / 6.0, rng)
-    return _assemble(
-        name or f"synthetic-sparse-E{embedding_dim}-k{active_dims}-C{num_classes}",
-        features,
-        labels,
-        num_classes,
-        val_fraction,
-    )
+    _fill_clusters(features, cols, centroids, labels, margin / 6.0, rng)
+    splits = np.full(n, SPLIT_TRAIN, dtype=np.uint8)
+    splits[n - validation_count(n, val_fraction) :] = SPLIT_VALIDATION
+    return EmbeddingDataset(features, labels, splits, num_classes)
+
+
+def synth_separable(embedding_dim: int, num_classes: int, n: int, margin: float, seed=None,
+                    *, val_fraction: float = 0.2) -> EmbeddingDataset:
+    """Linearly separable clusters whose signal spans all E dims (see _synth_clusters)."""
+    return _synth_clusters(embedding_dim, num_classes, n, margin, seed, val_fraction)
+
+
+def synth_sparse(embedding_dim: int, active_dims: int, num_classes: int, n: int, seed=None,
+                 *, margin: float = 4.0, val_fraction: float = 0.2) -> EmbeddingDataset:
+    """Sparse-extractor pathology: a fixed seeded subset of `active_dims`
+    dimensions carries class signal; the other E-k dimensions are exactly
+    zero in every sample (see _synth_clusters).
+    """
+    return _synth_clusters(embedding_dim, num_classes, n, margin, seed, val_fraction, active_dims)

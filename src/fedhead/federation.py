@@ -37,6 +37,8 @@ class StackedBlobs:
     num_classes: int
 
     def __getitem__(self, i: int) -> ModelBlob:
+        """Reached through `blobs[0]` by perfbench's patched `average_blobs` in
+        test_sim_gate_rejects_a_federation_that_keeps_one_device."""
         return ModelBlob(self.values[i], self.embedding_dim, self.num_classes)
 
 

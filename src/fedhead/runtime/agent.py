@@ -68,6 +68,8 @@ class Agent:
             raise ValueError(f"sync_batch must be >= 1, got {sync_batch}")
         if push_every is not None and push_every < 1:
             raise ValueError(f"push_every must be >= 1, got {push_every}")
+        if sync_batch is not None and push_every is not None:
+            raise ValueError("push_every is for free-run mode; a sync_batch step pushes every step")
         if not 0 <= device_id <= MAX_DEVICE_ID:
             raise ValueError(f"device_id must be in [0, {MAX_DEVICE_ID}], got {device_id}")
         check_sgd_settings(learning_rate, local_episodes)

@@ -55,8 +55,10 @@ class SyntheticSpec:
                                   self.sparse_dims if self.kind == "sparse" else None)
 
     @property
-    def train_count(self) -> int:
-        return self.samples - data_mod.validation_count(self.samples, self.val_fraction)
+    def split_counts(self) -> tuple[int, int]:
+        """The (train, validation) sample counts of every build."""
+        val_count = data_mod.validation_count(self.samples, self.val_fraction)
+        return self.samples - val_count, val_count
 
     def build(self, seed) -> data_mod.EmbeddingDataset:
         if self.kind == "separable":
@@ -194,11 +196,12 @@ def _point_config(cfg: ExperimentConfig, value) -> tuple[RoundConfig, str]:
                        cfg.learning_rate, cfg.epochs), point["init_mode"]
 
 
-def check_data_need(cfg: ExperimentConfig, train_count: int) -> None:
+def check_data_need(cfg: ExperimentConfig, train_count: int, val_count: int) -> None:
     """Raise DataExhaustedError, naming the sweep point, unless every point's
     devices can each draw batch_size x epochs unseen samples from a training
     split of `train_count` samples, of which `partition` gives each device at
-    least train_count // devices."""
+    least train_count // devices; then raise it unless the `val_count`
+    validation samples that score every round are at least one."""
     for value in cfg.sweep_values:
         round_cfg, _ = _point_config(cfg, value)
         devices, needed = round_cfg.num_devices, round_cfg.batch_size * round_cfg.epochs
@@ -209,6 +212,8 @@ def check_data_need(cfg: ExperimentConfig, train_count: int) -> None:
                 f"{train_count} training samples across {devices} devices leave "
                 f"{train_count // devices}"
             )
+    if val_count < 1:
+        raise DataExhaustedError("the dataset has no validation samples to score each round on")
 
 
 def make_pretrained_blob(embedding_dim: int, num_classes: int, seed) -> ModelBlob:
@@ -256,10 +261,10 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     # A file dataset is the same for every repetition, so it is read once.
     source = cfg.dataset
     if isinstance(source, SyntheticSpec):
-        check_data_need(cfg, source.train_count)
+        check_data_need(cfg, *source.split_counts)
     else:
         source = data_mod.load_dataset(source)
-        check_data_need(cfg, len(source.train_indices()))
+        check_data_need(cfg, len(source.train_indices()), len(source.validation_indices()))
     pretrained = None
     if needs_pretrained:
         pretrained = make_pretrained_blob(source.embedding_dim, source.num_classes, cfg.base_seed)

@@ -191,7 +191,7 @@ def test_non_finite_validation_features_fail_before_the_first_round(tmp_path, mo
     features = ds.features.copy()
     features[ds.validation_indices()[:10], 3] = np.nan  # training rows stay clean
     data = tmp_path / "nan-val.ds"
-    save_dataset(EmbeddingDataset("nan-val", features, ds.labels, ds.splits, 2), data)
+    save_dataset(EmbeddingDataset(features, ds.labels, ds.splits, 2), data)
     rounds = []
     monkeypatch.setattr(fed, "federated_round", lambda *a, **kw: rounds.append(a))
     out = tmp_path / "run.csv"
@@ -224,6 +224,8 @@ IMPOSSIBLE_CONFIGS = [
     ["simulate", "--kind", "sparse", "--dim", "8", "--sparse-dims", "40"],
     ["simulate", "--init", "pretrained", "--val-fraction", "1.0"],
     ["sweep", "--dim", "8", "--samples", "300", "--values", "1,2,40", "-R", "1"],
+    ["simulate", "--val-fraction", "0"],
+    ["simulate", "--samples", "1000", "--val-fraction", "0.0004"],
 ]
 
 
@@ -393,7 +395,7 @@ def logged_commands(caplog):
 
 @pytest.mark.parametrize("flags", [
     ("--episodes", "0"), ("--lr", "-0.1"), ("--lr", "nan"), ("--sync-batch", "0"),
-    ("--push-every", "0"),
+    ("--push-every", "0"), ("--sync-batch", "4", "--push-every", "10"),
 ])
 def test_agent_training_settings_that_cannot_work_are_usage_errors(tmp_path, caplog, capsys, flags):
     # Rejected before the agent connects: nothing listens on port 1.
@@ -490,6 +492,59 @@ def test_serve_rejects_validation_data_with_more_classes_than_the_model(tmp_path
     assert main(["gen-data", *TINY, "--classes", "3", "--seed", "3", "--out", str(data)]) == 0
     assert serve_at_startup("--dim", "8", "--classes", "2", "--data", str(data)) == 1
     assert "3 classes, --classes is 2" in capsys.readouterr().err
+
+
+def test_serve_rejects_validation_data_with_no_validation_samples(tmp_path, capsys):
+    # The server would otherwise score no round at all.
+    data = tmp_path / "toy.ds"
+    assert main(["gen-data", *TINY, "--val-fraction", "0", "--out", str(data)]) == 0
+    assert serve_at_startup("--dim", "8", "--classes", "2", "--data", str(data)) == 1
+    assert "has no validation samples" in capsys.readouterr().err
+
+
+def test_a_data_file_with_no_validation_samples_fails_after_its_one_read(tmp_path, monkeypatch,
+                                                                         capsys):
+    import fedhead.data as data_mod
+
+    data = tmp_path / "toy.ds"
+    assert main(["gen-data", *TINY, "--val-fraction", "0", "--out", str(data)]) == 0
+    reads, calls = [], []
+    load, run_training = data_mod.load_dataset, simulator.run_training
+    monkeypatch.setattr(data_mod, "load_dataset", lambda *a: reads.append(a) or load(*a))
+    monkeypatch.setattr(simulator, "run_training",
+                        lambda *a, **kw: calls.append(a) or run_training(*a, **kw))
+    out = tmp_path / "run.csv"
+    assert main(["simulate", "--data", str(data), "-T", "2", "-R", "1", "--out", str(out)]) == 2
+    assert "no validation samples" in capsys.readouterr().err
+    assert len(reads) == 1 and calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["serve", "agent", "gradcheck"])
+def test_every_flag_of_a_runtime_command_is_logged(command, tmp_path, monkeypatch, caplog):
+    class Idle:  # stands in for the Server or the Agent: built, then done at once
+        history, address, samples_trained, installs = [], ("127.0.0.1", 0), 0, 0
+
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def run(self):
+            pass
+
+    monkeypatch.setattr(cli, "Server", Idle)
+    monkeypatch.setattr(cli, "Agent", Idle)
+    data = tmp_path / "toy.ds"
+    assert main(["gen-data", *TINY, "--out", str(data)]) == 0
+    argv = {"serve": ["serve", "--dim", "8", "--data", str(data)],
+            "agent": ["agent", "--device-id", "0", "--data", str(data)],
+            "gradcheck": ["gradcheck", "--trials", "1"]}[command]
+    caplog.set_level(logging.INFO, logger="fedhead.cli")
+    assert main(argv) == 0
+    payloads = [json.loads(r.getMessage().split("resolved config: ", 1)[1])
+                for r in caplog.records if "resolved config" in r.getMessage()]
+    payload = next(p for p in payloads if p["command"] == command)
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = [a.dest for a in sub.choices[command]._actions if a.dest != "help"]
+    assert list(payload) == ["command", *flags]
 
 
 def test_resolved_config_is_logged(tmp_path, caplog):

@@ -328,6 +328,18 @@ def one_shot_clusters(rng, dim, num_classes, n, margin):
     return labels, centroids[labels] + margin / 6.0 * rng.standard_normal((n, dim))
 
 
+def assert_last_rows_are_validation(build, n, features):
+    """build(val_fraction) tags exactly its last round(n * val_fraction) rows
+    validation, for no split, the default and a fraction that rounds, and
+    draws the same features whatever the fraction."""
+    for val_fraction in (0.0, 0.2, 0.37):
+        ds = build(val_fraction)
+        val = round(n * val_fraction)
+        want = np.r_[np.full(n - val, SPLIT_TRAIN), np.full(val, SPLIT_VALIDATION)]
+        assert ds.splits.dtype == np.uint8 and np.array_equal(ds.splits, want)
+        assert ds.features.tobytes() == features.tobytes()
+
+
 @pytest.mark.parametrize("dim,classes,n", [
     (16, 2, 20000), (16, 3, 1001), (1280, 2, 1001), (5, 5, 7), (4, 2, 0),
 ])
@@ -337,6 +349,8 @@ def test_separable_blocks_match_the_one_shot_formula(dim, classes, n):
     assert ds.features.dtype == np.float32
     assert ds.features.tobytes() == dense.astype(np.float32).tobytes()
     assert np.array_equal(ds.labels, labels)
+    assert_last_rows_are_validation(
+        lambda vf: synth_separable(dim, classes, n, 3.0, 19, val_fraction=vf), n, ds.features)
 
 
 @pytest.mark.parametrize("dim,active,classes,n", [(300, 200, 3, 1001), (16, 4, 2, 9), (8, 2, 2, 0)])
@@ -349,6 +363,8 @@ def test_sparse_blocks_match_the_one_shot_formula(dim, active, classes, n):
     ds = synth_sparse(dim, active, classes, n, 20)
     assert ds.features.tobytes() == features.astype(np.float32).tobytes()
     assert np.array_equal(ds.labels, labels)
+    assert_last_rows_are_validation(
+        lambda vf: synth_sparse(dim, active, classes, n, 20, val_fraction=vf), n, ds.features)
 
 
 def test_synth_holds_about_one_copy_of_its_features():
@@ -398,22 +414,22 @@ def test_sparse_k_bounds():
 def test_dataset_invariants_enforced():
     feats = np.zeros((3, 4), dtype=np.float32)
     with pytest.raises(ValueError):
-        EmbeddingDataset("x", feats, np.array([0, 1, 2]), np.zeros(3, np.uint8), 2)
+        EmbeddingDataset(feats, np.array([0, 1, 2]), np.zeros(3, np.uint8), 2)
     with pytest.raises(ValueError):
-        EmbeddingDataset("x", feats, np.array([0, 1, 0]), np.full(3, 5, np.uint8), 2)
+        EmbeddingDataset(feats, np.array([0, 1, 0]), np.full(3, 5, np.uint8), 2)
 
 
 @pytest.mark.parametrize("tag", [2, 255])
 def test_dataset_rejects_a_split_tag_past_validation(tag):
     feats = np.zeros((3, 4), dtype=np.float32)
     labels = np.array([0, 1, 0])
-    EmbeddingDataset("x", feats, labels, np.array([SPLIT_TRAIN, SPLIT_VALIDATION, 0], np.uint8), 2)
+    EmbeddingDataset(feats, labels, np.array([SPLIT_TRAIN, SPLIT_VALIDATION, 0], np.uint8), 2)
     with pytest.raises(DatasetFormatError, match=r"split tags must be 0 \(train\) or 1"):
-        EmbeddingDataset("x", feats, labels, np.array([0, tag, 1], np.uint8), 2)
+        EmbeddingDataset(feats, labels, np.array([0, tag, 1], np.uint8), 2)
 
 
 def test_save_rejects_labels_beyond_byte_range(tmp_path):
     feats = np.zeros((2, 3), dtype=np.float32)
-    ds = EmbeddingDataset("x", feats, np.array([0, 299]), np.zeros(2, np.uint8), 300)
+    ds = EmbeddingDataset(feats, np.array([0, 299]), np.zeros(2, np.uint8), 300)
     with pytest.raises(ValueError):
         save_dataset(ds, tmp_path / "wide.ds")

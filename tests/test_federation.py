@@ -219,7 +219,7 @@ def test_evaluate_scores_a_passed_set_as_given():
 @pytest.mark.parametrize("c", [2, 3, 10])
 def test_a_listed_and_a_stacked_validation_set_score_bitwise_alike(e, c):
     rng = np.random.default_rng(e * c)
-    ds = EmbeddingDataset("mixed", rng.normal(size=(400, e)), rng.integers(0, c, size=400),
+    ds = EmbeddingDataset(rng.normal(size=(400, e)), rng.integers(0, c, size=400),
                           rng.integers(0, 2, size=400), c)
     for _ in range(3):
         blob = random_blob(rng, e, c)

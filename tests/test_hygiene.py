@@ -1,0 +1,63 @@
+"""Source hygiene, checked with the standard library's `ast`: no module under
+src/ keeps an import it does not use or a private module-level name that
+nothing in it references, so a refactor cannot leave either behind."""
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+MODULES = sorted(SRC.rglob("*.py"))
+
+
+def parse(path):
+    text = path.read_text()
+    return text.splitlines(), ast.parse(text, str(path))
+
+
+def loaded_names(tree) -> set[str]:
+    """Every name the module reads, the roots of attribute chains included."""
+    return {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+
+
+def exported_names(tree) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_every_import_is_used_exported_or_marked(path):
+    # A `# noqa: F401` import is kept on purpose, for example as a name that
+    # perfbench patches.
+    lines, tree = parse(path)
+    used = loaded_names(tree) | exported_names(tree)
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+            isinstance(node, ast.ImportFrom) and node.module == "__future__"
+        ):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                unused.append(f"line {alias.lineno}: {bound}")
+    assert unused == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_every_private_module_level_name_is_referenced(path):
+    _, tree = parse(path)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    assert sorted(private - loaded_names(tree)) == []

@@ -1361,7 +1361,7 @@ def test_agent_validates_mode_arguments():
     # The training settings follow train_batch's own rules.
     for kw in ({"sync_batch": 0}, {"push_every": 0}, {"local_episodes": 0},
                {"learning_rate": -0.1}, {"learning_rate": float("nan")},
-               {"learning_rate": float("inf")}):
+               {"learning_rate": float("inf")}, {"sync_batch": 4, "push_every": 10}):
         with pytest.raises(ValueError):
             Agent("h", 1, 0, make_stream(4), **kw)
 
