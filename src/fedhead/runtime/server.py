@@ -1,11 +1,20 @@
 """Global-model server: registers device agents, runs aggregation rounds.
 
-Single-threaded selector loop. A round is triggered by policy (every K
-device pushes, or a timer), then proceeds: take each live registered
-device's contribution, average the contributions in device-id order,
-install the mean as the new global, and push it back to everyone. Only
-then is the new global scored on the validation set and the round logged,
-so the server scores while the devices train on it.
+`Rounds` is the round protocol, with no socket and no clock: it takes each
+message, closed connection and clock tick, and queues the sends (one write
+each) and the connections to drop. `Server` is its I/O shell, a
+single-threaded selector loop over the listener and one `Link` per
+connection: it carries out that queue after every message and tick, drops a
+connection whose send fails, and scores each finished round.
+
+A round is triggered by policy (every K device pushes, or a timer), then
+proceeds: take each live registered device's contribution, average the
+contributions in device-id order, install the mean as the new global, and
+push it back to everyone. Only then is the new global scored on the
+validation set and the round logged, so the server scores while the devices
+train on it. A connection keeps the device id of its first HELLO: a HELLO
+naming another id gets ERROR UNEXPECTED_MESSAGE, and one naming an id that
+another connection holds replaces that connection.
 
 A device's contribution is its latest validated push made after it ACKed
 the current global, so a sync agent uploads its model once per round. Live
@@ -28,7 +37,8 @@ import selectors
 import socket
 import time
 import zlib
-from dataclasses import dataclass, field
+from collections.abc import Hashable
+from dataclasses import dataclass
 
 from ..errors import ProtocolError, ShapeError, WireError
 from ..federation import ModelBlob, average_blobs, evaluate, stack_validation
@@ -94,33 +104,212 @@ class RoundRecord:
     val_accuracy: float | None = None
 
 
-class _Conn(Link):
-    def __init__(self, sock: socket.socket, addr, sel: selectors.BaseSelector, max_body: int) -> None:
-        super().__init__(sock, sel, MessageBuffer(max_body))
-        self.addr = addr
-        self.device_id: int | None = None
-        self.stale = False
-        self.announced = False  # the previous message was PUSH_MODEL
-        self.pulls = 0  # PULL_MODELs not yet answered by MODEL_DATA or ERROR NO_MODEL
-        # Globals pushed and not yet ACKed. A counter, not a flag, so that a
-        # late ACK of an older global does not vouch for a push trained on it.
-        self.unacked = 0
-        # Latest push validated with no global unacked: the next contribution.
-        self.pushed: ModelBlob | None = None
+@dataclass(eq=False)
+class _Peer:
+    """What the round protocol knows of one connection."""
+
+    device_id: int | None = None
+    stale: bool = False
+    announced: bool = False  # the previous message was PUSH_MODEL
+    pulls: int = 0  # PULL_MODELs not yet answered by MODEL_DATA or ERROR NO_MODEL
+    # Globals pushed and not yet ACKed. A counter, not a flag, so that a
+    # late ACK of an older global does not vouch for a push trained on it.
+    unacked: int = 0
+    # Latest push validated with no global unacked: the next contribution.
+    pushed: ModelBlob | None = None
 
 
-class _PendingRound:
-    def __init__(self, expected: set[int], deadline: float) -> None:
-        self.expected = expected
-        self.blobs: dict[int, ModelBlob] = {}
-        self.deadline = deadline
+class Rounds:
+    """The round protocol, driven by `receive`, `disconnect` and `tick(now)`. A
+    connection is any hashable key. `output()` takes what is to be done: the
+    sends, as (connection, messages) pairs of one write each, and the
+    connections to drop. `tick` returns the round it finished, unscored.
+    `global_body` is the current global's MODEL_DATA body."""
 
-    def complete(self) -> bool:
-        return self.expected <= set(self.blobs)
+    def __init__(self, initial_blob: ModelBlob, policy: RoundPolicy, round_timeout: float,
+                 now: float) -> None:
+        self.policy = policy
+        self.round_timeout = round_timeout
+        self.history: list[RoundRecord] = []
+        self._shape = (initial_blob.embedding_dim, initial_blob.num_classes)
+        self._install(initial_blob)
+        self._peers: dict[Hashable, _Peer] = {}
+        self._devices: dict[int, Hashable] = {}  # registered device id -> its connection
+        # The pending round (None between rounds): whom it waits on, what it has, when it closes.
+        self._expected: set[int] | None = None
+        self._collected: dict[int, ModelBlob] = {}
+        self._deadline = now
+        self._updates = 0
+        self._last_round = now
+        self._sends: list[tuple[Hashable, tuple[Message, ...]]] = []
+        self._drops: list[Hashable] = []
+
+    def output(self) -> tuple[list[tuple[Hashable, tuple[Message, ...]]], list[Hashable]]:
+        out = self._sends, self._drops
+        self._sends, self._drops = [], []
+        return out
+
+    def _send(self, conn: Hashable, *msgs: Message) -> None:
+        self._sends.append((conn, msgs))
+
+    def disconnect(self, conn: Hashable) -> None:
+        """Forget a closed connection; one that is unknown or already forgotten is ignored."""
+        peer = self._peers.pop(conn, None)
+        if peer is None or peer.device_id is None:
+            return
+        del self._devices[peer.device_id]
+        log.info("device %d disconnected", peer.device_id)
+        if self._expected is not None:
+            self._expected.discard(peer.device_id)
+
+    def receive(self, conn: Hashable, msg: Message) -> None:
+        peer = self._peers.setdefault(conn, _Peer())
+        if peer.stale:
+            peer.stale = False
+            log.info("device %s is live again", peer.device_id)
+        # The agent writes PUSH_MODEL and its MODEL_DATA in one write, so a
+        # MODEL_DATA that does not directly follow one answers a pull.
+        announced, peer.announced = peer.announced, msg.type is MessageType.PUSH_MODEL
+        if msg.type is MessageType.HELLO:
+            self._register(conn, peer, msg.device_id)
+        elif msg.type is MessageType.PUSH_MODEL:
+            pass
+        elif msg.type is MessageType.MODEL_DATA:
+            self._on_model_data(conn, peer, msg, announced)
+        elif msg.type is MessageType.ACK:
+            peer.unacked = max(0, peer.unacked - 1)
+            if msg.body == STATUS_DATA_EXHAUSTED:
+                log.info("device %s reports data exhausted", peer.device_id)
+        elif msg.type is MessageType.ERROR:
+            log.warning("device %s sent ERROR: %s", peer.device_id, msg.body.decode(errors="replace"))
+            if msg.body == b"NO_MODEL" and peer.pulls:
+                # The device answered a pull with an error, not a model.
+                peer.pulls -= 1
+                if self._expected is not None:
+                    self._expected.discard(peer.device_id)
+        else:  # PULL_MODEL has no meaning in the device->server direction
+            log.warning("unexpected %s from device %s", msg.type.name, peer.device_id)
+            self._send(conn, Message(MessageType.ERROR, 0, b"UNEXPECTED_MESSAGE"))
+
+    def _register(self, conn: Hashable, peer: _Peer, device_id: int) -> None:
+        if peer.device_id not in (None, device_id):
+            # Under a second id, the connection would hold the first one after it closes.
+            log.warning("device %d sent HELLO as device %d; it keeps its first id",
+                        peer.device_id, device_id)
+            self._send(conn, Message(MessageType.ERROR, 0, b"UNEXPECTED_MESSAGE"))
+            return
+        old = self._devices.get(device_id)
+        if old is not None and old != conn:
+            log.warning("device %d re-registered; dropping old connection", device_id)
+            self.disconnect(old)
+            self._drops.append(old)
+        peer.device_id = device_id
+        self._devices[device_id] = conn
+        log.info("device %d registered", device_id)
+        # Greet with the current global so the agent can start training.
+        self._push_global(conn, peer)
+
+    def _install(self, blob: ModelBlob) -> int:
+        """Make `blob` the global, encoded and framed once for every push; return its CRC."""
+        encoded = encode_model(blob)
+        self.global_body = frame_bytes(encoded)
+        return zlib.crc32(encoded)
+
+    def _push_global(self, conn: Hashable, peer: _Peer) -> None:
+        peer.pushed = None  # trained on an older global
+        peer.unacked += 1
+        # One write: the agent wakes once for the announcement and its model.
+        self._send(conn, Message(MessageType.PUSH_MODEL, 0),
+                   Message(MessageType.MODEL_DATA, 0, self.global_body))
+
+    def _on_model_data(self, conn: Hashable, peer: _Peer, msg: Message, is_push: bool) -> None:
+        if not is_push:
+            if not peer.pulls:
+                log.warning("MODEL_DATA from device %s with no pending pull or push", peer.device_id)
+                self._send(conn, Message(MessageType.ERROR, 0, b"UNEXPECTED_MODEL_DATA"))
+                return
+            peer.pulls -= 1
+        try:
+            blob = blob_from_model_data(msg.body)
+            if (blob.embedding_dim, blob.num_classes) != self._shape:
+                raise ShapeError(
+                    f"model shape ({blob.embedding_dim},{blob.num_classes}) does not match session"
+                )
+        except (WireError, ShapeError) as exc:
+            log.warning("bad MODEL_DATA from device %s: %s", peer.device_id, exc)
+            self._send(conn, Message(MessageType.ERROR, 0, type(exc).__name__.encode()))
+            if not is_push and self._expected is not None:
+                self._expected.discard(peer.device_id)
+            return
+        if is_push:
+            self._updates += 1
+            if not peer.unacked:
+                peer.pushed = blob
+            log.debug("device %s pushed an update (%d pending)", peer.device_id, self._updates)
+        elif self._expected is not None and peer.device_id in self._expected:
+            self._collected[peer.device_id] = blob
+        else:
+            log.debug("late pull reply from device %s ignored", peer.device_id)
+
+    # -- rounds ---------------------------------------------------------------
+
+    def _live_devices(self) -> dict[int, Hashable]:
+        return {d: c for d, c in self._devices.items() if not self._peers[c].stale}
+
+    def tick(self, now: float) -> RoundRecord | None:
+        """Start the round the policy calls for; finish the pending round once it
+        is complete or `now` has reached its deadline, and return it unscored."""
+        if self._expected is None:
+            due = (self._updates >= int(self.policy.value) if self.policy.kind == "count"
+                   else now - self._last_round >= self.policy.value)
+            if not (due and self._live_devices()):
+                return None
+            self._start_round(now)
+        missing = self._expected - self._collected.keys()
+        if missing and now < self._deadline:
+            return None
+        for device_id in missing:
+            self._peers[self._devices[device_id]].stale = True
+            log.warning("device %d timed out; marked stale for this round", device_id)
+        return self._finish_round(now)
+
+    def _start_round(self, now: float) -> None:
+        live = self._live_devices()
+        self._expected, self._deadline = set(live), now + self.round_timeout
+        for device_id, conn in sorted(live.items()):
+            peer = self._peers[conn]
+            if peer.pushed is not None:
+                self._collected[device_id], peer.pushed = peer.pushed, None
+            else:
+                peer.pulls += 1
+                self._send(conn, Message(MessageType.PULL_MODEL, 0))
+        log.debug("round %d: pushes from %s, pulls for the rest of %s",
+                  len(self.history) + 1, sorted(self._collected), sorted(live))
+
+    def _finish_round(self, now: float) -> RoundRecord | None:
+        collected = self._collected
+        self._expected, self._collected = None, {}
+        self._updates = 0
+        self._last_round = now
+        if not collected:
+            log.warning("round aborted: no device contributed a model")
+            return None
+        participants = tuple(sorted(collected))
+        blob = average_blobs([collected[d] for d in participants])
+        checksum = self._install(blob)
+        # Recorded before the push: a device that has the push finds its round.
+        record = RoundRecord(len(self.history) + 1, blob, checksum, participants)
+        self.history.append(record)
+        for conn in self._devices.values():
+            self._push_global(conn, self._peers[conn])
+        return record
 
 
 @dataclass(eq=False)
 class Server:
+    """The I/O shell around `Rounds`: the listener, a selector, one `Link` per
+    connection and the clock."""
+
     host: str
     port: int
     initial_blob: ModelBlob
@@ -128,17 +317,16 @@ class Server:
     validation: list | StackedSamples | None = None
     round_timeout: float = 5.0
     max_rounds: int | None = None
-    history: list[RoundRecord] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         check_round_limits(self.round_timeout, self.max_rounds)
         # Framed before binding, so a model u16 frame numbers cannot frame fails here.
-        self._install(self.initial_blob)
+        self._rounds = Rounds(self.initial_blob, self.policy, self.round_timeout, time.monotonic())
         # No legitimate message body is larger than a MODEL_DATA of this model.
-        self._max_body = len(self._global_body)
+        self._max_body = len(self._rounds.global_body)
         # Stacked once: evaluate scores the same set after every round.
         e = self.initial_blob.embedding_dim
-        self._validation = stack_validation(self.validation, e) if self.validation else None
+        self._validation = None if self.validation is None else stack_validation(self.validation, e)
         self._sel = selectors.DefaultSelector()
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -147,11 +335,9 @@ class Server:
         self._listener.setblocking(False)
         self.address: tuple[str, int] = self._listener.getsockname()
         self._sel.register(self._listener, selectors.EVENT_READ, None)
-        self._devices: dict[int, _Conn] = {}
-        self._pending: _PendingRound | None = None
-        self._updates = 0
-        self._last_round = time.monotonic()
         self._stopped = False
+        # The core's own round list, and its registered devices' links by id.
+        self.history, self._devices = self._rounds.history, self._rounds._devices
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -163,7 +349,7 @@ class Server:
         log.info(
             "serving on %s:%d policy=%s:%g shape=(%d,%d)",
             self.address[0], self.address[1], self.policy.kind, self.policy.value,
-            self.global_blob.embedding_dim, self.global_blob.num_classes,
+            self.initial_blob.embedding_dim, self.initial_blob.num_classes,
         )
         try:
             while not self._stopped:
@@ -172,7 +358,10 @@ class Server:
                         self._accept()
                     else:
                         self._service(key.data, events)
-                self._drive_round()
+                record = self._rounds.tick(time.monotonic())
+                self._carry_out()
+                if record is not None:
+                    self._score(record)
                 if self.max_rounds is not None and len(self.history) >= self.max_rounds:
                     break
         finally:
@@ -189,197 +378,55 @@ class Server:
 
     def _accept(self) -> None:
         sock, addr = self._listener.accept()
-        _Conn(sock, addr, self._sel, self._max_body)
+        Link(sock, self._sel, MessageBuffer(self._max_body))
         log.debug("connection from %s", addr)
 
-    def _drop(self, conn: _Conn) -> None:
-        conn.close()
-        if conn.device_id is not None and self._devices.get(conn.device_id) is conn:
-            del self._devices[conn.device_id]
-            log.info("device %d disconnected", conn.device_id)
-            if self._pending is not None:
-                self._pending.expected.discard(conn.device_id)
+    def _drop(self, link: Link) -> None:
+        link.close()
+        self._rounds.disconnect(link)
 
-    def _send(self, conn: _Conn, *msgs: Message) -> bool:
+    def _send(self, link: Link, msgs: tuple[Message, ...]) -> None:
+        if link.closed:  # dropped earlier in the same queue
+            return
         try:
-            conn.send(b"".join(encode_message(m) for m in msgs))
-            return True
+            link.send(b"".join(encode_message(m) for m in msgs))
         except OSError as exc:
-            log.warning("send to %s failed: %s", conn.addr, exc)
-            self._drop(conn)
-            return False
+            log.warning("send to device failed: %s", exc)
+            self._drop(link)
 
-    def _service(self, conn: _Conn, events: int) -> None:
+    def _carry_out(self) -> None:
+        """Send what the core queued, one write per send, then drop what it dropped."""
+        sends, drops = self._rounds.output()
+        for link, msgs in sends:
+            self._send(link, msgs)
+        for link in drops:
+            self._drop(link)
+
+    def _service(self, link: Link, events: int) -> None:
         try:
             if events & selectors.EVENT_WRITE:
-                conn.flush()
+                link.flush()
             if events & selectors.EVENT_READ:
-                # A dropped connection yields no more messages: a HELLO behind
-                # a failed send must not register a closed connection.
-                for msg in conn.messages():
-                    self._handle(conn, msg)
+                # A link that a failed send closed yields no more messages.
+                for msg in link.messages():
+                    self._rounds.receive(link, msg)
+                    self._carry_out()
         except OSError as exc:  # the peer closed or reset the connection
-            log.info("connection from %s closed: %s", conn.addr, exc)
-            self._drop(conn)
+            log.info("connection closed: %s", exc)
+            self._drop(link)
         except ProtocolError as exc:
             # Header-level corruption: framing is lost, drop the connection.
-            log.error("protocol error from %s: %s", conn.addr, exc)
-            self._send(conn, Message(MessageType.ERROR, 0, str(exc).encode()))
-            self._drop(conn)
+            log.error("protocol error: %s", exc)
+            self._send(link, (Message(MessageType.ERROR, 0, str(exc).encode()),))
+            self._drop(link)
 
-    # -- message handling ----------------------------------------------------
-
-    def _handle(self, conn: _Conn, msg: Message) -> None:
-        if conn.stale:
-            conn.stale = False
-            log.info("device %s is live again", conn.device_id)
-        # The agent writes PUSH_MODEL and its MODEL_DATA in one write, so a
-        # MODEL_DATA that does not directly follow one answers a pull.
-        announced, conn.announced = conn.announced, msg.type is MessageType.PUSH_MODEL
-        if msg.type is MessageType.HELLO:
-            self._register(conn, msg.device_id)
-        elif msg.type is MessageType.PUSH_MODEL:
-            pass
-        elif msg.type is MessageType.MODEL_DATA:
-            self._on_model_data(conn, msg, announced)
-        elif msg.type is MessageType.ACK:
-            conn.unacked = max(0, conn.unacked - 1)
-            if msg.body == STATUS_DATA_EXHAUSTED:
-                log.info("device %s reports data exhausted", conn.device_id)
-        elif msg.type is MessageType.ERROR:
-            log.warning("device %s sent ERROR: %s", conn.device_id, msg.body.decode(errors="replace"))
-            if msg.body == b"NO_MODEL" and conn.pulls:
-                # The device answered a pull with an error, not a model.
-                conn.pulls -= 1
-                if self._pending is not None:
-                    self._pending.expected.discard(conn.device_id)
-        else:  # PULL_MODEL has no meaning in the device->server direction
-            log.warning("unexpected %s from device %s", msg.type.name, conn.device_id)
-            self._send(conn, Message(MessageType.ERROR, 0, b"UNEXPECTED_MESSAGE"))
-
-    def _register(self, conn: _Conn, device_id: int) -> None:
-        old = self._devices.get(device_id)
-        if old is not None and old is not conn:
-            log.warning("device %d re-registered from %s; dropping old connection", device_id, conn.addr)
-            self._drop(old)
-        conn.device_id = device_id
-        self._devices[device_id] = conn
-        log.info("device %d registered from %s", device_id, conn.addr)
-        # Greet with the current global so the agent can start training.
-        self._push_global(conn)
-
-    def _install(self, blob: ModelBlob) -> int:
-        """Make `blob` the global, encoded and framed once for every push; return its CRC."""
-        encoded = encode_model(blob)
-        self.global_blob = blob
-        self._global_body = frame_bytes(encoded)
-        return zlib.crc32(encoded)
-
-    def _push_global(self, conn: _Conn) -> None:
-        conn.pushed = None  # trained on an older global
-        conn.unacked += 1
-        # One write: the agent wakes once for the announcement and its model.
-        self._send(conn, Message(MessageType.PUSH_MODEL, 0),
-                   Message(MessageType.MODEL_DATA, 0, self._global_body))
-
-    def _on_model_data(self, conn: _Conn, msg: Message, is_push: bool) -> None:
-        if not is_push:
-            if not conn.pulls:
-                log.warning("MODEL_DATA from device %s with no pending pull or push", conn.device_id)
-                self._send(conn, Message(MessageType.ERROR, 0, b"UNEXPECTED_MODEL_DATA"))
-                return
-            conn.pulls -= 1
-        try:
-            blob = blob_from_model_data(msg.body)
-            if (blob.embedding_dim, blob.num_classes) != (
-                self.global_blob.embedding_dim,
-                self.global_blob.num_classes,
-            ):
-                raise ShapeError(
-                    f"model shape ({blob.embedding_dim},{blob.num_classes}) does not match session"
-                )
-        except (WireError, ShapeError) as exc:
-            log.warning("bad MODEL_DATA from device %s: %s", conn.device_id, exc)
-            self._send(conn, Message(MessageType.ERROR, 0, type(exc).__name__.encode()))
-            if not is_push and self._pending is not None:
-                self._pending.expected.discard(conn.device_id)
-            return
-        if is_push:
-            self._updates += 1
-            if not conn.unacked:
-                conn.pushed = blob
-            log.debug("device %s pushed an update (%d pending)", conn.device_id, self._updates)
-        else:
-            if self._pending is not None and conn.device_id in self._pending.expected:
-                self._pending.blobs[conn.device_id] = blob
-            else:
-                log.debug("late pull reply from device %s ignored", conn.device_id)
-
-    # -- rounds ---------------------------------------------------------------
-
-    def _live_devices(self) -> dict[int, _Conn]:
-        return {d: c for d, c in self._devices.items() if not c.stale}
-
-    def _drive_round(self) -> None:
-        now = time.monotonic()
-        if self._pending is None:
-            if self._should_trigger(now):
-                self._start_round(now)
-        if self._pending is not None:
-            if self._pending.complete():
-                self._finish_round()
-            elif now >= self._pending.deadline:
-                missing = self._pending.expected - set(self._pending.blobs)
-                for device_id in missing:
-                    conn = self._devices.get(device_id)
-                    if conn is not None:
-                        conn.stale = True
-                    log.warning("device %d timed out; marked stale for this round", device_id)
-                self._finish_round()
-
-    def _should_trigger(self, now: float) -> bool:
-        if not self._live_devices():
-            return False
-        if self.policy.kind == "count":
-            return self._updates >= int(self.policy.value)
-        return now - self._last_round >= self.policy.value
-
-    def _start_round(self, now: float) -> None:
-        live = self._live_devices()
-        self._pending = _PendingRound(set(live), now + self.round_timeout)
-        for device_id, conn in sorted(live.items()):
-            if conn.pushed is not None:
-                self._pending.blobs[device_id] = conn.pushed
-                conn.pushed = None
-            elif self._send(conn, Message(MessageType.PULL_MODEL, 0)):
-                conn.pulls += 1
-        log.debug("round %d: pushes from %s, pulls for the rest of %s",
-                  len(self.history) + 1, sorted(self._pending.blobs), sorted(live))
-
-    def _finish_round(self) -> None:
-        pending = self._pending
-        self._pending = None
-        self._updates = 0
-        self._last_round = time.monotonic()
-        collected = pending.blobs
-        if not collected:
-            log.warning("round aborted: no device contributed a model")
-            return
-        ordered = [collected[d] for d in sorted(collected)]
-        checksum = self._install(average_blobs(ordered))
-        # Recorded before the push: a device that has the push finds its round.
-        record = RoundRecord(len(self.history) + 1, self.global_blob, checksum,
-                             tuple(sorted(collected)))
-        self.history.append(record)
-        # A failed send drops its device from the dict, so iterate a copy.
-        for conn in list(self._devices.values()):
-            self._push_global(conn)
+    def _score(self, record: RoundRecord) -> None:
         # Scored after the push: no device waits on an accuracy it never uses.
         acc = None
         if self._validation is not None:
             acc = record.val_accuracy = evaluate(record.blob, self._validation)
         log.info(
             "round %d: %d devices, checksum %08x%s",
-            record.index, len(record.participants), checksum,
+            record.index, len(record.participants), record.checksum,
             "" if acc is None else f", val_acc {acc:.4f}",
         )

@@ -1,6 +1,7 @@
 """Source hygiene, checked with the standard library's `ast`: no module under
 src/ keeps an import it does not use or a private module-level name that
-nothing in it references, so a refactor cannot leave either behind."""
+nothing in it references, so a refactor cannot leave either behind; and the
+server's round core names no socket, selector, clock or link."""
 import ast
 import pathlib
 
@@ -61,3 +62,11 @@ def test_every_private_module_level_name_is_referenced(path):
             defined |= {t.id for t in targets if isinstance(t, ast.Name)}
     private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
     assert sorted(private - loaded_names(tree)) == []
+
+
+def test_the_round_core_uses_no_socket_selector_clock_or_link():
+    # Rounds is driven by messages, closed connections and `tick(now)`; the
+    # server's shell owns the I/O, so fault tests need no sockets or sleeps.
+    _, tree = parse(SRC / "fedhead" / "runtime" / "server.py")
+    (core,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Rounds"]
+    assert loaded_names(core) & {"socket", "selectors", "time", "Link"} == set()

@@ -1,29 +1,39 @@
-"""Message layer, server round-driving, and agent behavior over real sockets.
+"""Message layer, the server's round core, and the server and agent over real sockets.
 
-Server tests script a fake device against a threaded Server; agent tests
-script a fake server against a threaded Agent. Every socket has a timeout,
-so a wedged exchange fails the test instead of hanging it.
+Round-protocol tests drive the server's socket-free core (`Rounds`) with
+messages and a fake clock, and a stateful fault model drives it with
+misbehaving peers. Loopback tests script a fake device against a threaded
+Server, or a fake server against a threaded Agent. Every socket has a
+timeout, so a wedged exchange fails the test instead of hanging it.
 """
 import collections
 import contextlib
+import functools
 import importlib
+import itertools
 import logging
+import math
+import pathlib
 import selectors
 import socket
 import struct
 import threading
 import time
+import types
 import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine, initialize, invariant, rule, run_state_machine_as_test,
+)
 
 from fedhead.data import partition, synth_separable
 from fedhead.errors import ProtocolError, ShapeError
 from fedhead.federation import (
-    ModelBlob, RoundConfig, evaluate, run_training,
+    ModelBlob, RoundConfig, average_blobs, evaluate, run_training,
 )
 from fedhead.nn import StackedSamples, init_head, stack_samples, train_batch
 from fedhead.runtime import (
@@ -368,216 +378,409 @@ def test_configure_logging_level_gate(monkeypatch):
     configure_logging()
 
 
-# -- server against a scripted device ---------------------------------------------
+# -- the round core, on a fake clock ----------------------------------------------------
+
+hello = functools.partial(Message, MessageType.HELLO)
+ack = functools.partial(Message, MessageType.ACK)
+PULL = (Message(MessageType.PULL_MODEL, 0),)
+
+
+def reply(device_id, blob):
+    return Message(MessageType.MODEL_DATA, device_id, model_data_body(blob))
+
+
+def push(blob, device_id=0):
+    """One transfer, as one write carries it: PUSH_MODEL and its MODEL_DATA."""
+    return (Message(MessageType.PUSH_MODEL, device_id), reply(device_id, blob))
+
+
+def error(body):
+    return (Message(MessageType.ERROR, 0, body),)
+
+
+def core(initial, policy, *device_ids, round_timeout=5.0):
+    """A `Rounds` at time 0 with a connection registered per id, keyed by the id."""
+    rounds = server_module.Rounds(initial, policy, round_timeout, 0.0)
+    for device_id in device_ids:
+        deliver(rounds, device_id, hello(device_id))
+    return rounds
+
+
+def deliver(rounds, conn, *msgs):
+    """Feed `msgs` from `conn` to the core; return the sends it queued."""
+    for msg in msgs:
+        rounds.receive(conn, msg)
+    sends, drops = rounds.output()
+    assert drops == []
+    return sends
+
+
+def tick(rounds, now):
+    """Tick the core; return the round it finished and the sends it queued."""
+    return rounds.tick(now), deliver(rounds, None)  # None delivers no message
+
+
+def count_calls(monkeypatch, names):
+    """Count the calls of each of `names` where the server module looks it up."""
+    calls = collections.Counter()
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(server_module, name, counted(name, getattr(server_module, name)))
+    return calls
 
 
 def test_server_single_device_round():
-    initial = make_blob(1)
-    ds = synth_separable(8, 2, 50, 4.0, 1, val_fraction=0.5)
-    mine = make_blob(2)
-    with running_server(
-        initial, RoundPolicy("count", 1), validation=ds.validation_samples(),
-        round_timeout=5.0, max_rounds=1,
-    ) as (server, thread):
-        dev = ScriptedPeer.connect(server.address)
-        dev.send(Message(MessageType.HELLO, 3))
-        greeting = dev.expect_push()
-        assert greeting.body == model_data_body(initial)
-
-        dev.send(Message(MessageType.ACK, 3))
-        dev.push(3, mine)
-        # The push is the device's contribution: no PULL_MODEL comes first.
-        result = dev.expect_push()  # averaged global comes back
-        assert result.body == model_data_body(mine)
-        thread.join(5.0)
-        assert not thread.is_alive()
-        dev.close()
-
-    assert len(server.history) == 1
-    record = server.history[0]
-    assert record.participants == (3,)
+    initial, mine = make_blob(1), make_blob(2)
+    rounds = core(initial, RoundPolicy("count", 1))
+    assert deliver(rounds, 3, hello(3)) == [(3, push(initial))]
+    # The push is the device's contribution: no PULL_MODEL comes first.
+    assert deliver(rounds, 3, ack(3), *push(mine, 3)) == []
+    record, sends = tick(rounds, 0.0)
+    assert sends == [(3, push(mine))]  # the averaged global comes back
+    assert rounds.history == [record] and record.participants == (3,)
     assert np.array_equal(record.blob.values, mine.values)  # mean of one blob
     assert record.checksum == zlib.crc32(encode_model(mine))
-    assert record.val_accuracy == evaluate(mine, ds.validation_samples())
-
-
-def test_server_averages_opposite_models_to_zero():
-    initial = make_blob(3)
-    v = make_blob(4)
-    neg = ModelBlob(-v.values, v.embedding_dim, v.num_classes)
-    with running_server(initial, RoundPolicy("count", 2), max_rounds=1) as (server, thread):
-        devs = []
-        for device_id, blob in ((1, v), (2, neg)):
-            dev = ScriptedPeer.connect(server.address)
-            dev.send(Message(MessageType.HELLO, device_id))
-            dev.expect_push()
-            dev.send(Message(MessageType.ACK, device_id))
-            dev.push(device_id, blob)
-            devs.append(dev)
-        for dev in devs:
-            dev.expect_push()
-            dev.close()
-        thread.join(5.0)
-
-    assert server.history[0].participants == (1, 2)
-    assert np.all(server.history[0].blob.values == 0.0)
+    assert record.val_accuracy is None  # the server scores it, after the push
 
 
 def test_server_drops_corrupt_reply_from_round_then_forgives():
-    initial = make_blob(5)
     good = make_blob(6)
     corrupt = bytearray(model_data_body(good))
     corrupt[36] ^= 0xFF  # a model payload byte inside frame 4
-    with running_server(initial, RoundPolicy("count", 1), max_rounds=2) as (server, thread):
+    rounds = core(make_blob(5), RoundPolicy("count", 1), 1, 2)
+    bad = Message(MessageType.MODEL_DATA, 2, bytes(corrupt))
+    for answer, errors, participants in ((bad, [(2, error(b"CorruptionError"))], (1,)),
+                                         (reply(2, good), [], (1, 2))):
         # Device 1 pushes its contribution; device 2 never pushes, so it is pulled.
-        d1 = ScriptedPeer.connect(server.address)
-        d1.send(Message(MessageType.HELLO, 1))
-        d1.expect_push()
-        d2 = ScriptedPeer.connect(server.address)
-        d2.send(Message(MessageType.HELLO, 2))
-        d2.expect_push()
-
-        d1.send(Message(MessageType.ACK, 1))
-        d1.push(1, good)
-        d2.expect(MessageType.PULL_MODEL)
-        d2.send(Message(MessageType.MODEL_DATA, 2, bytes(corrupt)))
-
-        err = d2.expect(MessageType.ERROR)
-        assert err.body == b"CorruptionError"
-        d1.expect_push()
-        d2.expect_push()
-        assert wait_until(lambda: len(server.history) == 1)
-        assert server.history[0].participants == (1,)
-
-        # Round 2: the offender answers cleanly and participates again.
-        d1.send(Message(MessageType.ACK, 1))
-        d1.push(1, good)
-        d2.expect(MessageType.PULL_MODEL)
-        d2.send(Message(MessageType.MODEL_DATA, 2, model_data_body(good)))
-        d1.expect_push()
-        d2.expect_push()
-        thread.join(5.0)
-
-    assert server.history[1].participants == (1, 2)
-    d1.close()
-    d2.close()
+        deliver(rounds, 1, ack(1), *push(good, 1))
+        assert tick(rounds, 0.0) == (None, [(2, PULL)])
+        assert deliver(rounds, 2, answer) == errors
+        record, sends = tick(rounds, 0.0)
+        assert record.participants == participants and [c for c, _ in sends] == [1, 2]
 
 
 def test_server_marks_silent_device_stale_until_it_speaks():
-    initial = make_blob(7)
     mine = make_blob(8)
-    with running_server(
-        initial, RoundPolicy("count", 1), round_timeout=0.3, max_rounds=2
-    ) as (server, thread):
-        d1 = ScriptedPeer.connect(server.address)
-        d1.send(Message(MessageType.HELLO, 1))
-        d1.expect_push()
-        d2 = ScriptedPeer.connect(server.address)
-        d2.send(Message(MessageType.HELLO, 2))
-        d2.expect_push()
-
-        d1.send(Message(MessageType.ACK, 1))
-        d1.push(1, mine)
-        d2.expect(MessageType.PULL_MODEL)  # never answered
-
-        d1.expect_push()  # round 1 closes at the deadline without device 2
-        d2.expect_push()
-        assert wait_until(lambda: len(server.history) == 1)
-        assert server.history[0].participants == (1,)
-
-        # Round 2 must not pull the stale device: its next message after the
-        # round-1 result is the round-2 result, with no PULL in between.
-        d1.send(Message(MessageType.ACK, 1))
-        d1.push(1, mine)
-        d1.expect_push()
-        d2.expect_push()
-        thread.join(5.0)
-
-    assert server.history[1].participants == (1,)
-    d1.close()
-    d2.close()
+    rounds = core(make_blob(7), RoundPolicy("count", 1), 1, 2, round_timeout=0.5)
+    deliver(rounds, 1, ack(1), *push(mine, 1))
+    assert tick(rounds, 1.0) == (None, [(2, PULL)])  # never answered
+    assert tick(rounds, 1.25) == (None, [])
+    for _ in range(2):  # round 1 closes at its deadline; round 2 does not pull device 2
+        record, sends = tick(rounds, 1.5)
+        assert record.participants == (1,) and [c for c, _ in sends] == [1, 2]
+        deliver(rounds, 1, ack(1), *push(mine, 1))
+    deliver(rounds, 2, ack(2))  # once it speaks again, the next round pulls it
+    assert tick(rounds, 1.5) == (None, [(2, PULL)])
 
 
 def test_server_handles_no_model_reply():
-    initial = make_blob(9)
-    mine = make_blob(10)
-    with running_server(initial, RoundPolicy("count", 1), max_rounds=1) as (server, thread):
-        d1 = ScriptedPeer.connect(server.address)
-        d1.send(Message(MessageType.HELLO, 1))
-        d1.expect_push()
-        d2 = ScriptedPeer.connect(server.address)
-        d2.send(Message(MessageType.HELLO, 2))
-        d2.expect_push()
-
-        d1.send(Message(MessageType.ACK, 1))
-        d1.push(1, mine)
-        d2.expect(MessageType.PULL_MODEL)
-        d2.send(Message(MessageType.ERROR, 2, b"NO_MODEL"))
-
-        d1.expect_push()
-        d2.expect_push()
-        thread.join(5.0)
-
-    assert server.history[0].participants == (1,)
-    d1.close()
-    d2.close()
+    rounds = core(make_blob(9), RoundPolicy("count", 1), 1, 2)
+    deliver(rounds, 1, ack(1), *push(make_blob(10), 1))
+    assert tick(rounds, 0.0) == (None, [(2, PULL)])
+    assert deliver(rounds, 2, Message(MessageType.ERROR, 2, b"NO_MODEL")) == []
+    assert tick(rounds, 0.0)[0].participants == (1,)
 
 
 def test_server_timer_policy_runs_rounds_without_pushes():
-    initial = make_blob(11)
     mine = make_blob(12)
-    with running_server(initial, RoundPolicy("timer", 0.2), max_rounds=1) as (server, thread):
-        dev = ScriptedPeer.connect(server.address)
-        dev.send(Message(MessageType.HELLO, 1))
-        dev.expect_push()
-        dev.expect(MessageType.PULL_MODEL)
-        dev.send(Message(MessageType.MODEL_DATA, 1, model_data_body(mine)))
-        dev.expect_push()
-        thread.join(5.0)
-    assert len(server.history) == 1
-    dev.close()
+    rounds = core(make_blob(11), RoundPolicy("timer", 0.5), 1)
+    assert tick(rounds, 0.25) == (None, [])
+    assert tick(rounds, 0.5) == (None, [(1, PULL)])
+    deliver(rounds, 1, reply(1, mine))
+    assert tick(rounds, 0.75) == (rounds.history[0], [(1, push(mine))])
+    assert tick(rounds, 1.0) == (None, [])  # the next round is due 0.5 s after this one
+    assert tick(rounds, 1.25) == (None, [(1, PULL)])
 
 
 def test_server_rejects_out_of_context_messages():
     initial = make_blob(13)
-    with running_server(initial, RoundPolicy("timer", 999)) as (server, _):
-        dev = ScriptedPeer.connect(server.address)
-        dev.send(Message(MessageType.HELLO, 1))
-        dev.expect_push()
-        dev.send(Message(MessageType.PULL_MODEL, 1))
-        assert dev.expect(MessageType.ERROR).body == b"UNEXPECTED_MESSAGE"
-        dev.send(Message(MessageType.MODEL_DATA, 1, model_data_body(initial)))
-        assert dev.expect(MessageType.ERROR).body == b"UNEXPECTED_MODEL_DATA"
-        dev.close()
+    rounds = core(initial, RoundPolicy("timer", 999), 1)
+    pull = Message(MessageType.PULL_MODEL, 1)
+    assert deliver(rounds, 1, pull) == [(1, error(b"UNEXPECTED_MESSAGE"))]
+    assert deliver(rounds, 1, reply(1, initial)) == [(1, error(b"UNEXPECTED_MODEL_DATA"))]
 
 
-def test_server_replaces_reregistered_device_connection():
-    initial = make_blob(14)
-    with running_server(initial, RoundPolicy("timer", 999)) as (server, _):
-        first = ScriptedPeer.connect(server.address)
-        first.send(Message(MessageType.HELLO, 5))
-        first.expect_push()
-        second = ScriptedPeer.connect(server.address)
-        second.send(Message(MessageType.HELLO, 5))
-        second.expect_push()
-        assert first.sock.recv(65536) == b""  # old connection is closed
-        first.close()
-        second.close()
+def test_a_connection_keeps_its_first_device_id():
+    initial, mine = make_blob(70), make_blob(71)
+    rounds = core(initial, RoundPolicy("count", 1), 1)
+    assert deliver(rounds, 1, hello(2)) == [(1, error(b"UNEXPECTED_MESSAGE"))]
+    assert rounds._devices == {1: 1}
+    assert deliver(rounds, 1, hello(1)) == [(1, push(initial))]  # its own id: greeted again
+    rounds.receive("again", hello(1))  # the id from another connection replaces this one
+    assert rounds.output() == ([("again", push(initial))], [1])
+    assert rounds._devices == {1: "again"}
+    rounds.disconnect("again")
+    # No id is left on a closed connection for a healthy device's round to wait on.
+    deliver(rounds, 3, hello(3), ack(3), *push(mine, 3))
+    assert tick(rounds, 0.0) == (rounds.history[0], [(3, push(mine))])
 
 
-class FailingPushSocket:
-    """A server-side socket whose PUSH_MODEL sends raise, as on a dead link."""
+def test_server_survives_a_failed_push_of_the_new_global():
+    blobs = {1: make_blob(16), 0: make_blob(17)}
+    # Device 1 registers first, so the post-round push reaches it first.
+    rounds = core(make_blob(15), RoundPolicy("count", 1), 1, 0)
+    deliver(rounds, 0, ack(0), *push(blobs[0], 0))
+    assert tick(rounds, 0.0) == (None, [(1, PULL)])
+    deliver(rounds, 1, reply(1, blobs[1]))
+    assert [c for c, _ in tick(rounds, 0.0)[1]] == [1, 0]
+    rounds.disconnect(1)  # what the server does when that push fails
+    deliver(rounds, 0, ack(0), *push(blobs[0], 0))  # the survivor runs a round alone
+    assert tick(rounds, 0.0)[1] == [(0, push(blobs[0]))]
+    assert [r.participants for r in rounds.history] == [(0, 1), (0,)]
 
-    def __init__(self, sock):
-        self._sock = sock
 
-    def send(self, data):
-        if data[0] == MessageType.PUSH_MODEL:
-            raise OSError("injected send failure")
-        return self._sock.send(data)
+def test_server_does_not_take_a_late_ack_of_an_older_global_for_the_newest():
+    mine, stale_push, answer = make_blob(36), make_blob(37), make_blob(38)
+    rounds = core(make_blob(35), RoundPolicy("count", 1), 1, 2, round_timeout=0.5)
+    deliver(rounds, 2, ack(2), *push(mine, 2))  # device 1 has not ACKed global 0
+    assert tick(rounds, 0.0) == (None, [(1, PULL)])
+    assert tick(rounds, 0.5)[0].participants == (2,)  # closes without device 1: global 1
+    # Device 1 acknowledges global 0 only, then pushes a model trained on it:
+    # the push triggers round 2, but device 1 must be pulled.
+    deliver(rounds, 1, ack(1), *push(stale_push, 1))
+    assert tick(rounds, 1.0) == (None, [(1, PULL), (2, PULL)])  # 2: no push since global 1
+    deliver(rounds, 1, reply(1, answer))
+    deliver(rounds, 2, reply(2, mine))
+    record, _ = tick(rounds, 1.0)
+    assert record.participants == (1, 2)
+    assert np.array_equal(record.blob.values, (answer.values + mine.values) / 2)
 
-    def __getattr__(self, name):
-        return getattr(self._sock, name)
+
+def test_server_takes_a_free_run_devices_latest_push():
+    first, latest = make_blob(40), make_blob(41)
+    rounds = core(make_blob(39), RoundPolicy("count", 2), 1)
+    deliver(rounds, 1, ack(1), *push(first, 1), *push(latest, 1))
+    # No PULL_MODEL: the latest push is the contribution.
+    assert tick(rounds, 0.0) == (rounds.history[0], [(1, push(latest))])
+
+
+def test_server_labels_a_push_that_crosses_its_pull():
+    m1, m2, m3 = make_blob(43), make_blob(44), make_blob(45)
+    rounds = core(make_blob(42), RoundPolicy("count", 1), 1)
+    deliver(rounds, 1, *push(m1, 1))  # counts toward count:1, but before the ACK: pulled
+    assert tick(rounds, 0.0) == (None, [(1, PULL)])
+    # A second push arrives after the PULL and before the reply, as when a
+    # device pushes before it reads the PULL.
+    deliver(rounds, 1, *push(m2, 1), reply(1, m3))
+    assert np.array_equal(tick(rounds, 0.0)[0].blob.values, m3.values)
+
+
+def test_server_builds_one_model_data_body_per_global(monkeypatch):
+    calls = count_calls(monkeypatch, ("encode_model", "frame_bytes", "model_data_body"))
+    initial = make_blob(60)
+    rounds = core(initial, RoundPolicy("count", 3))
+    for d in range(3):
+        assert deliver(rounds, d, hello(d)) == [(d, push(initial))]
+    for r in range(2):
+        for d in range(3):
+            deliver(rounds, d, ack(d), *push(make_blob(61 + 3 * r + d), d))
+        record, sends = tick(rounds, 0.0)
+        assert sends == [(d, push(record.blob)) for d in range(3)]  # the same bytes to each
+    assert calls == {"encode_model": 3, "frame_bytes": 3}  # the initial global + 2 rounds
+    for record in rounds.history:
+        assert record.checksum == zlib.crc32(encode_model(record.blob))
+
+
+# -- a stateful fault model of the round core --------------------------------------------
+
+FAULT_TIMEOUT = 2.0
+WRONG_SHAPE_BODY = model_data_body(make_blob(91, e=5))
+PICKS = st.integers(0, 15)
+# A MODEL_DATA body: valid, one byte flipped, cut short, or a model of another shape.
+BODIES = st.tuples(st.sampled_from(["valid", "flip", "cut", "shape"]), st.integers(0, 1 << 16))
+
+
+class RoundFaults(RuleBasedStateMachine):
+    """Prompt agents, which answer all they are sent at once (a sync agent
+    uploads after each ACK, a pulled one only answers pulls), and peers that
+    do anything in any order, against a `Rounds` on a fake clock."""
+
+    def __init__(self):
+        super().__init__()
+        self.rounds, self.now = None, 0.0
+        # Per connection not yet closed: its first HELLO's id, and the globals
+        # and pulls it was sent and has not answered.
+        self.open = {}
+        self.prompt, self.failing = {}, set()  # prompt: conn -> whether it uploads
+        self.waited_on = set()  # the prompt connections as the pending round started
+        self.uploads = collections.defaultdict(set)  # device id -> its valid models' values
+        self.early = set()  # values pushed while a global was not ACKed
+        self.conns, self.seeds, self.averaged = itertools.count(), itertools.count(), []
+        self.average = server_module.average_blobs
+        server_module.average_blobs = self.recording_average
+
+    def recording_average(self, blobs):
+        self.averaged.append(blobs)
+        return self.average(blobs)
+
+    def teardown(self):
+        server_module.average_blobs = self.average
+
+    def pick(self, i, lazy=True):
+        conns = sorted(self.open.keys() - (self.prompt.keys() if lazy else set()))
+        return conns[i % len(conns)] if conns else None
+
+    def send(self, conn, *msgs):
+        for msg in msgs:
+            if conn in self.open:  # a failed send closes it
+                self.rounds.receive(conn, msg)
+                assert not self.rounds._peers[conn].stale  # stale only until it speaks
+                self.carry_out()
+
+    def carry_out(self):
+        """Do with the core's output what the server does."""
+        sends, drops = self.rounds.output()
+        for conn, msgs in sends:
+            types = [m.type for m in msgs]
+            assert types in (  # a PUSH_MODEL is one write with its MODEL_DATA
+                [MessageType.PUSH_MODEL, MessageType.MODEL_DATA],
+                [MessageType.PULL_MODEL], [MessageType.ERROR])
+            if conn in self.failing:
+                self.close(conn)
+            elif conn in self.open:
+                self.open[conn].unacked += types[0] is MessageType.PUSH_MODEL
+                self.open[conn].pulls += types[0] is MessageType.PULL_MODEL
+        for conn in set(drops) & self.open.keys():
+            self.close(conn)
+
+    def close(self, conn):
+        del self.open[conn]
+        self.prompt.pop(conn, None)
+        self.failing.discard(conn)
+        self.rounds.disconnect(conn)
+
+    def model_data(self, conn, body, push=False):
+        (kind, at), device = body, self.open[conn]
+        values = np.random.default_rng(next(self.seeds)).standard_normal(10).astype(np.float32)
+        data = bytearray(model_data_body(ModelBlob(values, 4, 2)))
+        if kind == "shape":
+            data = WRONG_SHAPE_BODY
+        elif kind == "flip":
+            data[at % len(data)] ^= 0xFF
+        elif kind == "cut":
+            del data[at % len(data):]
+        else:
+            self.uploads[device.device_id].add(values.astype(np.float64).tobytes())
+            if push and device.unacked:
+                self.early.add(values.astype(np.float64).tobytes())
+        return Message(MessageType.MODEL_DATA, device.device_id, bytes(data))
+
+    def upload(self, conn, body):
+        msg = self.model_data(conn, body, push=True)
+        self.send(conn, Message(MessageType.PUSH_MODEL, self.open[conn].device_id), msg)
+
+    def pump(self):
+        """Prompt agents, highest id first, answer each global and each pull."""
+        for conn, uploads in sorted(self.prompt.items(), key=lambda p: -self.open[p[0]].device_id):
+            device, installed = self.open[conn], self.open[conn].unacked
+            while device.unacked:
+                device.unacked -= 1
+                self.send(conn, ack(device.device_id))
+            if installed and uploads:
+                self.upload(conn, ("valid", 0))
+            while device.pulls:
+                device.pulls -= 1
+                self.send(conn, self.model_data(conn, ("valid", 0)))
+
+    @initialize(policy=st.sampled_from([RoundPolicy("count", 1), RoundPolicy("count", 3),
+                                        RoundPolicy("timer", 1.0)]))
+    def start(self, policy):
+        self.rounds = server_module.Rounds(make_blob(90, e=4), policy, FAULT_TIMEOUT, 0.0)
+
+    @rule(device_id=st.integers(0, 3), kind=st.sampled_from(["lazy", "sync", "pulled"]))
+    def connect(self, device_id, kind):
+        conn = next(self.conns)  # an id another connection holds replaces that one
+        self.open[conn] = types.SimpleNamespace(device_id=device_id, unacked=0, pulls=0)
+        if kind != "lazy":
+            self.prompt[conn] = kind == "sync"
+        self.send(conn, hello(device_id))
+        self.tick()
+
+    @rule(i=PICKS)
+    def ack_one(self, i):  # with more globals unanswered, a late ACK of an older one
+        conn = self.pick(i)
+        if conn is not None and self.open[conn].unacked:
+            self.open[conn].unacked -= 1
+            self.send(conn, ack(self.open[conn].device_id))
+        self.tick()
+
+    @rule(i=PICKS, body=BODIES)
+    def push_model(self, i, body):
+        if (conn := self.pick(i)) is not None:
+            self.upload(conn, body)
+        self.tick()
+
+    @rule(i=PICKS, body=BODIES | st.none())
+    def answer_pull(self, i, body):  # with no pull to answer, a MODEL_DATA never asked for
+        if (conn := self.pick(i)) is not None:
+            device = self.open[conn]
+            device.pulls = max(0, device.pulls - 1)
+            self.send(conn, Message(MessageType.ERROR, device.device_id, b"NO_MODEL")
+                      if body is None else self.model_data(conn, body))
+        self.tick()
+
+    @rule(i=PICKS, device_id=st.integers(0, 3))
+    def hello_again(self, i, device_id):
+        if (conn := self.pick(i)) is not None:
+            self.send(conn, hello(device_id))
+        self.tick()
+
+    @rule(i=PICKS, at_once=st.booleans())
+    def disconnect(self, i, at_once):  # now, or at the next send to it
+        conn = self.pick(i, lazy=False)
+        if conn is not None and at_once:
+            self.close(conn)
+        elif conn is not None:
+            self.failing.add(conn)
+        self.tick()
+
+    def tick(self):
+        """What the server does after each message: tick the core at `now`."""
+        rounds = self.rounds
+        self.pump()
+        if rounds._expected is None:  # a round that starts now waits on these
+            self.waited_on = set(self.prompt)
+        deadline = math.inf if rounds._expected is None else rounds._deadline
+        averaged = len(self.averaged)
+        record = rounds.tick(self.now)
+        assert self.now < deadline or rounds._expected is None  # no round outlives its deadline
+        self.carry_out()
+        if record is not None:
+            (contributions,) = self.averaged[averaged:]
+            assert list(record.participants) == sorted(record.participants)
+            for device_id, blob in zip(record.participants, contributions, strict=True):
+                assert blob.values.tobytes() in self.uploads[device_id] - self.early
+            assert np.array_equal(record.blob.values, average_blobs(contributions).values)
+            # A device that answers every pull in time is never left out.
+            prompt_ids = {self.open[c].device_id for c in self.waited_on & self.prompt.keys()}
+            assert prompt_ids <= set(record.participants)
+        self.pump()
+
+    @rule(dt=st.sampled_from([0.5, FAULT_TIMEOUT]))
+    def advance(self, dt):
+        self.now += dt
+        self.tick()
+
+    @invariant()
+    def only_live_connections_hold_ids(self):
+        for device_id, conn in getattr(self.rounds, "_devices", {}).items():
+            assert conn in self.open and self.open[conn].device_id == device_id
+        if self.rounds is not None and self.rounds._expected is not None:
+            assert self.rounds._expected <= self.rounds._devices.keys()
+
+
+def test_round_core_keeps_its_invariants_under_faulty_peers():
+    run_state_machine_as_test(RoundFaults, settings=settings(
+        max_examples=100, stateful_step_count=40, deadline=None))
+
+
+# -- the server over loopback sockets -----------------------------------------------
 
 
 class RecordingSocket:
@@ -646,38 +849,6 @@ def test_model_transfers_are_one_write_each():
     assert [message_types(w) for w in agent._link.sock.writes] == [transfer]
 
 
-def test_server_survives_a_failed_push_of_the_new_global():
-    initial = make_blob(15)
-    blobs = {1: make_blob(16), 0: make_blob(17)}
-    with running_server(initial, RoundPolicy("count", 1)) as (server, thread):
-        # Device 1 registers first, so the post-round push reaches it first.
-        devs = {}
-        for device_id in (1, 0):
-            devs[device_id] = ScriptedPeer.connect(server.address)
-            devs[device_id].send(Message(MessageType.HELLO, device_id))
-            devs[device_id].expect_push()
-        conn = server._devices[1]
-        conn.sock = FailingPushSocket(conn.sock)
-
-        # Device 0 pushes its contribution; device 1 is pulled for its own.
-        devs[0].send(Message(MessageType.ACK, 0))
-        devs[0].push(0, blobs[0])
-        devs[1].expect(MessageType.PULL_MODEL)
-        devs[1].send(Message(MessageType.MODEL_DATA, 1, model_data_body(blobs[1])))
-        pushed = blob_from_model_data(devs[0].expect_push().body)
-        assert np.allclose(pushed.values, (blobs[0].values + blobs[1].values) / 2, atol=1e-6)
-        assert devs[1].sock.recv(65536) == b""  # the failed device was dropped
-
-        # The server keeps serving: the surviving device runs a round alone.
-        devs[0].send(Message(MessageType.ACK, 0))
-        devs[0].push(0, blobs[0])
-        devs[0].expect_push()
-        assert thread.is_alive()
-        assert [r.participants for r in server.history] == [(0, 1), (0,)]
-        for dev in devs.values():
-            dev.close()
-
-
 def test_server_keeps_running_rounds_past_a_peer_that_stops_reading(caplog):
     # The deaf peer's socket buffers fill with pushed globals (about 102 KB
     # each at E = 1280, C = 10); once MAX_QUEUED_WRITES more wait, it is dropped.
@@ -697,94 +868,6 @@ def test_server_keeps_running_rounds_past_a_peer_that_stops_reading(caplog):
             assert wait_until(lambda: 9 not in server._devices)
             deaf.close()
     assert any("writes unread" in r.getMessage() for r in caplog.records)
-
-
-def test_server_pulls_a_device_whose_push_came_before_its_ack():
-    initial = make_blob(32)
-    early, reply = make_blob(33), make_blob(34)
-    with running_server(initial, RoundPolicy("count", 1), max_rounds=1) as (server, thread):
-        dev = ScriptedPeer.connect(server.address)
-        dev.send(Message(MessageType.HELLO, 1))
-        dev.expect_push()
-        dev.push(1, early)  # counts toward count:1, but the global is not ACKed
-        dev.expect(MessageType.PULL_MODEL)
-        dev.send(Message(MessageType.MODEL_DATA, 1, model_data_body(reply)))
-        dev.expect_push()
-        thread.join(5.0)
-        dev.close()
-    assert np.array_equal(server.history[0].blob.values, reply.values)
-
-
-def test_server_does_not_take_a_late_ack_of_an_older_global_for_the_newest():
-    initial = make_blob(35)
-    mine, stale_push, reply = make_blob(36), make_blob(37), make_blob(38)
-    with running_server(
-        initial, RoundPolicy("count", 1), round_timeout=0.3, max_rounds=2
-    ) as (server, thread):
-        d1 = ScriptedPeer.connect(server.address)
-        d1.send(Message(MessageType.HELLO, 1))
-        d1.expect_push()  # global 0, not yet ACKed
-        d2 = ScriptedPeer.connect(server.address)
-        d2.send(Message(MessageType.HELLO, 2))
-        d2.expect_push()
-        d2.send(Message(MessageType.ACK, 2))
-        d2.push(2, mine)
-        d1.expect(MessageType.PULL_MODEL)  # round 1 closes without device 1
-        d1.expect_push()  # global 1
-        d2.expect_push()
-
-        # Device 1 acknowledges global 0 only, then pushes a model trained on
-        # it: the push triggers round 2 but device 1 must be pulled.
-        d1.send(Message(MessageType.ACK, 1))
-        d1.push(1, stale_push)
-        d1.expect(MessageType.PULL_MODEL)
-        d1.send(Message(MessageType.MODEL_DATA, 1, model_data_body(reply)))
-        d2.expect(MessageType.PULL_MODEL)  # no push since global 1
-        d2.send(Message(MessageType.MODEL_DATA, 2, model_data_body(mine)))
-        d1.expect_push()
-        d2.expect_push()
-        thread.join(5.0)
-        d1.close()
-        d2.close()
-    assert server.history[1].participants == (1, 2)
-    expected = (reply.values + mine.values) / 2
-    assert np.array_equal(server.history[1].blob.values, expected)
-
-
-def test_server_takes_a_free_run_devices_latest_push():
-    initial = make_blob(39)
-    first, latest = make_blob(40), make_blob(41)
-    with running_server(initial, RoundPolicy("count", 2), max_rounds=1) as (server, thread):
-        dev = ScriptedPeer.connect(server.address)
-        dev.send(Message(MessageType.HELLO, 1))
-        dev.expect_push()
-        dev.send(Message(MessageType.ACK, 1))
-        dev.push(1, first)
-        dev.push(1, latest)
-        result = dev.expect_push()  # no PULL_MODEL: the latest push is used
-        assert result.body == model_data_body(latest)
-        thread.join(5.0)
-        dev.close()
-    assert np.array_equal(server.history[0].blob.values, latest.values)
-
-
-def test_server_labels_a_push_that_crosses_its_pull():
-    initial = make_blob(42)
-    m1, m2, m3 = make_blob(43), make_blob(44), make_blob(45)
-    with running_server(initial, RoundPolicy("count", 1), max_rounds=1) as (server, thread):
-        dev = ScriptedPeer.connect(server.address)
-        dev.send(Message(MessageType.HELLO, 1))
-        dev.expect_push()
-        dev.push(1, m1)  # before the ACK, so the round pulls
-        dev.expect(MessageType.PULL_MODEL)
-        # The server sees a second push arrive after its PULL and before the
-        # reply, as when a device pushes before it reads the PULL.
-        dev.push(1, m2)
-        dev.send(Message(MessageType.MODEL_DATA, 1, model_data_body(m3)))
-        dev.expect_push()
-        thread.join(5.0)
-        dev.close()
-    assert np.array_equal(server.history[0].blob.values, m3.values)
 
 
 def test_count_round_of_two_sync_agents_uploads_each_model_once(monkeypatch):
@@ -844,39 +927,39 @@ def test_server_drops_a_connection_declaring_a_body_over_the_model_size():
     assert server.history[0].participants == (1,)
 
 
-def test_server_builds_one_model_data_body_per_global(monkeypatch):
-    calls = collections.Counter()
+def test_server_replaces_reregistered_device_connection():
+    initial = make_blob(14)
+    with running_server(initial, RoundPolicy("timer", 999)) as (server, _):
+        first = ScriptedPeer.connect(server.address)
+        first.send(Message(MessageType.HELLO, 5))
+        first.expect_push()
+        second = ScriptedPeer.connect(server.address)
+        second.send(Message(MessageType.HELLO, 5))
+        second.expect_push()
+        assert first.sock.recv(65536) == b""  # old connection is closed
+        first.close()
+        second.close()
 
-    def counting(name):
-        original = getattr(server_module, name)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-
-        monkeypatch.setattr(server_module, name, wrapper)
-
-    for name in ("encode_model", "frame_bytes", "model_data_body"):
-        counting(name)
-    initial = make_blob(60)
-    with running_server(initial, RoundPolicy("count", 3), max_rounds=2) as (server, thread):
-        devs = [ScriptedPeer.connect(server.address) for _ in range(3)]
-        for device_id, dev in enumerate(devs):
-            dev.send(Message(MessageType.HELLO, device_id))
-            assert dev.expect_push().body == model_data_body(initial)
-        for r in range(2):
-            for device_id, dev in enumerate(devs):
-                dev.send(Message(MessageType.ACK, device_id))
-                dev.push(device_id, make_blob(61 + 3 * r + device_id))
-            bodies = {dev.expect_push().body for dev in devs}
-            assert len(bodies) == 1  # every device gets the same bytes
-            assert bodies == {model_data_body(server.history[r].blob)}
-        thread.join(5.0)
-        for dev in devs:
-            dev.close()
-    assert calls == {"encode_model": 3, "frame_bytes": 3}  # the initial global + 2 rounds
-    for record in server.history:
-        assert record.checksum == zlib.crc32(encode_model(record.blob))
+def test_server_calls_each_name_the_benchmark_patches_on_it(monkeypatch):
+    # perfbench's traced server wraps these names where this module looks them
+    # up; one the server stopped calling there would read as zero calls.
+    # model_data_body is wrapped there too, though only the agent calls it.
+    monkeypatch.syspath_prepend(pathlib.Path(__file__).parents[1] / "perfbench")
+    names = {attr for owner, attr, _, _ in importlib.import_module("layers").server_plan()
+             if owner is server_module} - {"model_data_body"}
+    assert names == {"evaluate", "average_blobs", "encode_model", "encode_message",
+                     "blob_from_model_data"}
+    calls = count_calls(monkeypatch, names)
+    ds = synth_separable(8, 2, 90, 4.0, 32, val_fraction=1 / 3)
+    streams = partition(ds, 2, 32)
+    with running_server(make_blob(33), RoundPolicy("count", 2), max_rounds=1,
+                        validation=ds.validation_samples()) as (server, thread):
+        with running_agent(server.address, 0, streams[0], sync_batch=5):
+            with running_agent(server.address, 1, streams[1], sync_batch=5):
+                thread.join(30.0)
+                assert not thread.is_alive()
+    assert calls.keys() == names
 
 
 @pytest.mark.parametrize("byte_at_a_time", [False, True])
@@ -888,7 +971,7 @@ def test_server_handles_a_valid_push_written_before_a_bad_header(byte_at_a_time)
         dev.send(Message(MessageType.HELLO, 0))
         dev.expect_push()
         dev.send(Message(MessageType.ACK, 0))
-        conn = server._devices[0]
+        conn = server._rounds._peers[server._devices[0]]
         assert wait_until(lambda: conn.unacked == 0)
         stream = (encode_message(Message(MessageType.PUSH_MODEL, 0))
                   + encode_message(Message(MessageType.MODEL_DATA, 0, model_data_body(mine)))
@@ -902,7 +985,7 @@ def test_server_handles_a_valid_push_written_before_a_bad_header(byte_at_a_time)
         assert dev.sock.recv(65536) == b""  # dropped
         dev.close()
         # The push was validated and counted before the drop.
-        assert server._updates == 1
+        assert server._rounds._updates == 1
         assert np.array_equal(conn.pushed.values, mine.values)
 
 
@@ -1285,7 +1368,7 @@ def test_agent_rejects_a_global_that_cannot_train_on_its_stream(caplog, e, class
             assert thread.is_alive()
             assert worker.installs == 0 and worker.head is None
             assert stream.samples_seen == 0
-            assert server._devices[0].unacked == 1  # no ACK
+            assert server._rounds._peers[server._devices[0]].unacked == 1  # no ACK
             assert server.history == []
         finally:
             worker.stop()
@@ -1331,6 +1414,11 @@ def test_server_rejects_a_non_finite_validation_set_at_construction():
     validation[4].features[1] = np.inf  # a view of ds.features
     with pytest.raises(ValueError, match="validation features must be finite"):
         Server("127.0.0.1", 0, make_blob(1), RoundPolicy("count", 1), validation=validation)
+    # An empty set, as a list or stacked, is no set to score on, not "no validation".
+    for empty in ([], StackedSamples(np.empty((0, 8)), np.empty(0, dtype=np.int64))):
+        with pytest.raises(ValueError, match="validation set must be non-empty"):
+            Server("127.0.0.1", 0, make_blob(1), RoundPolicy("count", 1), validation=empty)
+
 
 def test_agent_gives_up_after_bounded_reconnects_but_trains_offline():
     probe = socket.socket()
@@ -1423,7 +1511,7 @@ def test_faulty_peer_leaves_loopback_rounds_equal_to_offline_simulation(fault):
     with running_server(blob0, RoundPolicy("count", 2), max_rounds=rounds) as (server, thread):
         with running_agent(server.address, 0, streams[0], **kw):
             # Device 0 has pushed; round 1 waits for device 1's push.
-            assert wait_until(lambda: server._updates == 1)
+            assert wait_until(lambda: server._rounds._updates == 1)
             rogue = ScriptedPeer.connect(server.address)
             if fault == "garbage_after_hello":
                 rogue.sock.sendall(encode_message(Message(MessageType.HELLO, 9)) + b"\xff" * 64)
