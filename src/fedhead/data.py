@@ -199,30 +199,38 @@ class DeviceStream:
         features[...] = self.dataset.features[chosen]
         labels[...] = self.dataset.labels[chosen]
 
+    def shard(self, num_devices: int) -> list[DeviceStream]:
+        """Split the unseen indices, in order, into `num_devices` streams with
+        ids 0..N-1: contiguous shards of equal size, the remainder going to the
+        last. This stream's cursor does not move, so each call shards the same
+        samples: a sweep shuffles once per repetition and shards that order for
+        every point."""
+        if num_devices < 1:
+            raise ValueError(f"num_devices must be >= 1, got {num_devices}")
+        unseen = self.indices[self.cursor :]
+        if num_devices > len(unseen):
+            raise ValueError(
+                f"cannot split {len(unseen)} training samples across {num_devices} devices"
+            )
+        base = len(unseen) // num_devices
+        bounds = [d * base for d in range(num_devices)] + [len(unseen)]
+        return [DeviceStream(device_id=d, dataset=self.dataset, indices=unseen[start:stop])
+                for d, (start, stop) in enumerate(zip(bounds, bounds[1:]))]
+
 
 def partition(dataset: EmbeddingDataset, num_devices: int, seed=None) -> list[DeviceStream]:
     """Split the train split into disjoint, exhaustive per-device streams.
 
-    Seeded shuffle, then contiguous shards of equal size with the remainder
-    going to the last device.
+    A seeded shuffle, whose whole order is the one stream of
+    `partition(dataset, 1, seed)`, then that order's `DeviceStream.shard`.
     """
     if num_devices < 1:
         raise ValueError(f"num_devices must be >= 1, got {num_devices}")
     train = dataset.train_indices()
     if len(train) == 0:
         raise ValueError("dataset has no training samples")
-    if num_devices > len(train):
-        raise ValueError(
-            f"cannot split {len(train)} training samples across {num_devices} devices"
-        )
     order = np.random.default_rng(seed).permutation(train)
-    base = len(order) // num_devices
-    streams = []
-    for d in range(num_devices):
-        start = d * base
-        stop = start + base if d < num_devices - 1 else len(order)
-        streams.append(DeviceStream(device_id=d, dataset=dataset, indices=order[start:stop]))
-    return streams
+    return DeviceStream(device_id=0, dataset=dataset, indices=order).shard(num_devices)
 
 
 # Noise values drawn per block by the synthetic generators: the float64

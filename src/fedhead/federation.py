@@ -77,9 +77,9 @@ def average_blobs(blobs: list[ModelBlob] | StackedBlobs) -> ModelBlob:
         rows = [b.values for b in blobs]
     if len(rows) == 1:
         return ModelBlob(rows[0], e, c)
-    acc = rows[0].copy()
-    for row in rows[1:]:
-        acc += row
+    # A row holds C * (E + 1) >= 2 values, so the reduce over the outer axis
+    # adds whole rows, left to right (a single column would be summed pairwise).
+    acc = np.add.reduce(rows, axis=0)
     acc /= len(rows)
     return ModelBlob(acc, e, c)
 

@@ -224,12 +224,26 @@ def train_batch(model: ModelBlob, batch, lr: float, local_episodes: int) -> Mode
     delta = np.empty((devices, n, c))  # softmax(x @ w.T + b) - onehot, in place
     rows = np.empty((devices, n, 1))
     wt, dt = w.transpose(0, 2, 1), delta.transpose(0, 2, 1)
+    # Each row's class max and class sum go to `rows`. A reduce over two classes
+    # is one maximum or one a + b, so a binary head takes them on its two class
+    # columns, bitwise and without a reduction's set-up cost; from three classes
+    # on, the reduction is faster than a chain of binary operations.
+    binary = c == 2
+    first, second = delta[..., :1], delta[..., 1:]
     for _ in range(local_episodes):
         np.matmul(x, wt, out=delta)
         delta += b
-        delta -= np.maximum.reduce(delta, axis=2, keepdims=True, out=rows)
+        if binary:
+            np.maximum(first, second, out=rows)
+        else:
+            np.maximum.reduce(delta, axis=2, keepdims=True, out=rows)
+        delta -= rows
         np.exp(delta, out=delta)
-        delta /= np.add.reduce(delta, axis=2, keepdims=True, out=rows)
+        if binary:
+            np.add(first, second, out=rows)
+        else:
+            np.add.reduce(delta, axis=2, keepdims=True, out=rows)
+        delta /= rows
         delta -= onehot
         np.matmul(dt, x, out=gw)
         np.add.reduce(delta, axis=1, out=gb)

@@ -20,7 +20,9 @@ A device's contribution is its latest validated push made after it ACKed
 the current global, so a sync agent uploads its model once per round. Live
 devices without such a push (timer rounds, free-run agents that have not
 pushed, pushes made before the ACK) get a PULL_MODEL and contribute their
-MODEL_DATA reply.
+MODEL_DATA reply. A device is live once its connection has ACKed a global
+and while it is not stale: a peer that never ACKs its greeting, or rejects
+it, is never pulled, so it holds up no round.
 
 Devices that miss the collection deadline are marked stale and excluded
 until they next speak; a device whose MODEL_DATA fails wire validation gets
@@ -109,6 +111,7 @@ class _Peer:
     """What the round protocol knows of one connection."""
 
     device_id: int | None = None
+    acked: bool = False  # has ACKed a global: only then does it join rounds
     stale: bool = False
     announced: bool = False  # the previous message was PUSH_MODEL
     pulls: int = 0  # PULL_MODELs not yet answered by MODEL_DATA or ERROR NO_MODEL
@@ -177,6 +180,7 @@ class Rounds:
         elif msg.type is MessageType.MODEL_DATA:
             self._on_model_data(conn, peer, msg, announced)
         elif msg.type is MessageType.ACK:
+            peer.acked |= peer.unacked > 0  # an ACK that answers a pushed global
             peer.unacked = max(0, peer.unacked - 1)
             if msg.body == STATUS_DATA_EXHAUSTED:
                 log.info("device %s reports data exhausted", peer.device_id)
@@ -254,7 +258,9 @@ class Rounds:
     # -- rounds ---------------------------------------------------------------
 
     def _live_devices(self) -> dict[int, Hashable]:
-        return {d: c for d, c in self._devices.items() if not self._peers[c].stale}
+        """The devices a round waits on: each has ACKed a global and is not stale."""
+        return {d: c for d, c in self._devices.items()
+                if self._peers[c].acked and not self._peers[c].stale}
 
     def tick(self, now: float) -> RoundRecord | None:
         """Start the round the policy calls for; finish the pending round once it

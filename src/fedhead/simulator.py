@@ -13,6 +13,13 @@ that order. Repetitions are therefore independent of sweep-value order and
 of which other values appear in the sweep, so a sweep runs repetition-major:
 repetition r builds its dataset and stacks its validation set once, runs
 every sweep point on them, and frees them before repetition r + 1 is built.
+
+Each child is used once per repetition, not once per point: the data seed
+builds the dataset, the partition seed shuffles its training split, whose
+order every point shards into its own device streams, and the init seed
+draws the random initial head. So the sweep points of one repetition share
+its dataset, validation set, training order and one initial head per init
+mode, and differ only in their round settings.
 """
 from __future__ import annotations
 
@@ -25,7 +32,7 @@ import numpy as np
 from . import data as data_mod
 from .errors import DataExhaustedError
 from .federation import ModelBlob, RoundConfig, run_training
-from .nn import INIT_MODES
+from .nn import INIT_MODES, init_head
 
 SWEEP_AXES = ("devices", "batch_size", "local_episodes", "init_mode")
 
@@ -240,15 +247,21 @@ def _run_repetition(cfg: ExperimentConfig, point_cfgs: list[tuple[RoundConfig, s
                     source: SyntheticSpec | data_mod.EmbeddingDataset, r: int,
                     pretrained: ModelBlob | None, curves: np.ndarray) -> None:
     """Run repetition r at every sweep point into curves[point, :, r], the (val,
-    train) accuracy after each round; a point's init mode picks `pretrained` or
-    the init seed. The data is local, so it is freed before the next build."""
+    train) accuracy after each round. The points share the repetition's data,
+    its one shuffle, sharded for each point, and one initial head per init mode
+    (`pretrained` itself, or one `init_head` builds from the init seed), which
+    `run_training` copies. The data is local, so it is freed before the next
+    build."""
     data_ss, part_ss, init_ss = np.random.SeedSequence([cfg.base_seed + r]).spawn(3)
     dataset = source.build(data_ss) if isinstance(source, SyntheticSpec) else source
     val = dataset.stacked_validation()
+    (order,) = data_mod.partition(dataset, 1, part_ss)
+    heads = {mode: pretrained if mode == "pretrained" else
+             init_head(dataset.embedding_dim, dataset.num_classes, mode, seed=init_ss)
+             for mode in {mode for _, mode in point_cfgs}}
     for p, (round_cfg, init_mode) in enumerate(point_cfgs):
-        parts = data_mod.partition(dataset, round_cfg.num_devices, part_ss)
-        result = run_training(round_cfg, parts, val, init_mode, init_seed=init_ss,
-                              init_blob=pretrained)
+        result = run_training(round_cfg, order.shard(round_cfg.num_devices), val, "pretrained",
+                              init_blob=heads[init_mode])
         curves[p, :, r] = [[rec.val_accuracy for rec in result.history],
                            [rec.train_accuracy for rec in result.history]]
 

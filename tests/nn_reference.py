@@ -86,6 +86,31 @@ def sample_gradients(head: ModelBlob, sample) -> Gradients:
     return backward(head, sample.features, probs, sample.label)
 
 
+def reduction_train_batch(head: ModelBlob, batch: StackedSamples, lr: float,
+                          local_episodes: int) -> np.ndarray:
+    """`fedhead.nn.train_batch`'s episodes on a device-stacked batch, (N, n, E)
+    features, with each row's class max and class sum taken by reductions over
+    the class axis at every C, as the kernel takes them from three classes on.
+    The products and steps are the kernel's, so at C = 2 its binary-head path
+    must match this bitwise. Returns the (N, C*E + C) trained rows, unchecked."""
+    c, e = head.num_classes, head.embedding_dim
+    x, labels = batch.features, batch.labels
+    devices, n = labels.shape
+    onehot = np.equal(labels[..., None], np.arange(c)).astype(np.float64)
+    params = np.tile(head.values, (devices, 1))
+    for _ in range(local_episodes):
+        w, b = params[:, : c * e].reshape(devices, c, e), params[:, None, c * e :]
+        delta = x @ w.transpose(0, 2, 1) + b
+        delta -= np.maximum.reduce(delta, axis=2, keepdims=True)
+        delta = np.exp(delta)
+        delta /= np.add.reduce(delta, axis=2, keepdims=True)
+        delta -= onehot
+        d_weights = (delta.transpose(0, 2, 1) @ x).reshape(devices, c * e)
+        grads = np.concatenate([d_weights, np.add.reduce(delta, axis=1)], axis=1)
+        params = params - lr * (grads / n)
+    return params
+
+
 def predict(head: ModelBlob, x: np.ndarray) -> int:
     """Argmax class; ties go to the lowest class index."""
     return int(np.argmax(forward(head, x)))

@@ -199,6 +199,26 @@ def test_partition_disjoint_exhaustive_property():
             assert set(seen) == train
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_partition_is_one_shuffle_then_contiguous_shards(n):
+    ds = synth_separable(4, 2, 57, 4.0, 5, val_fraction=0.2)  # 46 training samples
+    order = np.random.default_rng(11).permutation(ds.train_indices())
+    base = len(order) // n  # the remainder, 46 % n, goes to the last device
+    want = [order[d * base : (d + 1) * base] for d in range(n - 1)] + [order[(n - 1) * base :]]
+    (whole,) = partition(ds, 1, 11)
+    for streams in (partition(ds, n, 11), whole.shard(n), whole.shard(n)):
+        assert [s.device_id for s in streams] == list(range(n))
+        for s, indices in zip(streams, want, strict=True):
+            assert s.dataset is ds and s.samples_seen == 0
+            assert np.array_equal(s.indices, indices)
+    assert whole.samples_seen == 0  # sharding moves no cursor
+    whole.take(4)
+    assert np.array_equal(np.concatenate([s.indices for s in whole.shard(n)]), order[4:])
+    for bad in (0, len(order) - 3):
+        with pytest.raises(ValueError):
+            whole.shard(bad)
+
+
 def test_partition_rejects_more_devices_than_samples():
     ds = synth_separable(4, 2, 6, 4.0, 6, val_fraction=0.5)
     with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from fedhead.errors import DataExhaustedError, ShapeError
 from fedhead.federation import (
     ModelBlob,
     RoundConfig,
+    StackedBlobs,
     average_blobs,
     blob_from_head,
     evaluate,
@@ -86,6 +87,20 @@ def test_average_matches_naive_per_index_oracle_exactly():
         for b in blobs[1:]:
             acc = acc + b.values[i]
         assert out.values[i] == acc / 3
+
+
+@pytest.mark.parametrize("e, c", [(1, 1), (1, 2), (6, 3)])
+def test_average_adds_rows_left_to_right_at_every_count(e, c):
+    # From eight terms on, a one-column reduce would sum pairwise instead.
+    rng = np.random.default_rng(6)
+    for k in range(2, 20):
+        rows = rng.normal(size=(k, c * e + c)) * 10.0 ** rng.integers(-3, 4, size=(k, c * e + c))
+        acc = rows[0].copy()
+        for row in rows[1:]:
+            acc = acc + row
+        want = (acc / k).tobytes()
+        assert average_blobs([ModelBlob(row, e, c) for row in rows]).values.tobytes() == want
+        assert average_blobs(StackedBlobs(rows, e, c)).values.tobytes() == want
 
 
 def test_average_permutation_within_tolerance():

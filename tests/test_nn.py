@@ -765,6 +765,29 @@ def test_train_batch_one_hot_does_not_depend_on_the_label_dtype(lead):
         assert np.array_equal(trained_rows(dtype), want)
 
 
+@settings(max_examples=200, deadline=None)
+@given(devices=st.integers(1, 4), n=st.integers(1, 6), e=st.integers(1, 5),
+       tie=st.booleans(), large=st.booleans(), lr=st.sampled_from([0.0, 0.01, 1.0]),
+       episodes=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))
+def test_binary_head_episodes_are_bitwise_the_class_reductions(devices, n, e, tie, large, lr,
+                                                               episodes, seed):
+    # A tied head gives every sample two equal logits at the first step. With
+    # |x . w| <= 0.5 * E <= 2.5, a large bias puts every first-step logit at 700
+    # or more in magnitude, where exp of an unshifted logit overflows.
+    rng = np.random.default_rng(seed)
+    weights, bias = rng.uniform(-0.5, 0.5, size=(2, e)), rng.uniform(-0.5, 0.5, size=2)
+    if large:
+        bias = rng.choice([-1.0, 1.0], size=2) * rng.uniform(703, 5000, size=2)
+    if tie:
+        weights[1], bias[1] = weights[0], bias[0]
+    head = make_head(weights, bias)
+    batch = StackedSamples(rng.uniform(-1, 1, size=(devices, n, e)),
+                           rng.integers(0, 2, size=(devices, n)))
+    got = train_batch(head, batch, lr, episodes)
+    want = nn_reference.reduction_train_batch(head, batch, lr, episodes)
+    assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=50)
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=2, max_value=4),
        st.integers(min_value=0, max_value=2**31 - 1))

@@ -454,6 +454,7 @@ def test_server_drops_corrupt_reply_from_round_then_forgives():
     corrupt = bytearray(model_data_body(good))
     corrupt[36] ^= 0xFF  # a model payload byte inside frame 4
     rounds = core(make_blob(5), RoundPolicy("count", 1), 1, 2)
+    deliver(rounds, 2, ack(2))  # device 2 joins rounds once it has ACKed a global
     bad = Message(MessageType.MODEL_DATA, 2, bytes(corrupt))
     for answer, errors, participants in ((bad, [(2, error(b"CorruptionError"))], (1,)),
                                          (reply(2, good), [], (1, 2))):
@@ -468,6 +469,7 @@ def test_server_drops_corrupt_reply_from_round_then_forgives():
 def test_server_marks_silent_device_stale_until_it_speaks():
     mine = make_blob(8)
     rounds = core(make_blob(7), RoundPolicy("count", 1), 1, 2, round_timeout=0.5)
+    deliver(rounds, 2, ack(2))  # live, then silent
     deliver(rounds, 1, ack(1), *push(mine, 1))
     assert tick(rounds, 1.0) == (None, [(2, PULL)])  # never answered
     assert tick(rounds, 1.25) == (None, [])
@@ -479,8 +481,26 @@ def test_server_marks_silent_device_stale_until_it_speaks():
     assert tick(rounds, 1.5) == (None, [(2, PULL)])
 
 
+def test_a_peer_that_never_acks_a_global_holds_no_round():
+    # At the default round_timeout, a round that pulled such a peer would wait 5 s.
+    initial = make_blob(80)
+    rounds = core(initial, RoundPolicy("count", 2), 1, 2)
+    assert rounds.round_timeout == 5.0
+    assert deliver(rounds, 9, hello(9)) == [(9, push(initial))]  # then silence
+    deliver(rounds, 8, hello(8), Message(MessageType.ERROR, 8, b"ShapeError"))  # rejects it
+    # An ACK that answers no global, here one before the HELLO, vouches for nothing.
+    assert deliver(rounds, 7, ack(7), hello(7)) == [(7, push(initial))]  # then silence
+    for r in range(3):
+        for d in (1, 2):
+            deliver(rounds, d, ack(d), *push(make_blob(81 + 2 * r + d), d))
+        record, sends = tick(rounds, 0.0)
+        assert record.participants == (1, 2)
+        assert [c for c, _ in sends] == [1, 2, 9, 8, 7]  # each still gets every global
+
+
 def test_server_handles_no_model_reply():
     rounds = core(make_blob(9), RoundPolicy("count", 1), 1, 2)
+    deliver(rounds, 2, ack(2))
     deliver(rounds, 1, ack(1), *push(make_blob(10), 1))
     assert tick(rounds, 0.0) == (None, [(2, PULL)])
     assert deliver(rounds, 2, Message(MessageType.ERROR, 2, b"NO_MODEL")) == []
@@ -490,6 +510,7 @@ def test_server_handles_no_model_reply():
 def test_server_timer_policy_runs_rounds_without_pushes():
     mine = make_blob(12)
     rounds = core(make_blob(11), RoundPolicy("timer", 0.5), 1)
+    deliver(rounds, 1, ack(1))
     assert tick(rounds, 0.25) == (None, [])
     assert tick(rounds, 0.5) == (None, [(1, PULL)])
     deliver(rounds, 1, reply(1, mine))
@@ -525,6 +546,7 @@ def test_server_survives_a_failed_push_of_the_new_global():
     blobs = {1: make_blob(16), 0: make_blob(17)}
     # Device 1 registers first, so the post-round push reaches it first.
     rounds = core(make_blob(15), RoundPolicy("count", 1), 1, 0)
+    deliver(rounds, 1, ack(1))
     deliver(rounds, 0, ack(0), *push(blobs[0], 0))
     assert tick(rounds, 0.0) == (None, [(1, PULL)])
     deliver(rounds, 1, reply(1, blobs[1]))
@@ -538,13 +560,16 @@ def test_server_survives_a_failed_push_of_the_new_global():
 def test_server_does_not_take_a_late_ack_of_an_older_global_for_the_newest():
     mine, stale_push, answer = make_blob(36), make_blob(37), make_blob(38)
     rounds = core(make_blob(35), RoundPolicy("count", 1), 1, 2, round_timeout=0.5)
-    deliver(rounds, 2, ack(2), *push(mine, 2))  # device 1 has not ACKed global 0
+    deliver(rounds, 1, ack(1))  # device 1 ACKs global 0, then falls behind
+    deliver(rounds, 2, ack(2), *push(mine, 2))
     assert tick(rounds, 0.0) == (None, [(1, PULL)])
     assert tick(rounds, 0.5)[0].participants == (2,)  # closes without device 1: global 1
-    # Device 1 acknowledges global 0 only, then pushes a model trained on it:
-    # the push triggers round 2, but device 1 must be pulled.
+    deliver(rounds, 2, ack(2), *push(mine, 2))
+    assert tick(rounds, 0.5)[0].participants == (2,)  # device 1 is stale: global 2
+    # Device 1 acknowledges global 1 only, then pushes a model trained on it:
+    # the push triggers round 3, but device 1 must be pulled.
     deliver(rounds, 1, ack(1), *push(stale_push, 1))
-    assert tick(rounds, 1.0) == (None, [(1, PULL), (2, PULL)])  # 2: no push since global 1
+    assert tick(rounds, 1.0) == (None, [(1, PULL), (2, PULL)])  # 2: no push since global 2
     deliver(rounds, 1, reply(1, answer))
     deliver(rounds, 2, reply(2, mine))
     record, _ = tick(rounds, 1.0)
@@ -561,8 +586,10 @@ def test_server_takes_a_free_run_devices_latest_push():
 
 
 def test_server_labels_a_push_that_crosses_its_pull():
-    m1, m2, m3 = make_blob(43), make_blob(44), make_blob(45)
+    m0, m1, m2, m3 = make_blob(46), make_blob(43), make_blob(44), make_blob(45)
     rounds = core(make_blob(42), RoundPolicy("count", 1), 1)
+    deliver(rounds, 1, ack(1), *push(m0, 1))
+    assert tick(rounds, 0.0)[0].participants == (1,)  # global 1, not yet ACKed
     deliver(rounds, 1, *push(m1, 1))  # counts toward count:1, but before the ACK: pulled
     assert tick(rounds, 0.0) == (None, [(1, PULL)])
     # A second push arrives after the PULL and before the reply, as when a
@@ -604,8 +631,8 @@ class RoundFaults(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.rounds, self.now = None, 0.0
-        # Per connection not yet closed: its first HELLO's id, and the globals
-        # and pulls it was sent and has not answered.
+        # Per connection not yet closed: its first HELLO's id, the globals and
+        # pulls it was sent and has not answered, and whether it has ACKed.
         self.open = {}
         self.prompt, self.failing = {}, set()  # prompt: conn -> whether it uploads
         self.waited_on = set()  # the prompt connections as the pending round started
@@ -681,6 +708,7 @@ class RoundFaults(RuleBasedStateMachine):
             device, installed = self.open[conn], self.open[conn].unacked
             while device.unacked:
                 device.unacked -= 1
+                device.acked = True
                 self.send(conn, ack(device.device_id))
             if installed and uploads:
                 self.upload(conn, ("valid", 0))
@@ -693,21 +721,27 @@ class RoundFaults(RuleBasedStateMachine):
     def start(self, policy):
         self.rounds = server_module.Rounds(make_blob(90, e=4), policy, FAULT_TIMEOUT, 0.0)
 
-    @rule(device_id=st.integers(0, 3), kind=st.sampled_from(["lazy", "sync", "pulled"]))
-    def connect(self, device_id, kind):
+    @rule(device_id=st.integers(0, 3), kind=st.sampled_from(["lazy", "sync", "pulled"]),
+          ack_first=st.booleans())
+    def connect(self, device_id, kind, ack_first):
         conn = next(self.conns)  # an id another connection holds replaces that one
-        self.open[conn] = types.SimpleNamespace(device_id=device_id, unacked=0, pulls=0)
+        self.open[conn] = types.SimpleNamespace(device_id=device_id, unacked=0, pulls=0,
+                                                acked=False)
         if kind != "lazy":
             self.prompt[conn] = kind == "sync"
+        if ack_first:  # an ACK that answers no global
+            self.send(conn, ack(device_id))
         self.send(conn, hello(device_id))
         self.tick()
 
     @rule(i=PICKS)
-    def ack_one(self, i):  # with more globals unanswered, a late ACK of an older one
-        conn = self.pick(i)
-        if conn is not None and self.open[conn].unacked:
-            self.open[conn].unacked -= 1
-            self.send(conn, ack(self.open[conn].device_id))
+    def ack_one(self, i):  # with more globals unanswered, a late ACK of an older one;
+        conn = self.pick(i)  # with none, an ACK that answers no global
+        if conn is not None:
+            device = self.open[conn]
+            device.acked |= device.unacked > 0
+            device.unacked = max(0, device.unacked - 1)
+            self.send(conn, ack(device.device_id))
         self.tick()
 
     @rule(i=PICKS, body=BODIES)
@@ -773,6 +807,9 @@ class RoundFaults(RuleBasedStateMachine):
             assert conn in self.open and self.open[conn].device_id == device_id
         if self.rounds is not None and self.rounds._expected is not None:
             assert self.rounds._expected <= self.rounds._devices.keys()
+            # A round waits only on connections that have ACKed a global.
+            for device_id in self.rounds._expected:
+                assert self.open[self.rounds._devices[device_id]].acked
 
 
 def test_round_core_keeps_its_invariants_under_faulty_peers():
@@ -1521,6 +1558,7 @@ def test_faulty_peer_leaves_loopback_rounds_equal_to_offline_simulation(fault):
             else:
                 rogue.send(Message(MessageType.HELLO, 9))
                 rogue.expect_push()
+                rogue.send(Message(MessageType.ACK, 9))  # so that rounds wait on it
                 upload = encode_message(Message(MessageType.MODEL_DATA, 9, model_data_body(blob0)))
                 rogue.send(Message(MessageType.PUSH_MODEL, 9))
                 rogue.sock.sendall(upload[: len(upload) // 2])

@@ -1,4 +1,5 @@
 """Sweep harness: seeding contract, aggregate stats, CSV shape, config parsing."""
+import collections
 import csv
 import dataclasses
 import hashlib
@@ -170,6 +171,31 @@ def test_sweep_builds_each_repetitions_data_once(monkeypatch):
                         lambda self: stacks.append(self) or stack(self))
     run_sweep(small_config(sweep_values=[1, 2, 3], repetitions=2, epochs=2))
     assert len(builds) == len(stacks) == 2
+
+
+@pytest.mark.parametrize("axis, values", [
+    pytest.param("devices", [2], id="one-point"),
+    pytest.param("devices", [1, 2, 3], id="devices"),
+    pytest.param("init_mode", ["pretrained", "random", "zeros", "random"], id="init_mode"),
+])
+def test_sweep_shuffles_once_and_builds_one_head_per_init_mode_per_repetition(
+        monkeypatch, axis, values):
+    import fedhead.data as data_mod
+    import fedhead.simulator as sim
+
+    shuffles, heads = [], []
+    partition_, init_head = data_mod.partition, sim.init_head
+    monkeypatch.setattr(data_mod, "partition",
+                        lambda ds, n, seed=None: shuffles.append(n) or partition_(ds, n, seed))
+    monkeypatch.setattr(sim, "init_head",
+                        lambda e, c, mode, **kw: heads.append(mode) or init_head(e, c, mode, **kw))
+    cfg = small_config(sweep_param=axis, sweep_values=values, repetitions=3, epochs=2)
+    run_sweep(cfg)
+    modes = set(values) if axis == "init_mode" else {cfg.init_mode}
+    # The pretrained head is trained once per sweep, on its own partition of
+    # the source task, and every repetition starts from it as it is.
+    assert shuffles == [1] * (cfg.repetitions + ("pretrained" in modes))
+    assert collections.Counter(heads) == {mode: cfg.repetitions for mode in modes - {"pretrained"}}
 
 
 def test_sweep_holds_one_repetitions_data_at_a_time():
