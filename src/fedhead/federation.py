@@ -7,6 +7,7 @@ no sample is ever revisited.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,9 @@ from .nn import (
     stack_samples,
     train_batch,
 )
+
+# Each thread's round batch (`_size_round_batch`).
+_local = threading.local()
 
 
 @dataclass(eq=False)
@@ -56,17 +60,20 @@ def average_blobs(blobs: list[ModelBlob] | StackedBlobs) -> ModelBlob:
 
     `blobs` is a list of ModelBlob or a StackedBlobs, whose unchecked rows
     are checked once, in the mean's ModelBlob: a non-finite row, or finite
-    rows whose sum overflows, leave the mean non-finite.
+    rows whose sum overflows, leave the mean non-finite. No blobs, in either
+    form, is a ValueError.
 
     The fixed accumulation order makes the result reproducible; callers that
     care about device order (the round loop does) sort by device id first.
     The mean of one blob has that blob's values (x / 1 == x).
     """
-    if isinstance(blobs, StackedBlobs):
-        rows, e, c = blobs.values, blobs.embedding_dim, blobs.num_classes
+    stacked = isinstance(blobs, StackedBlobs)
+    rows = blobs.values if stacked else [b.values for b in blobs]
+    if len(rows) == 0:
+        raise ValueError("cannot average an empty list of blobs")
+    if stacked:
+        e, c = blobs.embedding_dim, blobs.num_classes
     else:
-        if not blobs:
-            raise ValueError("cannot average an empty list of blobs")
         e, c = blobs[0].embedding_dim, blobs[0].num_classes
         for b in blobs[1:]:
             if (b.embedding_dim, b.num_classes) != (e, c):
@@ -74,7 +81,6 @@ def average_blobs(blobs: list[ModelBlob] | StackedBlobs) -> ModelBlob:
                     f"blob shape E={b.embedding_dim} C={b.num_classes} does not match "
                     f"E={e} C={c}"
                 )
-        rows = [b.values for b in blobs]
     if len(rows) == 1:
         return ModelBlob(rows[0], e, c)
     # A row holds C * (E + 1) >= 2 values, so the reduce over the outer axis
@@ -144,6 +150,14 @@ def evaluate(blob: ModelBlob, samples) -> float:
     return np.count_nonzero(hits) / len(val)
 
 
+def _size_round_batch(shape: tuple[int, int, int]) -> StackedSamples:
+    """Build this thread's (N, B, E) round batch and keep it for its next
+    round of that shape."""
+    n, b, _ = shape
+    _local.batch = batch = StackedSamples(np.empty(shape), np.empty((n, b), dtype=np.int64))
+    return batch
+
+
 def federated_round(
     streams: list[DeviceStream],
     global_blob: ModelBlob,
@@ -157,15 +171,17 @@ def federated_round(
     blob, so a device carries nothing between rounds but its stream.
 
     Each stream's batch is gathered straight into one (N, B, E) batch, trained
-    from the global blob by one `train_batch` call into (N, C*E + C) rows,
-    averaged in device-id order into the new global blob, whose check is the
-    one check of the result, and scored by one `batch_predict` call; no
-    per-device blob is built. A validation list is stacked once per call;
-    pass it stacked to reuse it. The validation dim and every stream's data
-    shape (`check_stream`) and unseen data are checked before any batch is
-    taken, so such a failed round consumes nothing. A round that fails in
-    training raises and leaves `global_blob` unchanged; its batches stay
-    consumed.
+    from the global blob by one `train_batch` call into fresh (N, C*E + C)
+    rows, averaged in device-id order into the new global blob, whose check is
+    the one check of the result, and scored by one `batch_predict` call; no
+    per-device blob is built. The batch is this thread's scratch, kept for the
+    shape it last took, as `train_batch` keeps its buffers (and checks the
+    labels by counting its one-hot's ones); nothing returned views either.
+    A validation list is stacked once per call; pass it stacked to reuse it.
+    The validation dim and every stream's data shape (`check_stream`) and
+    unseen data are checked before any batch is taken, so such a failed round
+    consumes nothing. A round that fails in training raises and leaves
+    `global_blob` unchanged; its batches stay consumed.
     """
     if not streams:
         raise ValueError("need at least one device")
@@ -179,8 +195,9 @@ def federated_round(
                 f"only {s.remaining()} unseen remain"
             )
     n = len(streams)
-    batch = StackedSamples(np.empty((n, cfg.batch_size, e)),
-                           np.empty((n, cfg.batch_size), dtype=np.int64))
+    batch = getattr(_local, "batch", None)
+    if batch is None or batch.features.shape != (n, cfg.batch_size, e):
+        batch = _size_round_batch((n, cfg.batch_size, e))
     for s, features, labels in zip(streams, batch.features, batch.labels):
         s.take_into(features, labels)
     params = train_batch(global_blob, batch, cfg.learning_rate, cfg.local_episodes)

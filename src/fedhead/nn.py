@@ -10,6 +10,7 @@ float32 appears only at the storage/wire boundary (see `fedhead.wire`).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,10 @@ from .errors import ShapeError
 PROB_CLAMP = 1e-12
 
 INIT_MODES = ("random", "zeros", "pretrained")
+
+# Each thread's `train_batch` buffers (`_size_scratch`), so agents training in
+# threads of one process never share one.
+_local = threading.local()
 
 
 @dataclass(eq=False)
@@ -175,6 +180,23 @@ def batch_predict(head: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndar
     return preds
 
 
+def _size_scratch(shape: tuple[int, int, int, int]) -> tuple:
+    """Build this thread's `train_batch` buffers for `shape` (N, n, E, C), with
+    their views, and keep them for its next call of that shape."""
+    devices, n, e, c = shape
+    onehot = np.empty((devices, n, c))  # Y
+    params = np.empty((devices, c * e + c))
+    grads = np.empty_like(params)  # the gradients, in the same flat layout
+    w, gw = (a[:, : c * e].reshape(devices, c, e) for a in (params, grads))
+    delta = np.empty((devices, n, c))  # softmax(x @ w.T + b) - onehot, in place
+    rows = np.empty((devices, n, 1))  # each row's class max, then class sum
+    buffers = (onehot, params, grads, w.transpose(0, 2, 1), params[:, None, c * e :], gw,
+               grads[:, c * e :], delta, delta.transpose(0, 2, 1), delta[..., :1],
+               delta[..., 1:], rows)
+    _local.train = shape, buffers
+    return buffers
+
+
 def train_batch(model: ModelBlob, batch, lr: float, local_episodes: int) -> ModelBlob | np.ndarray:
     """Train on one batch for `local_episodes` passes.
 
@@ -192,11 +214,18 @@ def train_batch(model: ModelBlob, batch, lr: float, local_episodes: int) -> Mode
     i is bitwise `train_batch(model, batch_i, ...).values`. A 2-D batch is
     the N = 1 case and returns a ModelBlob.
 
-    Inputs are checked once, before the first step, Y is built in one np.equal
-    of the labels with 0..C-1, and the episodes run on raw arrays. The result
-    is checked once, as a ModelBlob or by the caller: a non-finite gradient
-    leaves its parameter non-finite for good (at lr = 0 too, as 0 * inf is
-    nan), so it raises as a per-episode check would.
+    The episodes run in place on this thread's scratch buffers (Y, the
+    parameter and gradient rows, the softmax rows and their views), which
+    it keeps for the shape it last trained, (N, n, E, C), so a run of
+    same-shaped calls allocates them once. The result is a copy: no returned
+    row or ModelBlob views the scratch, which the next call overwrites.
+
+    Inputs are checked once, before the first step. Y is built in one np.equal
+    of the labels with 0..C-1, and the label check counts its ones: a label
+    that is not an integer in [0, C) has none. The result is checked once, as
+    a ModelBlob or by the caller: a non-finite gradient leaves its parameter
+    non-finite for good (at lr = 0 too, as 0 * inf is nan), so it raises as
+    a per-episode check would.
     """
     check_sgd_settings(lr, local_episodes)
     check_classifier(model)
@@ -209,27 +238,24 @@ def train_batch(model: ModelBlob, batch, lr: float, local_episodes: int) -> Mode
         raise ShapeError(f"batch features must all have shape ({e},)")
     if not np.isfinite(x).all():
         raise ValueError("input features must be finite")
-    if labels.min() < 0 or labels.max() >= c:
-        raise IndexError(f"labels must lie in [0, {c}), got {labels.tolist()}")
     per_device = x.ndim == 3
     if not per_device:
         x, labels = x[None], labels[None]
-    devices, n = labels.shape
-    onehot = np.equal(labels[..., None], np.arange(c), out=np.empty((devices, n, c)))
-    params = np.empty((devices, c * e + c))
+    shape = (*labels.shape, e, c)
+    sized, buffers = getattr(_local, "train", (None, None))
+    if sized != shape:
+        buffers = _size_scratch(shape)
+    onehot, params, grads, wt, b, gw, gb, delta, dt, first, second, rows = buffers
+    np.equal(labels[..., None], np.arange(c), out=onehot)
+    if np.count_nonzero(onehot) != labels.size:
+        raise IndexError(f"labels must be integers in [0, C), here C = {c}")
+    n = shape[1]
     params[:] = model.values
-    grads = np.empty_like(params)  # the gradients, in the same flat layout
-    w, gw = (a[:, : c * e].reshape(devices, c, e) for a in (params, grads))
-    b, gb = params[:, None, c * e :], grads[:, c * e :]
-    delta = np.empty((devices, n, c))  # softmax(x @ w.T + b) - onehot, in place
-    rows = np.empty((devices, n, 1))
-    wt, dt = w.transpose(0, 2, 1), delta.transpose(0, 2, 1)
     # Each row's class max and class sum go to `rows`. A reduce over two classes
     # is one maximum or one a + b, so a binary head takes them on its two class
     # columns, bitwise and without a reduction's set-up cost; from three classes
     # on, the reduction is faster than a chain of binary operations.
     binary = c == 2
-    first, second = delta[..., :1], delta[..., 1:]
     for _ in range(local_episodes):
         np.matmul(x, wt, out=delta)
         delta += b
@@ -251,8 +277,8 @@ def train_batch(model: ModelBlob, batch, lr: float, local_episodes: int) -> Mode
         grads *= lr
         params -= grads  # p - lr * (g / n): divide, scale, subtract
     if per_device:
-        return params
-    return ModelBlob(params[0], e, c)
+        return params.copy()
+    return ModelBlob(params[0].copy(), e, c)
 
 
 def batch_gradients(model: ModelBlob, batch) -> Gradients:

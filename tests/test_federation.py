@@ -114,6 +114,10 @@ def test_average_permutation_within_tolerance():
 def test_average_usage_errors():
     with pytest.raises(ValueError):
         average_blobs([])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="empty"):
+            average_blobs(StackedBlobs(np.empty((0, 8)), 3, 2))
     rng = np.random.default_rng(6)
     with pytest.raises(ShapeError):
         average_blobs([random_blob(rng, 3, 2), random_blob(rng, 4, 2)])

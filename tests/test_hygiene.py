@@ -1,7 +1,8 @@
 """Source hygiene, checked with the standard library's `ast`: no module under
 src/ keeps an import it does not use or a private module-level name that
-nothing in it references, so a refactor cannot leave either behind; and the
-server's round core names no socket, selector, clock or link."""
+nothing in it references, so a refactor cannot leave either behind; the
+server's round core names no socket, selector, clock or link; and the
+training modules hold no module-level state that threads could share."""
 import ast
 import pathlib
 
@@ -70,3 +71,23 @@ def test_the_round_core_uses_no_socket_selector_clock_or_link():
     _, tree = parse(SRC / "fedhead" / "runtime" / "server.py")
     (core,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Rounds"]
     assert loaded_names(core) & {"socket", "selectors", "time", "Link"} == set()
+
+
+def shareable(value) -> bool:
+    """A constant, a name, or a tuple of these: nothing a thread can write."""
+    if isinstance(value, ast.Tuple):
+        return all(shareable(v) for v in value.elts)
+    return isinstance(value, (ast.Constant, ast.Name))
+
+
+@pytest.mark.parametrize("name", ["nn.py", "federation.py"])
+def test_the_training_modules_bind_no_shared_buffers(name):
+    # The live agents train in threads of one process, so training buffers
+    # live in the module's one threading.local(), never in a module-level
+    # array, dict or list.
+    _, tree = parse(SRC / "fedhead" / name)
+    values = [node.value for node in tree.body
+              if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and node.value]
+    local = [v for v in values if ast.unparse(v) == "threading.local()"]
+    assert len(local) <= 1
+    assert [ast.unparse(v) for v in values if not shareable(v) and v not in local] == []

@@ -520,6 +520,8 @@ def test_device_stacked_samples_are_validated():
     ([[0.0, 0.0], [0.0, np.inf]], [0, 1], ValueError),
     (np.zeros((2, 2)), [0, 2], IndexError),
     (np.zeros((2, 2)), [-1, 0], IndexError),
+    (np.zeros((2, 2)), [0, 0.5], IndexError),
+    (np.zeros((2, 2)), [0, np.nan], IndexError),
 ])
 def test_train_batch_checks_a_stacked_batch_like_a_list(features, labels, error):
     head = make_head([[1.0, 2.0], [3.0, 4.0]], [0.5, -0.5])
