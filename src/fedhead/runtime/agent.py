@@ -1,8 +1,11 @@
 """Device agent: trains a local head between server contacts.
 
-Single-threaded: each loop iteration drains the link, then runs at most
-one training step, so a PULL_MODEL is always answered within one step's
-latency and the head is never touched concurrently.
+`Device` is the protocol and training, with no socket, selector or clock;
+`Agent` is its I/O shell, a single-threaded selector loop over one `Link`
+that carries out the device's queued sends after every message and every
+step. Each iteration drains the link, then runs at most one training step,
+so a PULL_MODEL is always answered within one step's latency and the head
+is never touched concurrently.
 
 Two modes:
   free-run (default): keep drawing one sample at a time and training at
@@ -13,11 +16,11 @@ Two modes:
       With a count:N server policy this reproduces lockstep federated
       rounds, which is what the offline simulator computes.
 
-The agent never installs a model that fails CRC or shape checks or cannot
+The device never installs a model that fails CRC or shape checks or cannot
 train on its own stream (`federation.check_stream`). A lost connection, or
 a server that leaves more than `MAX_QUEUED_WRITES` writes unread, triggers
-bounded reconnect with exponential backoff while free-run training
-continues offline.
+bounded reconnect with exponential backoff while training continues
+offline, pushing nothing.
 """
 from __future__ import annotations
 
@@ -51,11 +54,12 @@ BACKOFF_BASE = 0.05
 BACKOFF_MAX = 2.0
 
 
-class Agent:
+class Device:
+    """The device protocol, driven by `receive`, `step`, `connected` and `disconnected`;
+    `output()` takes the queued sends, each a tuple of messages for one write."""
+
     def __init__(
         self,
-        host: str,
-        port: int,
         device_id: int,
         stream,
         *,
@@ -73,8 +77,6 @@ class Agent:
         if not 0 <= device_id <= MAX_DEVICE_ID:
             raise ValueError(f"device_id must be in [0, {MAX_DEVICE_ID}], got {device_id}")
         check_sgd_settings(learning_rate, local_episodes)
-        self.host = host
-        self.port = port
         self.device_id = device_id
         self.stream = stream
         self.learning_rate = learning_rate
@@ -88,95 +90,29 @@ class Agent:
         self._need_sync_step = False
         self._since_push = 0
         self._expect = 0  # PUSH_MODEL announcements not yet matched by a MODEL_DATA
-        self._stopped = False
-        self._sel: selectors.BaseSelector | None = None  # made by run()
-        self._link: Link | None = None
+        self._online = False  # pushes wait for a link
+        self._sends: list[tuple[Message, ...]] = []
 
-    # -- lifecycle -----------------------------------------------------------
-
-    def stop(self) -> None:
-        self._stopped = True
-
-    def run(self) -> None:
-        """Train until stop(); raises ConnectionError once reconnects run out."""
-        self._sel = selectors.DefaultSelector()
-        try:
-            self._connect()
-            while not self._stopped:
-                ready = self._sel.select(timeout=0.0 if self._has_training_work() else 0.05)
-                if ready and not self._drain(ready[0][1]):  # the link is the one key
-                    continue
-                try:
-                    self._train_step()
-                except OSError:  # push failed mid-step
-                    self._connect()
-        finally:
-            self._close_link()
-            self._sel.close()
-
-    def _connect(self) -> None:
-        """Connect, first closing a lost link; train offline between attempts."""
-        if self._link is not None:
-            log.warning("device %d lost its connection; reconnecting", self.device_id)
-            self._close_link()
-        delay = BACKOFF_BASE
-        for attempt in range(RECONNECT_ATTEMPTS):
-            if self._stopped:
-                return
-            try:
-                sock = socket.create_connection((self.host, self.port), timeout=5.0)
-                self._link = Link(sock, self._sel, MessageBuffer())
-                self._expect = 0
-                self._send(Message(MessageType.HELLO, self.device_id))
-                log.info("device %d connected to %s:%d", self.device_id, self.host, self.port)
-                return
-            except OSError as exc:
-                self._close_link()  # if it connected but the HELLO failed
-                log.warning(
-                    "device %d connect attempt %d failed: %s", self.device_id, attempt + 1, exc
-                )
-                # Keep learning from the local stream while the link is down.
-                deadline = time.monotonic() + delay
-                while time.monotonic() < deadline and not self._stopped:
-                    if not self._train_step():
-                        time.sleep(min(0.05, delay))
-                delay = min(delay * 2, BACKOFF_MAX)
-        raise ConnectionError(
-            f"device {self.device_id}: gave up after {RECONNECT_ATTEMPTS} attempts"
-        )
-
-    def _close_link(self) -> None:
-        if self._link is not None:
-            self._link.close()
-            self._link = None
-
-    # -- socket I/O ------------------------------------------------------------
+    def output(self) -> list[tuple[Message, ...]]:
+        out, self._sends = self._sends, []
+        return out
 
     def _send(self, *msgs: Message) -> None:
-        self._link.send(b"".join(encode_message(m) for m in msgs))
+        self._sends.append(msgs)
 
-    def _drain(self, events: int) -> bool:
-        """Flush queued writes, then handle what one read brings; False if the link dropped."""
-        try:
-            if events & selectors.EVENT_WRITE:
-                self._link.flush()
-            if events & selectors.EVENT_READ:
-                for msg in self._link.messages():
-                    self._handle(msg)
-        except ProtocolError as exc:
-            log.error("device %d: protocol error: %s", self.device_id, exc)
-            with contextlib.suppress(OSError):
-                self._send(Message(MessageType.ERROR, self.device_id, str(exc).encode()))
-        except OSError:
-            pass
-        else:
-            return True
-        self._connect()
-        return False
+    def connected(self) -> None:
+        """A new link: drop what was queued for the old one, then greet the server."""
+        self.disconnected()
+        self._online = True
+        self._send(Message(MessageType.HELLO, self.device_id))
+
+    def disconnected(self) -> None:
+        """The link is gone: drop what was queued for it; push nothing until `connected`."""
+        self._online, self._sends, self._expect = False, [], 0
 
     # -- message handling --------------------------------------------------------
 
-    def _handle(self, msg: Message) -> None:
+    def receive(self, msg: Message) -> None:
         if msg.type is MessageType.PULL_MODEL:
             if self.head is None:
                 self._send(Message(MessageType.ERROR, self.device_id, b"NO_MODEL"))
@@ -189,10 +125,8 @@ class Agent:
         elif msg.type is MessageType.ACK:
             pass
         elif msg.type is MessageType.ERROR:
-            log.warning(
-                "device %d got ERROR from server: %s",
-                self.device_id, msg.body.decode(errors="replace"),
-            )
+            log.warning("device %d got ERROR from server: %s", self.device_id,
+                        msg.body.decode(errors="replace"))
         else:
             self._send(Message(MessageType.ERROR, self.device_id, b"UNEXPECTED_MESSAGE"))
 
@@ -224,24 +158,17 @@ class Agent:
     def _model_message(self) -> Message:
         return Message(MessageType.MODEL_DATA, self.device_id, model_data_body(self.head))
 
-    def _push_model(self) -> None:
-        # One write: the server wakes once for the announcement and its model.
-        self._send(Message(MessageType.PUSH_MODEL, self.device_id), self._model_message())
-
     # -- training ----------------------------------------------------------------
 
     def _exhausted(self) -> bool:
-        need = self.sync_batch if self.sync_batch is not None else 1
-        return self.stream.remaining() < need
+        return self.stream.remaining() < (self.sync_batch or 1)
 
     def _has_training_work(self) -> bool:
         if self.head is None or self._exhausted():
             return False
-        if self.sync_batch is not None:
-            return self._need_sync_step
-        return True
+        return self.sync_batch is None or self._need_sync_step
 
-    def _train_step(self) -> bool:
+    def step(self) -> bool:
         """Run one training step if there is one to run; True if it ran.
 
         A sync step trains one batch of sync_batch samples and pushes; a
@@ -256,7 +183,109 @@ class Agent:
         self._since_push += 1
         due = self.sync_batch is not None or (
             self.push_every is not None and self._since_push >= self.push_every)
-        if due and self._link is not None:
-            self._push_model()
+        if due and self._online:
+            # One write: the server wakes once for the announcement and its model.
+            self._send(Message(MessageType.PUSH_MODEL, self.device_id), self._model_message())
             self._since_push = 0
         return True
+
+
+class Agent(Device):
+    """The I/O shell around `Device`: one `Link` to the server, a selector and
+    bounded reconnect. `settings` are `Device`'s keyword arguments."""
+
+    def __init__(self, host: str, port: int, device_id: int, stream, **settings) -> None:
+        super().__init__(device_id, stream, **settings)
+        self.host = host
+        self.port = port
+        self._stopped = False
+        self._sel: selectors.BaseSelector | None = None  # made by run()
+        self._link: Link | None = None
+
+    # -- lifecycle -----------------------------------------------------------
+
+    def stop(self) -> None:
+        self._stopped = True
+
+    def run(self) -> None:
+        """Train until stop(); raises ConnectionError once reconnects run out."""
+        self._sel = selectors.DefaultSelector()
+        try:
+            self._connect()
+            while not self._stopped:
+                ready = self._sel.select(timeout=0.0 if self._has_training_work() else 0.05)
+                if ready and not self._drain(ready[0][1]):  # the link is the one key
+                    continue
+                self.step()
+                try:
+                    self._carry_out()
+                except OSError:  # the push failed
+                    self._connect()
+        finally:
+            self._close_link()
+            self._sel.close()
+
+    def _connect(self) -> None:
+        """Connect, first closing a lost link; train offline between attempts."""
+        if self._link is not None:
+            log.warning("device %d lost its connection; reconnecting", self.device_id)
+            self._close_link()
+        delay = BACKOFF_BASE
+        for attempt in range(RECONNECT_ATTEMPTS):
+            if self._stopped:
+                return
+            try:
+                sock = socket.create_connection((self.host, self.port), timeout=5.0)
+                self._link = Link(sock, self._sel, MessageBuffer())
+                self.connected()
+                self._carry_out()
+                log.info("device %d connected to %s:%d", self.device_id, self.host, self.port)
+                return
+            except OSError as exc:
+                self._close_link()  # if it connected but the HELLO failed
+                log.warning(
+                    "device %d connect attempt %d failed: %s", self.device_id, attempt + 1, exc
+                )
+                # Keep learning from the local stream while the link is down.
+                deadline = time.monotonic() + delay
+                while time.monotonic() < deadline and not self._stopped:
+                    if not self.step():
+                        time.sleep(min(0.05, delay))
+                delay = min(delay * 2, BACKOFF_MAX)
+        raise ConnectionError(
+            f"device {self.device_id}: gave up after {RECONNECT_ATTEMPTS} attempts"
+        )
+
+    def _close_link(self) -> None:
+        self.disconnected()
+        if self._link is not None:
+            self._link.close()
+            self._link = None
+
+    # -- socket I/O ------------------------------------------------------------
+
+    def _carry_out(self) -> None:
+        """Send what the device queued, one write per send."""
+        for msgs in self.output():
+            self._link.send(b"".join(encode_message(m) for m in msgs))
+
+    def _drain(self, events: int) -> bool:
+        """Flush queued writes, then handle what one read brings; False if the link dropped."""
+        try:
+            if events & selectors.EVENT_WRITE:
+                self._link.flush()
+            if events & selectors.EVENT_READ:
+                for msg in self._link.messages():
+                    self.receive(msg)
+                    self._carry_out()
+        except ProtocolError as exc:
+            log.error("device %d: protocol error: %s", self.device_id, exc)
+            self._send(Message(MessageType.ERROR, self.device_id, str(exc).encode()))
+            with contextlib.suppress(OSError):
+                self._carry_out()
+        except OSError:
+            pass
+        else:
+            return True
+        self._connect()
+        return False

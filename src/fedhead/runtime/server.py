@@ -246,7 +246,7 @@ class Rounds:
                 self._expected.discard(peer.device_id)
             return
         if is_push:
-            self._updates += 1
+            self._updates += peer.device_id is not None  # a registered device's push
             if not peer.unacked:
                 peer.pushed = blob
             log.debug("device %s pushed an update (%d pending)", peer.device_id, self._updates)

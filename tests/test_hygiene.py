@@ -1,7 +1,8 @@
 """Source hygiene, checked with the standard library's `ast`: no module under
 src/ keeps an import it does not use or a private module-level name that
 nothing in it references, so a refactor cannot leave either behind; the
-server's round core names no socket, selector, clock or link; and the
+server's round core and the agent's device core name no socket, selector,
+clock or link; and the
 training modules hold no module-level state that threads could share."""
 import ast
 import pathlib
@@ -66,11 +67,13 @@ def test_every_private_module_level_name_is_referenced(path):
 
 
 def test_the_round_core_uses_no_socket_selector_clock_or_link():
-    # Rounds is driven by messages, closed connections and `tick(now)`; the
-    # server's shell owns the I/O, so fault tests need no sockets or sleeps.
-    _, tree = parse(SRC / "fedhead" / "runtime" / "server.py")
-    (core,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Rounds"]
-    assert loaded_names(core) & {"socket", "selectors", "time", "Link"} == set()
+    # Rounds is driven by messages, closed connections and `tick(now)`, and
+    # Device by messages, links and training steps; each end's shell owns the
+    # I/O, so protocol tests need no sockets or sleeps.
+    for module, name in (("server.py", "Rounds"), ("agent.py", "Device")):
+        _, tree = parse(SRC / "fedhead" / "runtime" / module)
+        (core,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == name]
+        assert loaded_names(core) & {"socket", "selectors", "time", "Link"} == set(), name
 
 
 def shareable(value) -> bool:
