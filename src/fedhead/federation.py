@@ -201,8 +201,8 @@ def federated_round(
     for s, features, labels in zip(streams, batch.features, batch.labels):
         s.take_into(features, labels)
     params = train_batch(global_blob, batch, cfg.learning_rate, cfg.local_episodes)
-    order = sorted(range(n), key=lambda i: streams[i].device_id)
-    rows = params if order == list(range(n)) else params[order]
+    ids = [s.device_id for s in streams]
+    rows = params if ids == sorted(ids) else params[sorted(range(n), key=ids.__getitem__)]
     new_global = average_blobs(StackedBlobs(rows, e, c))
     weights, bias = params[:, : c * e].reshape(n, c, e), params[:, c * e :]
     hits = np.add.reduce(batch_predict((weights, bias), batch.features) == batch.labels, axis=1)

@@ -190,9 +190,10 @@ def _size_scratch(shape: tuple[int, int, int, int]) -> tuple:
     w, gw = (a[:, : c * e].reshape(devices, c, e) for a in (params, grads))
     delta = np.empty((devices, n, c))  # softmax(x @ w.T + b) - onehot, in place
     rows = np.empty((devices, n, 1))  # each row's class max, then class sum
+    # A binary head's two class columns of `delta`, and `rows`, as 1-D (N·n,) views.
+    columns = delta.reshape(-1, c)[:, 0], delta.reshape(-1, c)[:, 1], rows.reshape(-1)
     buffers = (onehot, params, grads, w.transpose(0, 2, 1), params[:, None, c * e :], gw,
-               grads[:, c * e :], delta, delta.transpose(0, 2, 1), delta[..., :1],
-               delta[..., 1:], rows)
+               grads[:, c * e :], delta, delta.transpose(0, 2, 1), rows, columns, np.arange(c))
     _local.train = shape, buffers
     return buffers
 
@@ -219,6 +220,10 @@ def train_batch(model: ModelBlob, batch, lr: float, local_episodes: int) -> Mode
     it keeps for the shape it last trained, (N, n, E, C), so a run of
     same-shaped calls allocates them once. The result is a copy: no returned
     row or ModelBlob views the scratch, which the next call overwrites.
+    A binary head (C = 2) reads its two class columns as 1-D (N·n,) strided
+    views: each row's class max and class sum is one np.maximum and one np.add
+    of them, and each column is shifted and normalised by its own 1-D call;
+    from three classes on these are class-axis reductions and broadcasts.
 
     Inputs are checked once, before the first step. Y is built in one np.equal
     of the labels with 0..C-1, and the label check counts its ones: a label
@@ -245,31 +250,35 @@ def train_batch(model: ModelBlob, batch, lr: float, local_episodes: int) -> Mode
     sized, buffers = getattr(_local, "train", (None, None))
     if sized != shape:
         buffers = _size_scratch(shape)
-    onehot, params, grads, wt, b, gw, gb, delta, dt, first, second, rows = buffers
-    np.equal(labels[..., None], np.arange(c), out=onehot)
+    onehot, params, grads, wt, b, gw, gb, delta, dt, rows, columns, classes = buffers
+    np.equal(labels[..., None], classes, out=onehot)
     if np.count_nonzero(onehot) != labels.size:
         raise IndexError(f"labels must be integers in [0, C), here C = {c}")
-    n = shape[1]
+    # As 0-d float64 arrays, n and lr spare each step a Python scalar's conversion.
+    n, lr = np.array(float(shape[1])), np.array(float(lr))
     params[:] = model.values
-    # Each row's class max and class sum go to `rows`. A reduce over two classes
-    # is one maximum or one a + b, so a binary head takes them on its two class
-    # columns, bitwise and without a reduction's set-up cost; from three classes
-    # on, the reduction is faster than a chain of binary operations.
+    # Over two classes a reduce is one maximum or one a + b, so 1-D calls skip a
+    # reduction's and a broadcast's set-up, bit for bit; from C = 3 reductions win.
     binary = c == 2
+    first, second, row = columns
     for _ in range(local_episodes):
         np.matmul(x, wt, out=delta)
         delta += b
         if binary:
-            np.maximum(first, second, out=rows)
+            np.maximum(first, second, out=row)
+            np.subtract(first, row, out=first)
+            np.subtract(second, row, out=second)
         else:
             np.maximum.reduce(delta, axis=2, keepdims=True, out=rows)
-        delta -= rows
+            delta -= rows
         np.exp(delta, out=delta)
         if binary:
-            np.add(first, second, out=rows)
+            np.add(first, second, out=row)
+            np.divide(first, row, out=first)
+            np.divide(second, row, out=second)
         else:
             np.add.reduce(delta, axis=2, keepdims=True, out=rows)
-        delta /= rows
+            delta /= rows
         delta -= onehot
         np.matmul(dt, x, out=gw)
         np.add.reduce(delta, axis=1, out=gb)

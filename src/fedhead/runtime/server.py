@@ -14,7 +14,8 @@ push it back to everyone. Only then is the new global scored on the
 validation set and the round logged, so the server scores while the devices
 train on it. A connection keeps the device id of its first HELLO: a HELLO
 naming another id gets ERROR UNEXPECTED_MESSAGE, and one naming an id that
-another connection holds replaces that connection.
+another connection holds replaces that connection. A push from a connection
+that has sent no HELLO gets ERROR UNEXPECTED_MODEL_DATA and is not decoded.
 
 A device's contribution is its latest validated push made after it ACKed
 the current global, so a sync agent uploads its model once per round. Live
@@ -227,11 +228,13 @@ class Rounds:
                    Message(MessageType.MODEL_DATA, 0, self.global_body))
 
     def _on_model_data(self, conn: Hashable, peer: _Peer, msg: Message, is_push: bool) -> None:
+        # A push counts only from a registered device, and a reply only to a pull.
+        if not (peer.device_id is not None if is_push else peer.pulls):
+            log.warning("MODEL_DATA from device %s: a push before HELLO, or no pending pull",
+                        peer.device_id)
+            self._send(conn, Message(MessageType.ERROR, 0, b"UNEXPECTED_MODEL_DATA"))
+            return
         if not is_push:
-            if not peer.pulls:
-                log.warning("MODEL_DATA from device %s with no pending pull or push", peer.device_id)
-                self._send(conn, Message(MessageType.ERROR, 0, b"UNEXPECTED_MODEL_DATA"))
-                return
             peer.pulls -= 1
         try:
             blob = blob_from_model_data(msg.body)
@@ -246,7 +249,7 @@ class Rounds:
                 self._expected.discard(peer.device_id)
             return
         if is_push:
-            self._updates += peer.device_id is not None  # a registered device's push
+            self._updates += 1
             if not peer.unacked:
                 peer.pushed = blob
             log.debug("device %s pushed an update (%d pending)", peer.device_id, self._updates)

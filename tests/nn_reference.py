@@ -5,12 +5,16 @@ the forward pass, softmax, clamped cross-entropy, backpropagation and SGD
 step it was built from, one sample and one array at a time; the parity tests
 compare the kernel against them, bitwise where the operation order is the
 same. `finite_difference_gradients` is the float64 form of the package's
-central-difference oracle, which works in np.longdouble.
+central-difference oracle, which works in np.longdouble, and
+`wire_rounded_rounds` is the oracle of live rounds.
 """
 import numpy as np
 
 from fedhead.errors import ShapeError
-from fedhead.nn import PROB_CLAMP, Gradients, ModelBlob, StackedSamples, stack_samples
+from fedhead.federation import StackedBlobs, average_blobs
+from fedhead.nn import (PROB_CLAMP, Gradients, ModelBlob, StackedSamples, stack_samples,
+                        train_batch)
+from fedhead.wire import decode_model, encode_model
 
 
 def make_head(weights, bias) -> ModelBlob:
@@ -109,6 +113,33 @@ def reduction_train_batch(head: ModelBlob, batch: StackedSamples, lr: float,
         grads = np.concatenate([d_weights, np.add.reduce(delta, axis=1)], axis=1)
         params = params - lr * (grads / n)
     return params
+
+
+def wire_rounded(blob: ModelBlob) -> ModelBlob:
+    """`blob` as it arrives over the wire: through the real float32 codec."""
+    return decode_model(encode_model(blob))
+
+
+def wire_rounded_rounds(streams, initial: ModelBlob, batch_size: int, lr: float,
+                        local_episodes: int, rounds: int) -> list[ModelBlob]:
+    """The globals of `rounds` live sync rounds of `streams`' devices from `initial`.
+
+    Each round, every device trains one batch from g_q, the global as the
+    wire delivers it; the devices' rows, each rounded the same way as its
+    upload, are averaged in stream order into the next global. All devices
+    train in one stacked `train_batch` call over their `take_into` batches.
+    """
+    e, c, n = initial.embedding_dim, initial.num_classes, len(streams)
+    batch = StackedSamples(np.empty((n, batch_size, e)), np.empty((n, batch_size), dtype=np.int64))
+    history, global_blob = [], initial
+    for _ in range(rounds):
+        for s, features, labels in zip(streams, batch.features, batch.labels):
+            s.take_into(features, labels)
+        rows = train_batch(wire_rounded(global_blob), batch, lr, local_episodes)
+        uploads = np.array([wire_rounded(ModelBlob(row, e, c)).values for row in rows])
+        global_blob = average_blobs(StackedBlobs(uploads, e, c))
+        history.append(global_blob)
+    return history
 
 
 def predict(head: ModelBlob, x: np.ndarray) -> int:

@@ -672,6 +672,10 @@ def test_batch_predict_is_the_row_major_argmax(e, c):
         labels = rng.integers(0, c, size=n)
         for x in (base[:n], base[: 2 * n : 2]):  # C-ordered, row-strided
             assert_scores_like_the_oracle(head, x, labels)
+        # Validation sets are stacked E-major; their logits are the class-major ones.
+        x = np.asfortranarray(base[:n])
+        want = np.argmax(head.weights @ x.T + head.bias[:, None], axis=0)
+        np.testing.assert_array_equal(batch_predict((head.weights, head.bias), x), want)
 
 
 def test_batch_predict_breaks_exact_ties_toward_lowest_index():
@@ -724,6 +728,16 @@ def test_stacked_batch_predict_is_the_per_device_scorer():
         assert got.dtype == np.intp
         np.testing.assert_array_equal(got, want)
     assert got[2, 5] == got[2, 17] == 1
+
+
+def test_one_head_scores_stacked_features_device_by_device():
+    # A (C, E) head over (N, n, E) features, with N below, at and above C.
+    rng = np.random.default_rng(9)
+    head = random_head(rng, 4, 3)
+    for devices in (2, 3, 5):
+        x = rng.normal(size=(devices, 7, 4))
+        want = [batch_predict((head.weights, head.bias), f) for f in x]
+        np.testing.assert_array_equal(batch_predict((head.weights, head.bias), x), want)
 
 
 @settings(max_examples=200, deadline=None)
@@ -788,6 +802,31 @@ def test_binary_head_episodes_are_bitwise_the_class_reductions(devices, n, e, ti
     got = train_batch(head, batch, lr, episodes)
     want = nn_reference.reduction_train_batch(head, batch, lr, episodes)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("e", [1, 16, 1280])
+@pytest.mark.parametrize("devices", [1, 2, 4])
+def test_binary_head_episodes_are_bitwise_the_class_reductions_at_workload_shapes(devices, e):
+    # numpy sums 8 or more elements pairwise, so batches of 8 and more (and
+    # E = 1280) would show a reduction whose order changed. The weights keep
+    # |x . w| <= 0.5, so a large bias puts every first-step logit at 700 or
+    # more in magnitude; a tied head gives every sample two equal logits.
+    rng = np.random.default_rng(devices * 10_000 + e)
+    for n in (1, 7, 8, 20, 24):
+        for kind in ("plain", "tied", "large"):
+            weights, bias = rng.uniform(-0.5, 0.5, size=(2, e)) / e, rng.uniform(-0.5, 0.5, 2)
+            if kind == "tied":
+                weights[1], bias[1] = weights[0], bias[0]
+            elif kind == "large":
+                bias = rng.choice([-1.0, 1.0], size=2) * rng.uniform(703, 5000, size=2)
+            head = make_head(weights, bias)
+            batch = StackedSamples(rng.uniform(-1, 1, size=(devices, n, e)),
+                                   rng.integers(0, 2, size=(devices, n)))
+            for episodes in (1, 5):
+                for lr in (0.0, 0.01):
+                    got = train_batch(head, batch, lr, episodes)
+                    want = nn_reference.reduction_train_batch(head, batch, lr, episodes)
+                    assert got.tobytes() == want.tobytes(), (n, kind, episodes, lr)
 
 
 @settings(max_examples=50)

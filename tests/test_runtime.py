@@ -21,6 +21,7 @@ import socket
 import struct
 import threading
 import time
+import tracemalloc
 import types
 import zlib
 
@@ -56,6 +57,7 @@ from fedhead.runtime import agent as agent_module
 from fedhead.runtime import server as server_module
 from fedhead.runtime.protocol import MAX_BODY, MAX_QUEUED_WRITES, Link
 from fedhead.wire import decode_model, encode_model, encoded_size, framed_size
+from nn_reference import wire_rounded_rounds
 
 
 def make_blob(seed, e=8, c=2):
@@ -598,6 +600,14 @@ def test_pushes_from_a_connection_that_never_sent_hello_start_no_count_round():
     assert tick(rounds, 0.0) == (None, [(1, PULL)])
 
 
+def test_a_push_from_a_connection_that_never_sent_hello_is_refused_undecoded(monkeypatch):
+    rounds = core(make_blob(95), RoundPolicy("count", 1), 0)
+    calls = count_calls(monkeypatch, ("blob_from_model_data",))
+    assert deliver(rounds, "stranger", *push(make_blob(96), 7)) == [
+        ("stranger", error(b"UNEXPECTED_MODEL_DATA"))]
+    assert calls == {} and rounds._peers["stranger"].pushed is None
+
+
 def test_server_labels_a_push_that_crosses_its_pull():
     m0, m1, m2, m3 = make_blob(46), make_blob(43), make_blob(44), make_blob(45)
     rounds = core(make_blob(42), RoundPolicy("count", 1), 1)
@@ -772,6 +782,14 @@ class RoundFaults(RuleBasedStateMachine):
                       if body is None else self.model_data(conn, body))
         self.tick()
 
+    @rule(seed=st.integers(0, 3))
+    def push_before_hello(self, seed):  # from a new connection that never greets
+        conn = ("stranger", next(self.conns))
+        for msg in push(make_blob(seed, e=4), 7):
+            self.rounds.receive(conn, msg)
+        self.carry_out()
+        self.tick()
+
     @rule(i=PICKS, device_id=st.integers(0, 3))
     def hello_again(self, i, device_id):
         if (conn := self.pick(i)) is not None:
@@ -823,6 +841,11 @@ class RoundFaults(RuleBasedStateMachine):
             # A round waits only on connections that have ACKed a global.
             for device_id in self.rounds._expected:
                 assert self.open[self.rounds._devices[device_id]].acked
+
+    @invariant()
+    def no_unregistered_peer_holds_a_blob(self):
+        for peer in getattr(self.rounds, "_peers", {}).values():
+            assert peer.device_id is not None or peer.pushed is None
 
 
 def test_round_core_keeps_its_invariants_under_faulty_peers():
@@ -1022,44 +1045,71 @@ def test_a_device_on_a_new_link_sends_nothing_meant_for_the_old_one():
     assert dev.samples_trained == 4
 
 
+def test_a_free_run_devices_memory_stays_flat():
+    # At E = 1280 a blob is 2,562 float64 values. A step keeps nothing but the
+    # head and this thread's training scratch, so 950 more steps, pushing every
+    # 10th head, leave memory where 50 left it, to within one blob.
+    ds = synth_separable(1280, 2, 1000, 4.0, 75, val_fraction=0.0)
+    (stream,) = partition(ds, 1, 75)
+    dev = device(stream, local_episodes=1, push_every=10)
+    tell(dev, *push(make_blob(76, e=1280)))
+    tracemalloc.start()
+    try:
+        traced = []
+        for steps in (50, 1000):
+            while dev.samples_trained < steps:
+                assert dev.step()
+                dev.output()
+            traced.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert abs(traced[1] - traced[0]) <= 2562 * 8, traced
+
+
 def test_device_and_round_cores_reproduce_offline_rounds():
     # Two sync devices and a count:2 round core on a fake clock, each core's
-    # messages handed to the other unchanged, run the simulator's rounds.
+    # messages handed to the other unchanged, run the wire-rounded oracle's
+    # rounds bit for bit; the oracle stays within the wire's float32 rounding
+    # of the simulator's rounds, and the live run ends near its accuracy.
     rounds, batch = 6, 5
-    ds = synth_separable(8, 2, 90, 4.0, 30, val_fraction=1 / 3)
-    blob0 = make_blob(31)
-    sim = run_training(
-        RoundConfig(num_devices=2, batch_size=batch, local_episodes=2,
-                    learning_rate=0.05, epochs=rounds),
-        partition(ds, 2, 30),
-        ds.validation_samples(),
-        "pretrained",
-        init_blob=blob0,
-    )
-    server = server_module.Rounds(blob0, RoundPolicy("count", 2), 5.0, 0.0)
-    devices = [agent_module.Device(d, stream, learning_rate=0.05, local_episodes=2,
-                                   sync_batch=batch)
-               for d, stream in enumerate(partition(ds, 2, 30))]
-    for dev in devices:
-        dev.connected()
-    sends = []
-    for _ in range(rounds + 1):  # the greetings, then one round per pass
-        for d, msgs in sends:
-            for msg in msgs:
-                devices[d].receive(msg)
+    for e, classes, seed in ((8, 2, 30), (1280, 10, 31)):
+        ds = synth_separable(e, classes, 90, 4.0, seed, val_fraction=1 / 3)
+        blob0 = make_blob(31, e, classes)
+        sim = run_training(
+            RoundConfig(num_devices=2, batch_size=batch, local_episodes=2,
+                        learning_rate=0.05, epochs=rounds),
+            partition(ds, 2, seed),
+            ds.validation_samples(),
+            "pretrained",
+            init_blob=blob0,
+        )
+        oracle = wire_rounded_rounds(partition(ds, 2, seed), blob0, batch, 0.05, 2, rounds)
+        server = server_module.Rounds(blob0, RoundPolicy("count", 2), 5.0, 0.0)
+        devices = [agent_module.Device(d, stream, learning_rate=0.05, local_episodes=2,
+                                       sync_batch=batch)
+                   for d, stream in enumerate(partition(ds, 2, seed))]
+        for dev in devices:
+            dev.connected()
         sends = []
-        for d, dev in enumerate(devices):
-            dev.step()
-            sends += deliver(server, d, *itertools.chain(*dev.output()))
-        sends += tick(server, 0.0)[1]
+        for _ in range(rounds + 1):  # the greetings, then one round per pass
+            for d, msgs in sends:
+                for msg in msgs:
+                    devices[d].receive(msg)
+            sends = []
+            for d, dev in enumerate(devices):
+                dev.step()
+                sends += deliver(server, d, *itertools.chain(*dev.output()))
+            sends += tick(server, 0.0)[1]
 
-    assert len(server.history) == rounds
-    for t, record in enumerate(server.history):
-        assert record.participants == (0, 1)
-        drift = np.max(np.abs(record.blob.values - sim.round_blobs[t].values))
-        assert drift <= 1e-6, f"round {t + 1} drifted by {drift}"
-    live_acc = evaluate(server.history[-1].blob, ds.validation_samples())
-    assert abs(live_acc - sim.history[-1].val_accuracy) <= 0.1
+        assert len(server.history) == rounds
+        for t, (record, want) in enumerate(zip(server.history, oracle, strict=True)):
+            assert record.participants == (0, 1)
+            assert np.array_equal(record.blob.values, want.values)
+            assert record.checksum == zlib.crc32(encode_model(want))
+            drift = np.max(np.abs(want.values - sim.round_blobs[t].values))
+            assert drift <= 1e-6, f"round {t + 1} drifted by {drift}"
+        live_acc = evaluate(server.history[-1].blob, ds.validation_samples())
+        assert abs(live_acc - sim.history[-1].val_accuracy) <= 0.1
 
 
 # -- the server over loopback sockets -----------------------------------------------
