@@ -7,7 +7,6 @@ no sample is ever revisited.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +24,6 @@ from .nn import (
     stack_samples,
     train_batch,
 )
-
-# Each thread's round batch (`_size_round_batch`).
-_local = threading.local()
-
 
 @dataclass(eq=False)
 class StackedBlobs:
@@ -150,14 +145,6 @@ def evaluate(blob: ModelBlob, samples) -> float:
     return np.count_nonzero(hits) / len(val)
 
 
-def _size_round_batch(shape: tuple[int, int, int]) -> StackedSamples:
-    """Build this thread's (N, B, E) round batch and keep it for its next
-    round of that shape."""
-    n, b, _ = shape
-    _local.batch = batch = StackedSamples(np.empty(shape), np.empty((n, b), dtype=np.int64))
-    return batch
-
-
 def federated_round(
     streams: list[DeviceStream],
     global_blob: ModelBlob,
@@ -170,13 +157,13 @@ def federated_round(
     accuracies in `streams` order). Every device starts from the global
     blob, so a device carries nothing between rounds but its stream.
 
-    Each stream's batch is gathered straight into one (N, B, E) batch, trained
-    from the global blob by one `train_batch` call into fresh (N, C*E + C)
-    rows, averaged in device-id order into the new global blob, whose check is
-    the one check of the result, and scored by one `batch_predict` call; no
-    per-device blob is built. The batch is this thread's scratch, kept for the
-    shape it last took, as `train_batch` keeps its buffers (and checks the
-    labels by counting its one-hot's ones); nothing returned views either.
+    Each stream's batch is gathered straight into one (N, B, E) batch, which
+    the round allocates, trained from the global blob by one `train_batch`
+    call into fresh (N, C*E + C) rows, averaged in device-id order into the
+    new global blob, whose check is the one check of the result, and scored
+    by one `batch_predict` call; no per-device blob is built. `train_batch`
+    checks the labels, and its per-thread scratch is the only buffer that
+    outlives the round; nothing returned views it.
     A validation list is stacked once per call; pass it stacked to reuse it.
     The validation dim and every stream's data shape (`check_stream`) and
     unseen data are checked before any batch is taken, so such a failed round
@@ -195,9 +182,8 @@ def federated_round(
                 f"only {s.remaining()} unseen remain"
             )
     n = len(streams)
-    batch = getattr(_local, "batch", None)
-    if batch is None or batch.features.shape != (n, cfg.batch_size, e):
-        batch = _size_round_batch((n, cfg.batch_size, e))
+    batch = StackedSamples(np.empty((n, cfg.batch_size, e)),
+                           np.empty((n, cfg.batch_size), dtype=np.int64))
     for s, features, labels in zip(streams, batch.features, batch.labels):
         s.take_into(features, labels)
     params = train_batch(global_blob, batch, cfg.learning_rate, cfg.local_episodes)

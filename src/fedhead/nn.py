@@ -190,8 +190,9 @@ def _size_scratch(shape: tuple[int, int, int, int]) -> tuple:
     w, gw = (a[:, : c * e].reshape(devices, c, e) for a in (params, grads))
     delta = np.empty((devices, n, c))  # softmax(x @ w.T + b) - onehot, in place
     rows = np.empty((devices, n, 1))  # each row's class max, then class sum
-    # A binary head's two class columns of `delta`, and `rows`, as 1-D (N·n,) views.
-    columns = delta.reshape(-1, c)[:, 0], delta.reshape(-1, c)[:, 1], rows.reshape(-1)
+    # A binary head's two class columns of `delta`, and `rows`, as 1-D (N·n,) views:
+    # only a C = 2 kernel reads them.
+    columns = (*delta.reshape(-1, 2).T, rows.reshape(-1)) if c == 2 else None
     buffers = (onehot, params, grads, w.transpose(0, 2, 1), params[:, None, c * e :], gw,
                grads[:, c * e :], delta, delta.transpose(0, 2, 1), rows, columns, np.arange(c))
     _local.train = shape, buffers
@@ -260,7 +261,8 @@ def train_batch(model: ModelBlob, batch, lr: float, local_episodes: int) -> Mode
     # Over two classes a reduce is one maximum or one a + b, so 1-D calls skip a
     # reduction's and a broadcast's set-up, bit for bit; from C = 3 reductions win.
     binary = c == 2
-    first, second, row = columns
+    if binary:
+        first, second, row = columns
     for _ in range(local_episodes):
         np.matmul(x, wt, out=delta)
         delta += b

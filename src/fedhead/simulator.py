@@ -245,13 +245,14 @@ def make_pretrained_blob(embedding_dim: int, num_classes: int, seed) -> ModelBlo
 
 def _run_repetition(cfg: ExperimentConfig, point_cfgs: list[tuple[RoundConfig, str]],
                     source: SyntheticSpec | data_mod.EmbeddingDataset, r: int,
-                    pretrained: ModelBlob | None, curves: np.ndarray) -> None:
-    """Run repetition r at every sweep point into curves[point, :, r], the (val,
-    train) accuracy after each round. The points share the repetition's data,
-    its one shuffle, sharded for each point, and one initial head per init mode
-    (`pretrained` itself, or one `init_head` builds from the init seed), which
-    `run_training` copies. The data is local, so it is freed before the next
-    build."""
+                    pretrained: ModelBlob | None) -> np.ndarray:
+    """Run repetition r at every sweep point and return its (point, val/train,
+    round) accuracy curves, the accuracies after each round. The points share
+    the repetition's data, its one shuffle, sharded for each point, and one
+    initial head per init mode (`pretrained` itself, or one `init_head` builds
+    from the init seed), which `run_training` copies. The data is local, so it
+    is freed before the next build, and the call writes into nothing it does
+    not own."""
     data_ss, part_ss, init_ss = np.random.SeedSequence([cfg.base_seed + r]).spawn(3)
     dataset = source.build(data_ss) if isinstance(source, SyntheticSpec) else source
     val = dataset.stacked_validation()
@@ -259,11 +260,13 @@ def _run_repetition(cfg: ExperimentConfig, point_cfgs: list[tuple[RoundConfig, s
     heads = {mode: pretrained if mode == "pretrained" else
              init_head(dataset.embedding_dim, dataset.num_classes, mode, seed=init_ss)
              for mode in {mode for _, mode in point_cfgs}}
+    curves = np.empty((len(point_cfgs), 2, cfg.epochs))
     for p, (round_cfg, init_mode) in enumerate(point_cfgs):
         result = run_training(round_cfg, order.shard(round_cfg.num_devices), val, "pretrained",
                               init_blob=heads[init_mode])
-        curves[p, :, r] = [[rec.val_accuracy for rec in result.history],
-                           [rec.train_accuracy for rec in result.history]]
+        curves[p] = [[rec.val_accuracy for rec in result.history],
+                     [rec.train_accuracy for rec in result.history]]
+    return curves
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
@@ -286,7 +289,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     # laid out as np.asarray of R lists would be, so the stats keep their bits.
     curves = np.empty((len(point_cfgs), 2, cfg.repetitions, cfg.epochs))
     for r in range(cfg.repetitions):
-        _run_repetition(cfg, point_cfgs, source, r, pretrained, curves)
+        curves[:, :, r] = _run_repetition(cfg, point_cfgs, source, r, pretrained)
     points = []
     for value, (round_cfg, _), (val_arr, train_arr) in zip(cfg.sweep_values, point_cfgs, curves):
         epochs = [

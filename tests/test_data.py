@@ -283,6 +283,24 @@ def test_take_into_gathers_the_stacked_sample_list_in_place():
     assert (features == 7.0).all() and (labels == 7).all()
 
 
+def test_take_into_from_a_loaded_file_copies_only_its_batch(tmp_path):
+    # A loaded file's features are a strided view of its records, so a gather
+    # that first made them contiguous would copy the whole 15 MB file per call.
+    path = tmp_path / "e1280.ds"
+    save_dataset(synth_separable(1280, 2, 3000, 4.0, 18, val_fraction=0.0), path)
+    (stream,) = partition(load_dataset(path), 1, 18)
+    features, labels = np.empty((20, 1280)), np.empty(20, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        for _ in range(10):
+            stream.take_into(features, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert stream.samples_seen == 200
+
+
 def test_stacked_validation_is_the_stacked_sample_list():
     ds = synth_separable(5, 2, 77, 4.0, 18, val_fraction=0.3)
     got = ds.stacked_validation()

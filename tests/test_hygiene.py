@@ -2,8 +2,9 @@
 src/ keeps an import it does not use or a private module-level name that
 nothing in it references, so a refactor cannot leave either behind; the
 server's round core and the agent's device core name no socket, selector,
-clock or link; and the
-training modules hold no module-level state that threads could share."""
+clock or link; and the training modules hold no module-level state that
+threads could share: only nn binds a threading.local(), the train kernel's
+scratch."""
 import ast
 import pathlib
 
@@ -85,12 +86,18 @@ def shareable(value) -> bool:
 
 @pytest.mark.parametrize("name", ["nn.py", "federation.py"])
 def test_the_training_modules_bind_no_shared_buffers(name):
-    # The live agents train in threads of one process, so training buffers
-    # live in the module's one threading.local(), never in a module-level
-    # array, dict or list.
+    # The live agents train in threads of one process, so the train kernel's
+    # buffers live in nn's one threading.local(), never in a module-level
+    # array, dict or list; the round allocates its batch per call, so
+    # federation binds no threading.local() and imports no threading.
     _, tree = parse(SRC / "fedhead" / name)
     values = [node.value for node in tree.body
               if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and node.value]
     local = [v for v in values if ast.unparse(v) == "threading.local()"]
-    assert len(local) <= 1
+    assert len(local) == (name == "nn.py")
     assert [ast.unparse(v) for v in values if not shareable(v) and v not in local] == []
+    if name != "nn.py":
+        imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                     for alias in node.names}
+        assert "threading" not in imported

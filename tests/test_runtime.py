@@ -512,6 +512,30 @@ def test_server_handles_no_model_reply():
     assert tick(rounds, 0.0)[0].participants == (1,)
 
 
+def test_server_counts_an_ack_that_reports_exhaustion_as_an_ack(caplog):
+    caplog.set_level(logging.INFO, logger="fedhead.runtime.server")
+    mine = make_blob(15)
+    rounds = core(make_blob(14), RoundPolicy("count", 1), 1)
+    assert deliver(rounds, 1, ack(1, STATUS_DATA_EXHAUSTED)) == []
+    assert "device 1 reports data exhausted" in [r.getMessage() for r in caplog.records]
+    # The ACK answered the global, so the push that follows is a contribution.
+    deliver(rounds, 1, *push(mine, 1))
+    record, sends = tick(rounds, 0.0)
+    assert record.participants == (1,) and sends == [(1, push(mine))]
+
+
+def test_server_ignores_a_pull_reply_that_arrives_after_its_round_closed():
+    rounds = core(make_blob(16), RoundPolicy("count", 1), 1, 2, round_timeout=0.5)
+    deliver(rounds, 2, ack(2))
+    deliver(rounds, 1, ack(1), *push(make_blob(17), 1))
+    assert tick(rounds, 0.0) == (None, [(2, PULL)])
+    record, _ = tick(rounds, 0.5)  # closes at its deadline without device 2
+    assert record.participants == (1,)
+    assert deliver(rounds, 2, reply(2, make_blob(18))) == []
+    assert rounds._collected == {} and rounds._peers[2].pulls == 0
+    assert rounds.history == [record]
+
+
 def test_server_timer_policy_runs_rounds_without_pushes():
     mine = make_blob(12)
     rounds = core(make_blob(11), RoundPolicy("timer", 0.5), 1)
@@ -656,7 +680,7 @@ class RoundFaults(RuleBasedStateMachine):
         self.rounds, self.now = None, 0.0
         # Per connection not yet closed: its first HELLO's id, the globals and
         # pulls it was sent and has not answered, and whether it has ACKed.
-        self.open = {}
+        self.open, self.closed = {}, set()  # closed: every connection closed so far
         self.prompt, self.failing = {}, set()  # prompt: conn -> whether it uploads
         self.waited_on = set()  # the prompt connections as the pending round started
         self.uploads = collections.defaultdict(set)  # device id -> its valid models' values
@@ -701,6 +725,7 @@ class RoundFaults(RuleBasedStateMachine):
 
     def close(self, conn):
         del self.open[conn]
+        self.closed.add(conn)
         self.prompt.pop(conn, None)
         self.failing.discard(conn)
         self.rounds.disconnect(conn)
@@ -843,6 +868,11 @@ class RoundFaults(RuleBasedStateMachine):
                 assert self.open[self.rounds._devices[device_id]].acked
 
     @invariant()
+    def only_open_connections_are_peers(self):
+        # A closed connection is forgotten, so `_peers` does not grow with reconnects.
+        assert getattr(self.rounds, "_peers", {}).keys() & self.closed == set()
+
+    @invariant()
     def no_unregistered_peer_holds_a_blob(self):
         for peer in getattr(self.rounds, "_peers", {}).values():
             assert peer.device_id is not None or peer.pushed is None
@@ -929,6 +959,23 @@ def test_agent_rejects_bad_pushes_and_keeps_its_head():
     assert tell(dev, *push(make_blob(23, e=9))) == [error(b"ShapeError", 3)]
     assert tell(dev, *PULL) == [(reply(3, blob),)]
     assert dev.installs == 1
+
+
+def test_agent_takes_ack_and_error_quietly_and_refuses_hello():
+    dev = device(make_stream(4), 4)
+    assert tell(dev, ack(0), *error(b"UNEXPECTED_MESSAGE")) == []
+    assert tell(dev, hello(0)) == [error(b"UNEXPECTED_MESSAGE", 4)]
+    assert dev.head is None and dev.installs == 0
+
+
+def test_agent_refuses_a_global_with_another_class_count_than_its_head():
+    dev = device(make_stream(4), 5)
+    tell(dev, *push(make_blob(28)))
+    head = dev.head
+    # Three classes can train on the stream's two, so only the head's shape refuses it.
+    assert tell(dev, *push(make_blob(29, c=3))) == [error(b"ShapeError", 5)]
+    assert dev.head is head and dev.installs == 1
+    assert tell(dev, *PULL) == [(reply(5, make_blob(28)),)]
 
 
 def test_agent_sync_mode_trains_one_batch_per_install():
@@ -1572,8 +1619,13 @@ def test_faulty_peer_leaves_loopback_rounds_equal_to_offline_simulation(fault):
                 assert not thread.is_alive()
             rogue.close()
 
+    # The healthy devices' rounds are the wire-rounded oracle's, bit for bit,
+    # and stay within the wire's float32 rounding of the simulator's rounds.
+    oracle = wire_rounded_rounds(partition(ds, 2, 30), blob0, batch, 0.05, 2, rounds)
     assert len(server.history) == rounds
-    for t, record in enumerate(server.history):
+    for t, (record, want) in enumerate(zip(server.history, oracle, strict=True)):
         assert record.participants == (0, 1)
+        assert np.array_equal(record.blob.values, want.values)
+        assert record.checksum == zlib.crc32(encode_model(want))
         drift = np.max(np.abs(record.blob.values - sim.round_blobs[t].values))
         assert drift <= 1e-6, f"round {t + 1} drifted by {drift}"

@@ -1,14 +1,14 @@
-"""Reused training buffers cannot leak: `train_batch` and `federated_round`
-keep per-thread scratch buffers for the last shape they trained, so no
-returned value may view them, a shape change must re-size them, and two
-threads must never share them."""
+"""Reused training buffers cannot leak: `train_batch` keeps per-thread
+scratch buffers for the last shape it trained, the only per-thread state in
+fedhead (`federated_round` allocates its batch per call), so no returned
+value may view them, a shape change must re-size them, and two threads must
+never share them."""
 import sys
 import threading
 
 import numpy as np
 import pytest
 
-import fedhead.federation as fed
 import fedhead.nn as nn
 from fedhead.data import partition, synth_separable
 from fedhead.federation import RoundConfig, federated_round, run_training
@@ -123,21 +123,16 @@ def test_threads_train_as_one_thread_would():
 
 
 def test_a_run_sizes_its_scratch_once(monkeypatch):
-    sized = {"kernel": 0, "batch": 0}
+    sized = []
+    original = nn._size_scratch
 
-    def counting(module, name, key):
-        original = getattr(module, name)
+    def counting(shape):
+        sized.append(shape)
+        return original(shape)
 
-        def count(*args):
-            sized[key] += 1
-            return original(*args)
-
-        monkeypatch.setattr(module, name, count)
-
-    counting(nn, "_size_scratch", "kernel")
-    counting(fed, "_size_round_batch", "batch")
+    monkeypatch.setattr(nn, "_size_scratch", counting)
     cfg = RoundConfig(num_devices=2, batch_size=4, local_episodes=2, learning_rate=0.05,
                       epochs=100)
     ds, streams = setup(35, 2, n=520)
     in_fresh_thread(run_training, cfg, streams, ds.stacked_validation())
-    assert sized == {"kernel": 1, "batch": 1}
+    assert sized == [(2, 4, 8, 2)]
