@@ -20,7 +20,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import simulator, wire
-from .errors import DataExhaustedError, ProtocolError
+from .errors import DataExhaustedError, ProtocolError, ShapeError
 from .nn import INIT_MODES, ModelBlob, check_gradient_check_args, gradient_check, init_head
 from .runtime import Agent, RoundPolicy, Server, configure_logging, parse_endpoint
 from .runtime.protocol import MAX_DEVICE_ID
@@ -101,7 +101,10 @@ def _experiment(args, base: simulator.ExperimentConfig, one_point: bool = False)
 
 
 def _cmd_gen_data(args) -> int:
-    spec = simulator.apply_settings(simulator.ExperimentConfig(), _flag_settings(args)).dataset
+    try:
+        spec = simulator.apply_settings(simulator.ExperimentConfig(), _flag_settings(args)).dataset
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     _log_config("gen-data", {**dataclasses.asdict(spec), "seed": args.seed, "out": args.out})
     dataset = spec.build(args.seed)
     data_mod.save_dataset(dataset, args.out)
@@ -178,9 +181,10 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    try:
+    try:  # framed first: init_head would allocate a model too large to frame
         wire.frame_count(wire.encoded_size(args.dim, args.classes))
-    except ProtocolError as exc:
+        blob = init_head(args.dim, args.classes, args.init, seed=args.seed)
+    except (ProtocolError, ShapeError) as exc:
         raise _UsageError(f"--dim {args.dim} --classes {args.classes}: {exc}") from None
     try:
         endpoint = parse_endpoint(args.listen)
@@ -199,7 +203,6 @@ def _cmd_serve(args) -> int:
         validation = dataset.stacked_validation()
         if not validation:
             raise _UsageError(f"--data {args.data} has no validation samples to score rounds on")
-    blob = init_head(args.dim, args.classes, args.init, seed=args.seed)
     _log_flags(args)
     server = Server(endpoint[0], endpoint[1], blob, policy, validation=validation,
                     round_timeout=args.timeout, max_rounds=args.rounds)

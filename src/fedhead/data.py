@@ -126,14 +126,15 @@ def load_dataset(path) -> EmbeddingDataset:
             raise DatasetFormatError("header declares embedding_dim < 1")
         if classes < 1:
             raise DatasetFormatError("header declares num_classes < 1")
-        record = _record_dtype(dim)
-        expected = _HEADER.size + count * record.itemsize
+        # In Python integers: numpy cannot build the record dtype of every u32 dim.
+        record_size = 4 + 4 * dim
+        expected = _HEADER.size + count * record_size
         if size != expected:
             raise DatasetFormatError(
                 f"file is {size} bytes, header implies {expected} "
-                f"({count} records of {record.itemsize} bytes)"
+                f"({count} records of {record_size} bytes)"
             )
-        records = np.fromfile(fh, dtype=record, count=count)
+        records = np.fromfile(fh, dtype=_record_dtype(dim), count=count)
     bad_split = records["split"] > SPLIT_VALIDATION
     bad_label = records["label"] >= classes
     bad = np.flatnonzero(bad_split | bad_label)
@@ -143,7 +144,7 @@ def load_dataset(path) -> EmbeddingDataset:
             f"bad split tag {records['split'][i]}" if bad_split[i]
             else f"label {records['label'][i]} out of range for {classes} classes"
         )
-        raise DatasetFormatError(f"record {i} (offset {_HEADER.size + i * record.itemsize}): {problem}")
+        raise DatasetFormatError(f"record {i} (offset {_HEADER.size + i * record_size}): {problem}")
     return EmbeddingDataset(
         features=records["features"],
         labels=records["label"].astype(np.int64),

@@ -101,6 +101,17 @@ def test_gen_data_writes_a_loadable_dataset(tmp_path, capsys):
     assert len(ds.validation_indices()) == 60  # default 0.2 split
 
 
+@pytest.mark.parametrize("flags", [("--samples", "-5"), ("--classes", "1"), ("--dim", "0")])
+def test_gen_data_settings_that_cannot_work_are_usage_errors(tmp_path, caplog, capsys, flags):
+    # The same keys are usage errors for simulate and sweep.
+    caplog.set_level(logging.INFO, logger="fedhead.cli")
+    out = tmp_path / "bad.ds"
+    assert main(["gen-data", *flags, "--out", str(out)]) == 1
+    assert "fedhead: error:" in capsys.readouterr().err
+    assert "gen-data" not in logged_commands(caplog)
+    assert not out.exists()
+
+
 def test_simulate_from_dataset_file_writes_csv(tmp_path, capsys):
     data = tmp_path / "toy.ds"
     assert main(["gen-data", *TINY, "--out", str(data)]) == 0
@@ -445,7 +456,7 @@ def test_serve_rejects_a_model_too_large_to_frame(capsys):
 @pytest.mark.parametrize("flags", [
     ("--rounds", "0"), ("--timeout", "0"), ("--timeout", "-1"), ("--timeout", "nan"),
     ("--timeout", "inf"), ("--policy", "count:0"), ("--policy", "timer"),
-    ("--policy", "count:inf"), ("--policy", "timer:nan"),
+    ("--policy", "count:inf"), ("--policy", "timer:nan"), ("--classes", "1"), ("--dim", "0"),
 ])
 def test_serve_round_settings_that_cannot_work_are_usage_errors(caplog, capsys, flags):
     caplog.set_level(logging.INFO, logger="fedhead.cli")

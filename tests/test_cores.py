@@ -1,0 +1,672 @@
+"""The socket-free runtime cores under one fault model each, and against each other.
+
+`DeviceFaults` is a server that sends one `runtime.agent.Device` anything in
+any order over links that come and go: valid pushes, pushes with a byte
+flipped, cut short, of another shape or unable to train on the device's
+stream, MODEL_DATA never announced, PULL, ACK, ERROR and HELLO. `RoundFaults`
+runs a `runtime.server.Rounds` on a fake clock against real sync and
+free-run `Device`s, joined to it by a network that delivers any prefix of
+each link's queued writes and may cut a link, and against bad peers that
+send anything in any order. Each machine keeps its own model of what the
+core must do and checks the core against it after every step; a round that
+only real devices trained, one step each from the previous global, must
+equal the wire-rounded oracle in `nn_reference` bit for bit. The paired-core test runs
+the two cores' rounds against each other and against the offline simulator.
+
+Nothing here opens a socket, starts a thread or builds a `Server` or an
+`Agent` (tests/test_hygiene.py checks this file), so the fault models stay
+on the cores; tests/test_runtime.py keeps what only the I/O shells do.
+"""
+import collections
+import functools
+import itertools
+import types
+import zlib
+
+import numpy as np
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine, initialize, invariant, precondition, rule, run_state_machine_as_test,
+)
+
+from fedhead.data import DeviceStream, partition, synth_separable
+from fedhead.errors import WireError
+from fedhead.federation import ModelBlob, RoundConfig, average_blobs, evaluate, run_training
+from fedhead.nn import StackedSamples, init_head, train_batch
+from fedhead.runtime import (
+    Message, MessageType, RoundPolicy, STATUS_DATA_EXHAUSTED, blob_from_model_data,
+    model_data_body,
+)
+from fedhead.runtime import agent as agent_module
+from fedhead.runtime import server as server_module
+from fedhead.wire import decode_model, encode_model
+from nn_reference import wire_rounded, wire_rounded_rounds
+
+
+def make_blob(seed, e=8, c=2):
+    """A random head whose values are exactly representable in float32."""
+    return decode_model(encode_model(init_head(e, c, "random", seed=seed)))
+
+
+hello = functools.partial(Message, MessageType.HELLO)
+ack = functools.partial(Message, MessageType.ACK)
+PULL = (Message(MessageType.PULL_MODEL, 0),)
+
+
+def reply(device_id, blob):
+    return Message(MessageType.MODEL_DATA, device_id, model_data_body(blob))
+
+
+def push(blob, device_id=0):
+    """One transfer, as one write carries it: PUSH_MODEL and its MODEL_DATA."""
+    return (Message(MessageType.PUSH_MODEL, device_id), reply(device_id, blob))
+
+
+def error(body, device_id=0):
+    return (Message(MessageType.ERROR, device_id, body),)
+
+
+def deliver(rounds, conn, *msgs):
+    """Feed `msgs` from `conn` to the core; return the sends it queued."""
+    for msg in msgs:
+        rounds.receive(conn, msg)
+    sends, drops = rounds.output()
+    assert drops == []
+    return sends
+
+
+def tick(rounds, now):
+    """Tick the core; return the round it finished and the sends it queued."""
+    return rounds.tick(now), deliver(rounds, None)  # None delivers no message
+
+
+# -- a stateful fault model of the device core -----------------------------------------
+
+DEVICE_ID = 6
+DEVICE_LR, DEVICE_EPISODES = 0.3, 2
+# A MODEL_DATA body: a model that trains on the stream, one byte flipped, cut
+# short, a model of three classes (it trains on the stream's two, but matches
+# no installed two-class head), or one that cannot train on the stream.
+DEVICE_BODIES = st.tuples(
+    st.sampled_from(["valid", "flip", "cut", "shape", "untrainable"]),
+    st.integers(0, 1 << 16),
+)
+
+
+class DeviceFaults(RuleBasedStateMachine):
+    """A server that sends one `Device` anything in any order, over links that
+    come and go. The machine models the head the device must hold and every
+    send it must queue, and checks each step's output against that model."""
+
+    @initialize(sync=st.booleans(), push_every=st.sampled_from([None, 1, 3]),
+                samples=st.sampled_from([2, 5, 12]),  # few, so that steps exhaust them
+                installed=st.booleans())
+    def start(self, sync, push_every, samples, installed):
+        ds = synth_separable(8, 2, samples, 4.0, 0, val_fraction=0.0)
+        (stream,) = partition(ds, 1, 0)
+        # The twin draws what the device must draw, in the round's stacked form.
+        self.twin = DeviceStream(DEVICE_ID, ds, stream.indices)
+        self.sync, self.batch = sync, 3 if sync else 1
+        self.push_every = None if sync else push_every
+        self.dev = agent_module.Device(
+            DEVICE_ID, stream, learning_rate=DEVICE_LR, local_episodes=DEVICE_EPISODES,
+            sync_batch=self.batch if sync else None, push_every=self.push_every)
+        self.head, self.installs = None, 0  # the head the device must hold, and its installs
+        self.installed = None  # the last installed blob, and a copy of its values
+        self.online, self.announced, self.untrained, self.since_push = False, 0, False, 0
+        if installed:  # so that most runs train
+            self.connect()
+            self.push(("valid", 0))
+
+    def expect(self, *sends):
+        """The device queued exactly `sends`, each one message or a push and its model."""
+        assert self.dev.output() == list(sends)
+
+    def model(self, kind, at):
+        """A MODEL_DATA body of `kind` and the blob it carries, or None if it is no model."""
+        e, c = {"shape": (8, 3), "untrainable": [(9, 2), (8, 1)][at % 2]}.get(kind, (8, 2))
+        values = np.random.default_rng(at).standard_normal(c * e + c).astype(np.float32)
+        blob = ModelBlob(values, e, c)
+        body = bytearray(model_data_body(blob))
+        if kind == "flip":
+            body[at % len(body)] ^= 0xFF
+        elif kind == "cut":
+            del body[at % len(body):]
+        return bytes(body), None if kind in ("flip", "cut") else blob
+
+    @rule()
+    def connect(self):
+        self.dev.connected()
+        self.online, self.announced = True, 0
+        self.expect((hello(DEVICE_ID),))  # what was queued for the old link is dropped
+
+    @rule()
+    def disconnect(self):
+        self.dev.disconnected()
+        self.online, self.announced = False, 0
+        self.expect()
+
+    @precondition(lambda self: self.online)
+    @rule()
+    def announce(self):
+        self.dev.receive(Message(MessageType.PUSH_MODEL, 0))
+        self.announced += 1
+        self.expect()
+
+    @precondition(lambda self: self.online)
+    @rule(body=DEVICE_BODIES)
+    def model_data(self, body):  # with no announcement pending, a MODEL_DATA never asked for
+        (kind, at), announced = body, self.announced
+        data, blob = self.model(kind, at)
+        self.dev.receive(Message(MessageType.MODEL_DATA, 0, data))
+        self.announced = max(0, announced - 1)
+        shape = None if self.head is None else (self.head.embedding_dim, self.head.num_classes)
+        if not announced:
+            self.expect(error(b"UNEXPECTED_MODEL_DATA", DEVICE_ID))
+        elif blob is None:  # refused: an ERROR naming the codec's error for the body
+            try:
+                blob_from_model_data(data)
+            except WireError as exc:
+                self.expect(error(type(exc).__name__.encode(), DEVICE_ID))
+            else:
+                raise AssertionError(f"a {kind} body decoded")
+        elif kind == "untrainable" or shape not in (None, (blob.embedding_dim, blob.num_classes)):
+            self.expect(error(b"ShapeError", DEVICE_ID))
+        else:  # installed: the head is the decoded body, bit for bit
+            self.head, self.untrained, self.installs = blob, True, self.installs + 1
+            self.installed = (self.dev.head, self.dev.head.values.copy())
+            status = STATUS_DATA_EXHAUSTED if self.twin.remaining() < self.batch else b""
+            self.expect((ack(DEVICE_ID, status),))
+
+    @precondition(lambda self: self.online)
+    @rule(body=DEVICE_BODIES)
+    def push(self, body):
+        self.announce()
+        self.model_data(body)
+
+    @precondition(lambda self: self.online)
+    @rule()
+    def pull(self):
+        self.dev.receive(*PULL)
+        if self.head is None:
+            self.expect(error(b"NO_MODEL", DEVICE_ID))
+        else:  # the head's own body, byte for byte
+            self.expect((reply(DEVICE_ID, self.head),))
+
+    @precondition(lambda self: self.online)
+    @rule(mtype=st.sampled_from([MessageType.ACK, MessageType.ERROR, MessageType.HELLO]),
+          body=st.sampled_from([b"", STATUS_DATA_EXHAUSTED, b"UNEXPECTED_MESSAGE"]))
+    def other(self, mtype, body):
+        self.dev.receive(Message(mtype, 0, body))
+        if mtype is MessageType.HELLO:  # no meaning in the server->device direction
+            self.expect(error(b"UNEXPECTED_MESSAGE", DEVICE_ID))
+        else:
+            self.expect()
+
+    @rule(steps=st.integers(1, 4))
+    def step(self, steps):
+        for _ in range(steps):
+            can_train = (self.head is not None and self.twin.remaining() >= self.batch
+                         and (self.untrained or not self.sync))
+            assert self.dev.step() == can_train
+            if not can_train:
+                return self.expect()
+            # Exactly the samples the twin draws, trained from the previous head.
+            batch = StackedSamples(np.empty((self.batch, 8)), np.empty(self.batch, dtype=np.int64))
+            self.twin.take_into(batch.features, batch.labels)
+            self.head = train_batch(self.head, batch, DEVICE_LR, DEVICE_EPISODES)
+            self.untrained, self.since_push = False, self.since_push + 1
+            due = self.sync or (self.push_every is not None and self.since_push >= self.push_every)
+            if due and self.online:  # nothing is queued while offline
+                self.since_push = 0
+                self.expect(push(self.head, DEVICE_ID))
+            else:
+                self.expect()
+
+    @invariant()
+    def the_head_changes_only_on_an_install_or_a_step(self):
+        assert self.dev.installs == self.installs
+        if self.head is None:
+            assert self.dev.head is None
+        else:
+            assert (self.dev.head.embedding_dim, self.dev.head.num_classes) == (
+                self.head.embedding_dim, self.head.num_classes)
+            assert np.array_equal(self.dev.head.values, self.head.values)
+
+    @invariant()
+    def the_stream_is_one_shot(self):
+        assert self.dev.samples_trained == self.dev.stream.samples_seen == self.twin.samples_seen
+
+    @invariant()
+    def an_installed_model_is_never_written(self):
+        if self.installed is not None:
+            blob, values = self.installed
+            assert np.array_equal(blob.values, values)
+
+
+def test_device_core_keeps_its_invariants_under_a_faulty_server():
+    run_state_machine_as_test(DeviceFaults, settings=settings(
+        max_examples=100, stateful_step_count=40, deadline=None))
+
+
+# -- a stateful fault model of the round core, with real devices --------------------------
+
+FAULT_TIMEOUT = 2.0
+WRONG_SHAPE_BODY = model_data_body(make_blob(91, e=5))
+PICKS = st.integers(0, 15)
+# A MODEL_DATA body: valid, one byte flipped, cut short, or a model of another shape.
+BODIES = st.tuples(st.sampled_from(["valid", "flip", "cut", "shape"]), st.integers(0, 1 << 16))
+# The real devices' data: each id draws its own shard, at the session's E = 4, C = 2.
+FAULT_DATA = synth_separable(4, 2, 160, 4.0, 92, val_fraction=0.0)
+FAULT_SYNC_BATCH, FAULT_LR, FAULT_EPISODES = 2, 0.05, 2
+
+
+class RoundFaults(RuleBasedStateMachine):
+    """Real devices and bad peers against a `Rounds` on a fake clock.
+
+    A real device is a sync `Device` or a free-run one with no push_every,
+    which only answers pulls. A fake network carries its link: it holds each
+    write in a queue per direction, delivers any prefix of a queue, and may
+    cut the link, after which the device connects on a new one. A prompt
+    device's link carries everything at once and the device steps, before
+    and after each tick; any link may start or stop lagging. Bad peers send
+    anything in any order, and the core's sends reach them at once."""
+
+    def __init__(self):
+        super().__init__()
+        self.rounds, self.now = None, 0.0
+        # Per connection not yet closed: its first HELLO's id, the globals it
+        # was sent and has not ACKed, whether it has ACKed one, and for a real
+        # device, the device and the writes in flight each way.
+        self.open, self.closed = {}, set()  # closed: every connection closed so far
+        self.failing = set()
+        self.real, self.prompt = {}, set()  # device id -> its real Device; the prompt ids
+        self.link = {}  # device id -> the real device's connection
+        self.installed = {}  # device id -> the body installed on its current link
+        self.trained = {}  # device id -> (installed body, cursor, head) of its one step
+        self.uploads = collections.defaultdict(set)  # device id -> its valid models' values
+        self.early = set()  # values pushed while a global was not ACKed
+        self.pushes = 0  # valid pushes from registered connections since the last round
+        self.waited = {}  # the pending round's device ids at its start, with their connections
+        self.conns, self.seeds, self.averaged = itertools.count(), itertools.count(), []
+        self.average = server_module.average_blobs
+        server_module.average_blobs = self.recording_average
+
+    def recording_average(self, blobs):
+        self.averaged.append(blobs)
+        return self.average(blobs)
+
+    def teardown(self):
+        server_module.average_blobs = self.average
+
+    def pick(self, i, real=False):
+        """An open connection of a bad peer, of a real device (True) or of either (None)."""
+        conns = sorted(c for c, p in self.open.items()
+                       if real is None or (p.dev is not None) == real)
+        return conns[i % len(conns)] if conns else None
+
+    def new_conn(self, device_id, dev=None):
+        conn = next(self.conns)
+        self.open[conn] = types.SimpleNamespace(
+            device_id=device_id, unacked=0, acked=False, dev=dev,
+            down=collections.deque(), up=collections.deque())
+        return conn
+
+    def send(self, conn, *msgs):
+        """Deliver `msgs` from `conn` to the core, and do what the server does with its output."""
+        for msg in msgs:
+            if conn in self.open:  # a failed send closes it
+                peer = self.open[conn]
+                if msg.type is MessageType.ACK:  # with no global unanswered, it answers none
+                    peer.acked |= peer.unacked > 0
+                    peer.unacked = max(0, peer.unacked - 1)
+                self.rounds.receive(conn, msg)
+                assert not self.rounds._peers[conn].stale  # stale only until it speaks
+                self.carry_out()
+
+    def carry_out(self):
+        sends, drops = self.rounds.output()
+        for conn, msgs in sends:
+            types_ = [m.type for m in msgs]
+            assert types_ in (  # a PUSH_MODEL is one write with its MODEL_DATA
+                [MessageType.PUSH_MODEL, MessageType.MODEL_DATA],
+                [MessageType.PULL_MODEL], [MessageType.ERROR])
+            if conn in self.failing:
+                self.close(conn)
+            elif conn in self.open:
+                peer = self.open[conn]
+                peer.unacked += types_[0] is MessageType.PUSH_MODEL
+                if peer.dev is not None:  # a bad peer gets its sends at once
+                    peer.down.append(msgs)
+        for conn in set(drops) & self.open.keys():
+            self.close(conn)
+
+    def close(self, conn):
+        peer = self.open.pop(conn)
+        self.closed.add(conn)
+        self.failing.discard(conn)
+        self.rounds.disconnect(conn)
+        if peer.dev is not None:  # the device's shell connects again, on a new link
+            self.link_up(peer.dev)
+
+    def link_up(self, dev):
+        d = dev.device_id
+        self.link[d] = self.new_conn(d, dev)
+        self.installed[d] = self.trained[d] = None
+        dev.connected()
+        self.collect(dev)
+
+    def collect(self, dev):
+        """Queue the device's sends on its link."""
+        self.open[self.link[dev.device_id]].up.extend(dev.output())
+
+    def note_upload(self, conn, values, is_push):
+        """Account for a valid model about to reach the core from `conn`."""
+        peer = self.open[conn]
+        self.uploads[peer.device_id].add(values.tobytes())
+        if is_push:
+            self.pushes += 1
+            if peer.unacked:
+                self.early.add(values.tobytes())
+
+    def deliver_up(self, conn, msgs):
+        if msgs[-1].type is MessageType.MODEL_DATA:  # a real device's models are all valid
+            blob = blob_from_model_data(msgs[-1].body)
+            self.note_upload(conn, blob.values, msgs[0].type is MessageType.PUSH_MODEL)
+        self.send(conn, *msgs)
+
+    def deliver_down(self, dev, msgs):
+        for msg in msgs:
+            installs = dev.installs
+            dev.receive(msg)
+            if dev.installs > installs:
+                self.installed[dev.device_id], self.trained[dev.device_id] = msg.body, None
+        self.collect(dev)
+
+    def step_device(self, dev):
+        cursor = dev.stream.samples_seen
+        d = dev.device_id
+        if dev.step() and dev.sync_batch and self.installed[d] and self.trained[d] is None:
+            self.trained[d] = (self.installed[d], cursor, dev.head)
+        self.collect(dev)
+
+    def flow(self, conn, up, n=None):
+        """The network delivers the first `n` writes, or all, queued one way on a device's link."""
+        for _ in itertools.count() if n is None else range(n):
+            peer = self.open.get(conn)
+            queue = None if peer is None else peer.up if up else peer.down
+            if not queue:
+                return
+            if up:
+                self.deliver_up(conn, queue.popleft())
+            else:
+                self.deliver_down(peer.dev, queue.popleft())
+
+    def model_data(self, conn, body, push=False):
+        (kind, at), peer = body, self.open[conn]
+        values = np.random.default_rng(next(self.seeds)).standard_normal(10).astype(np.float32)
+        data = bytearray(model_data_body(ModelBlob(values, 4, 2)))
+        if kind == "shape":
+            data = WRONG_SHAPE_BODY
+        elif kind == "flip":
+            data[at % len(data)] ^= 0xFF
+        elif kind == "cut":
+            del data[at % len(data):]
+        else:
+            self.note_upload(conn, values.astype(np.float64), push)
+        return Message(MessageType.MODEL_DATA, peer.device_id, bytes(data))
+
+    def upload(self, conn, body):
+        msg = self.model_data(conn, body, push=True)
+        self.send(conn, Message(MessageType.PUSH_MODEL, self.open[conn].device_id), msg)
+
+    @initialize(policy=st.sampled_from([RoundPolicy("count", 1), RoundPolicy("count", 3),
+                                        RoundPolicy("timer", 1.0)]),
+                prompt_sync=st.integers(0, 2))
+    def start(self, policy, prompt_sync):
+        self.initial = make_blob(90, e=4)
+        self.rounds = server_module.Rounds(self.initial, policy, FAULT_TIMEOUT, 0.0)
+        for device_id in range(prompt_sync):  # so that healthy rounds of several devices run
+            self.connect(device_id, "sync", False, True)
+
+    @rule(device_id=st.integers(0, 3), kind=st.sampled_from(["lazy", "sync", "pulled"]),
+          ack_first=st.booleans(), prompt=st.booleans())
+    def connect(self, device_id, kind, ack_first, prompt):
+        if kind == "lazy":  # an id another connection holds replaces that one
+            conn = self.new_conn(device_id)
+            if ack_first:  # an ACK that answers no global
+                self.send(conn, ack(device_id))
+            self.send(conn, hello(device_id))
+        elif device_id not in self.real:  # one real device per id
+            self.real[device_id] = agent_module.Device(
+                device_id, partition(FAULT_DATA, 4, 0)[device_id], learning_rate=FAULT_LR,
+                local_episodes=FAULT_EPISODES,
+                sync_batch=FAULT_SYNC_BATCH if kind == "sync" else None)
+            if prompt:
+                self.prompt.add(device_id)
+            self.link_up(self.real[device_id])
+        self.tick()
+
+    @rule(i=PICKS, down=st.integers(0, 3), up=st.integers(0, 3))
+    def deliver(self, i, down, up):  # a prefix of each way's writes on one device's link
+        if (conn := self.pick(i, real=True)) is not None:
+            self.flow(conn, False, down)
+            self.flow(conn, True, up)
+        self.tick()
+
+    @rule(i=PICKS)
+    def step(self, i):
+        if (conn := self.pick(i, real=True)) is not None:
+            self.step_device(self.open[conn].dev)
+        self.tick()
+
+    @rule(i=PICKS)
+    def lag(self, i):  # a prompt device's link starts to lag, or a lagging one catches up
+        if (conn := self.pick(i, real=True)) is not None:
+            self.prompt ^= {self.open[conn].device_id}
+        self.tick()
+
+    @rule(i=PICKS)
+    def ack_one(self, i):  # with more globals unanswered, a late ACK of an older one;
+        if (conn := self.pick(i)) is not None:  # with none, an ACK that answers no global
+            self.send(conn, ack(self.open[conn].device_id))
+        self.tick()
+
+    @rule(i=PICKS, body=BODIES)
+    def push_model(self, i, body):
+        if (conn := self.pick(i)) is not None:
+            self.upload(conn, body)
+        self.tick()
+
+    @rule(i=PICKS, body=BODIES | st.none())
+    def answer_pull(self, i, body):  # with no pull to answer, a MODEL_DATA never asked for
+        if (conn := self.pick(i)) is not None:
+            self.send(conn, Message(MessageType.ERROR, self.open[conn].device_id, b"NO_MODEL")
+                      if body is None else self.model_data(conn, body))
+        self.tick()
+
+    @rule(seed=st.integers(0, 3))
+    def push_before_hello(self, seed):  # from a new connection that never greets
+        conn = ("stranger", next(self.conns))
+        for msg in push(make_blob(seed, e=4), 7):
+            self.rounds.receive(conn, msg)
+        self.carry_out()
+        self.tick()
+
+    @rule(i=PICKS, device_id=st.integers(0, 3))
+    def hello_again(self, i, device_id):
+        if (conn := self.pick(i)) is not None:
+            self.send(conn, hello(device_id))
+        self.tick()
+
+    @rule(i=PICKS, at_once=st.booleans())
+    def disconnect(self, i, at_once):  # now, or at the next send to it; a real device's link is cut
+        conn = self.pick(i, real=None)
+        if conn is not None and at_once:
+            self.close(conn)
+        elif conn is not None:
+            self.failing.add(conn)
+        self.tick()
+
+    @rule(dt=st.sampled_from([0.5, FAULT_TIMEOUT]))
+    def advance(self, dt):
+        self.now += dt
+        self.tick()
+
+    def pump(self):
+        """Prompt devices get all that is sent to them and step once; all they send arrives."""
+        for step in (True, False):
+            while links := [self.link[d] for d in sorted(self.prompt)
+                            if self.open[self.link[d]].up or self.open[self.link[d]].down]:
+                for conn in links:
+                    self.flow(conn, up=False)
+                    self.flow(conn, up=True)
+            for d in sorted(self.prompt) if step else ():
+                self.step_device(self.real[d])
+
+    def tick(self):
+        """What the server does after each message: tick the core at `now`."""
+        rounds = self.rounds
+        self.pump()
+        idle, averaged = rounds._expected is None, len(self.averaged)
+        previous = (rounds.history[-1].blob if rounds.history else self.initial, rounds.global_body)
+        record = rounds.tick(self.now)
+        if idle and (rounds._expected is not None or record is not None):
+            self.check_round_start(record)
+        self.carry_out()
+        if record is not None:
+            (contributions,) = self.averaged[averaged:]
+            self.check_contributions(record, contributions)
+            self.check_oracle(record, contributions, *previous)
+        if (record is not None or not idle) and rounds._expected is None:
+            self.check_no_answered_device_left_out(record)
+            self.pushes, self.waited = 0, {}
+        self.pump()
+
+    def check_round_start(self, record):
+        """A count:K round starts only after K valid pushes from registered devices;
+        note whom the round waits on."""
+        if self.rounds.policy.kind == "count":
+            assert self.pushes >= self.rounds.policy.value
+        waited = self.rounds._expected if record is None else record.participants
+        self.waited = {d: self.rounds._devices[d] for d in waited}
+
+    def check_contributions(self, record, contributions):
+        """Each global is the mean, in device-id order, of valid models made after an ACK."""
+        assert list(record.participants) == sorted(record.participants)
+        for device_id, blob in zip(record.participants, contributions, strict=True):
+            assert blob.values.tobytes() in self.uploads[device_id] - self.early
+        assert np.array_equal(record.blob.values, average_blobs(contributions).values)
+
+    def check_oracle(self, record, contributions, previous, previous_body):
+        """A round that only real sync devices trained, each one step from the
+        previous global installed on its current link, is the oracle's round."""
+        streams = []
+        for d, blob in zip(record.participants, contributions):
+            trained = self.trained.get(d)
+            if trained is None or trained[0] != previous_body or (
+                    blob.values.tobytes() != wire_rounded(trained[2]).values.tobytes()):
+                return
+            streams.append(DeviceStream(d, FAULT_DATA, self.real[d].stream.indices[trained[1]:]))
+        (want,) = wire_rounded_rounds(streams, previous, FAULT_SYNC_BATCH, FAULT_LR,
+                                      FAULT_EPISODES, 1)
+        assert np.array_equal(record.blob.values, want.values)
+        assert record.checksum == zlib.crc32(encode_model(want))
+        ORACLE_ROUNDS.append(record.participants)
+
+    def check_no_answered_device_left_out(self, record):
+        """A real device the round waited on is left out only if its link was cut
+        or the network still holds the round's PULL or the device's answer."""
+        participants = () if record is None else record.participants
+        for d, conn in self.waited.items():
+            peer = self.open.get(conn)
+            if d in participants or peer is None or peer.dev is None:
+                continue
+            assert any(m.type is MessageType.PULL_MODEL for w in peer.down for m in w) or any(
+                [m.type for m in w] == [MessageType.MODEL_DATA] for w in peer.up), d
+
+    @invariant()
+    def no_round_outlives_its_deadline(self):
+        if self.rounds is not None and self.rounds._expected is not None:
+            assert self.now < self.rounds._deadline
+
+    @invariant()
+    def only_live_connections_hold_ids(self):
+        for device_id, conn in getattr(self.rounds, "_devices", {}).items():
+            assert conn in self.open and self.open[conn].device_id == device_id
+        if self.rounds is not None and self.rounds._expected is not None:
+            assert self.rounds._expected <= self.rounds._devices.keys()
+            # A round waits only on connections that have ACKed a global.
+            for device_id in self.rounds._expected:
+                assert self.open[self.rounds._devices[device_id]].acked
+
+    @invariant()
+    def only_open_connections_are_peers(self):
+        # A closed connection is forgotten, so `_peers` does not grow with reconnects.
+        assert getattr(self.rounds, "_peers", {}).keys() & self.closed == set()
+
+    @invariant()
+    def no_unregistered_peer_holds_a_blob(self):
+        for peer in getattr(self.rounds, "_peers", {}).values():
+            assert peer.device_id is not None or peer.pushed is None
+
+
+ORACLE_ROUNDS = []  # the participants of each round checked against the oracle
+
+
+def test_round_core_keeps_its_invariants_under_faulty_peers():
+    ORACLE_ROUNDS.clear()
+    run_state_machine_as_test(RoundFaults, settings=settings(
+        max_examples=100, stateful_step_count=40, deadline=None))
+    # The oracle check must have run, on rounds of more than one device too.
+    assert any(len(p) > 1 for p in ORACLE_ROUNDS), len(ORACLE_ROUNDS)
+
+
+# -- the two cores against each other ---------------------------------------------------
+
+
+def test_device_and_round_cores_reproduce_offline_rounds():
+    # Two sync devices and a count:2 round core on a fake clock, each core's
+    # messages handed to the other unchanged, run the wire-rounded oracle's
+    # rounds bit for bit; the oracle stays within the wire's float32 rounding
+    # of the simulator's rounds, and the live run ends near its accuracy.
+    rounds, batch = 6, 5
+    for e, classes, seed in ((8, 2, 30), (1280, 10, 31)):
+        ds = synth_separable(e, classes, 90, 4.0, seed, val_fraction=1 / 3)
+        blob0 = make_blob(31, e, classes)
+        sim = run_training(
+            RoundConfig(num_devices=2, batch_size=batch, local_episodes=2,
+                        learning_rate=0.05, epochs=rounds),
+            partition(ds, 2, seed),
+            ds.validation_samples(),
+            "pretrained",
+            init_blob=blob0,
+        )
+        oracle = wire_rounded_rounds(partition(ds, 2, seed), blob0, batch, 0.05, 2, rounds)
+        server = server_module.Rounds(blob0, RoundPolicy("count", 2), 5.0, 0.0)
+        devices = [agent_module.Device(d, stream, learning_rate=0.05, local_episodes=2,
+                                       sync_batch=batch)
+                   for d, stream in enumerate(partition(ds, 2, seed))]
+        for dev in devices:
+            dev.connected()
+        sends = []
+        for _ in range(rounds + 1):  # the greetings, then one round per pass
+            for d, msgs in sends:
+                for msg in msgs:
+                    devices[d].receive(msg)
+            sends = []
+            for d, dev in enumerate(devices):
+                dev.step()
+                sends += deliver(server, d, *itertools.chain(*dev.output()))
+            sends += tick(server, 0.0)[1]
+
+        assert len(server.history) == rounds
+        for t, (record, want) in enumerate(zip(server.history, oracle, strict=True)):
+            assert record.participants == (0, 1)
+            assert np.array_equal(record.blob.values, want.values)
+            assert record.checksum == zlib.crc32(encode_model(want))
+            drift = np.max(np.abs(want.values - sim.round_blobs[t].values))
+            assert drift <= 1e-6, f"round {t + 1} drifted by {drift}"
+        live_acc = evaluate(server.history[-1].blob, ds.validation_samples())
+        assert abs(live_acc - sim.history[-1].val_accuracy) <= 0.1

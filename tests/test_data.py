@@ -133,6 +133,16 @@ def test_header_shape_error_names_offset(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("dim", [0x7FFFFFFF, 0xFFFFFFFF])
+def test_a_header_declaring_more_dims_than_the_file_holds_names_both_sizes(tmp_path, dim):
+    # numpy cannot build a record dtype this wide, so the sizes are checked first.
+    path = tmp_path / "wide.ds"
+    path.write_bytes(struct.pack("<4sIII", b"FTED", dim, 2, 3) + bytes(64))
+    with pytest.raises(DatasetFormatError,
+                       match=f"file is 80 bytes, header implies {16 + 3 * (4 + 4 * dim)} "):
+        load_dataset(path)
+
+
 def test_load_holds_about_one_copy_of_the_file(tmp_path):
     ds = synth_separable(1280, 2, 1000, 4.0, 3)
     path = tmp_path / "e1280.ds"

@@ -2,9 +2,10 @@
 src/ keeps an import it does not use or a private module-level name that
 nothing in it references, so a refactor cannot leave either behind; the
 server's round core and the agent's device core name no socket, selector,
-clock or link; and the training modules hold no module-level state that
+clock or link; the training modules hold no module-level state that
 threads could share: only nn binds a threading.local(), the train kernel's
-scratch."""
+scratch; and the cores' fault models in tests/test_cores.py open no socket,
+start no thread and build no I/O shell."""
 import ast
 import pathlib
 
@@ -75,6 +76,22 @@ def test_the_round_core_uses_no_socket_selector_clock_or_link():
         _, tree = parse(SRC / "fedhead" / "runtime" / module)
         (core,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == name]
         assert loaded_names(core) & {"socket", "selectors", "time", "Link"} == set(), name
+
+
+def test_the_core_fault_models_use_no_socket_thread_or_shell():
+    # The fault models drive Rounds and Device alone, on a fake clock and a
+    # fake network; a socket, a selector, a thread, a Server or an Agent would
+    # put them back on the I/O shells, which tests/test_runtime.py covers.
+    _, tree = parse(pathlib.Path(__file__).resolve().parent / "test_cores.py")
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module}
+    assert imported & {"socket", "selectors", "threading"} == set()
+    named = loaded_names(tree) | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    named |= {alias.asname or alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert named & {"Server", "Agent"} == set()
 
 
 def shareable(value) -> bool:

@@ -1,20 +1,18 @@
-"""Message layer, the round and device cores, and the server and agent over real sockets.
+"""Message layer, the two runtime cores by example, and the server and agent over sockets.
 
 Protocol tests drive the two socket-free cores, the server's `Rounds` and
-the agent's `Device`, with messages and a fake clock; a stateful fault model
-drives `Rounds` with misbehaving peers, and the two cores run rounds against
-each other. Loopback tests script a fake device against a threaded Server,
-or a fake server against a threaded Agent, for what only the I/O shells do.
-Every socket has a timeout, so a wedged exchange fails the test instead of
-hanging it.
+the agent's `Device`, with scripted messages and a fake clock; their fault
+models, and the paired-core test, are in tests/test_cores.py. Loopback tests
+script a fake device against a threaded Server, or a fake server against a
+threaded Agent, for what only the I/O shells do: socket reads split at any
+byte, one write per transfer, unread writes, reconnect and backoff, scoring
+and logging each round, and the names the benchmark patches. Every socket
+has a timeout, so a wedged exchange fails the test instead of hanging it.
 """
 import collections
 import contextlib
-import functools
 import importlib
-import itertools
 import logging
-import math
 import pathlib
 import selectors
 import socket
@@ -22,22 +20,16 @@ import struct
 import threading
 import time
 import tracemalloc
-import types
 import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import (
-    RuleBasedStateMachine, initialize, invariant, rule, run_state_machine_as_test,
-)
 
 from fedhead.data import partition, synth_separable
 from fedhead.errors import ProtocolError, ShapeError
-from fedhead.federation import (
-    ModelBlob, RoundConfig, average_blobs, evaluate, run_training,
-)
+from fedhead.federation import ModelBlob, RoundConfig, evaluate, run_training
 from fedhead.nn import StackedSamples, init_head, stack_samples, train_batch
 from fedhead.runtime import (
     Agent,
@@ -56,13 +48,9 @@ from fedhead.runtime import (
 from fedhead.runtime import agent as agent_module
 from fedhead.runtime import server as server_module
 from fedhead.runtime.protocol import MAX_BODY, MAX_QUEUED_WRITES, Link
-from fedhead.wire import decode_model, encode_model, encoded_size, framed_size
+from fedhead.wire import encode_model, encoded_size, framed_size
 from nn_reference import wire_rounded_rounds
-
-
-def make_blob(seed, e=8, c=2):
-    """A random head whose values are exactly representable in float32."""
-    return decode_model(encode_model(init_head(e, c, "random", seed=seed)))
+from test_cores import PULL, ack, deliver, error, hello, make_blob, push, reply, tick
 
 
 def make_stream(n, seed=0, e=8):
@@ -383,24 +371,7 @@ def test_configure_logging_level_gate(monkeypatch):
     configure_logging()
 
 
-# -- the round core, on a fake clock ----------------------------------------------------
-
-hello = functools.partial(Message, MessageType.HELLO)
-ack = functools.partial(Message, MessageType.ACK)
-PULL = (Message(MessageType.PULL_MODEL, 0),)
-
-
-def reply(device_id, blob):
-    return Message(MessageType.MODEL_DATA, device_id, model_data_body(blob))
-
-
-def push(blob, device_id=0):
-    """One transfer, as one write carries it: PUSH_MODEL and its MODEL_DATA."""
-    return (Message(MessageType.PUSH_MODEL, device_id), reply(device_id, blob))
-
-
-def error(body, device_id=0):
-    return (Message(MessageType.ERROR, device_id, body),)
+# -- the round core by example, on a fake clock (RoundFaults: tests/test_cores.py) -------
 
 
 def core(initial, policy, *device_ids, round_timeout=5.0):
@@ -409,20 +380,6 @@ def core(initial, policy, *device_ids, round_timeout=5.0):
     for device_id in device_ids:
         deliver(rounds, device_id, hello(device_id))
     return rounds
-
-
-def deliver(rounds, conn, *msgs):
-    """Feed `msgs` from `conn` to the core; return the sends it queued."""
-    for msg in msgs:
-        rounds.receive(conn, msg)
-    sends, drops = rounds.output()
-    assert drops == []
-    return sends
-
-
-def tick(rounds, now):
-    """Tick the core; return the round it finished and the sends it queued."""
-    return rounds.tick(now), deliver(rounds, None)  # None delivers no message
 
 
 def count_calls(monkeypatch, names, module=server_module):
@@ -661,229 +618,7 @@ def test_server_builds_one_model_data_body_per_global(monkeypatch):
         assert record.checksum == zlib.crc32(encode_model(record.blob))
 
 
-# -- a stateful fault model of the round core --------------------------------------------
-
-FAULT_TIMEOUT = 2.0
-WRONG_SHAPE_BODY = model_data_body(make_blob(91, e=5))
-PICKS = st.integers(0, 15)
-# A MODEL_DATA body: valid, one byte flipped, cut short, or a model of another shape.
-BODIES = st.tuples(st.sampled_from(["valid", "flip", "cut", "shape"]), st.integers(0, 1 << 16))
-
-
-class RoundFaults(RuleBasedStateMachine):
-    """Prompt agents, which answer all they are sent at once (a sync agent
-    uploads after each ACK, a pulled one only answers pulls), and peers that
-    do anything in any order, against a `Rounds` on a fake clock."""
-
-    def __init__(self):
-        super().__init__()
-        self.rounds, self.now = None, 0.0
-        # Per connection not yet closed: its first HELLO's id, the globals and
-        # pulls it was sent and has not answered, and whether it has ACKed.
-        self.open, self.closed = {}, set()  # closed: every connection closed so far
-        self.prompt, self.failing = {}, set()  # prompt: conn -> whether it uploads
-        self.waited_on = set()  # the prompt connections as the pending round started
-        self.uploads = collections.defaultdict(set)  # device id -> its valid models' values
-        self.early = set()  # values pushed while a global was not ACKed
-        self.conns, self.seeds, self.averaged = itertools.count(), itertools.count(), []
-        self.average = server_module.average_blobs
-        server_module.average_blobs = self.recording_average
-
-    def recording_average(self, blobs):
-        self.averaged.append(blobs)
-        return self.average(blobs)
-
-    def teardown(self):
-        server_module.average_blobs = self.average
-
-    def pick(self, i, lazy=True):
-        conns = sorted(self.open.keys() - (self.prompt.keys() if lazy else set()))
-        return conns[i % len(conns)] if conns else None
-
-    def send(self, conn, *msgs):
-        for msg in msgs:
-            if conn in self.open:  # a failed send closes it
-                self.rounds.receive(conn, msg)
-                assert not self.rounds._peers[conn].stale  # stale only until it speaks
-                self.carry_out()
-
-    def carry_out(self):
-        """Do with the core's output what the server does."""
-        sends, drops = self.rounds.output()
-        for conn, msgs in sends:
-            types = [m.type for m in msgs]
-            assert types in (  # a PUSH_MODEL is one write with its MODEL_DATA
-                [MessageType.PUSH_MODEL, MessageType.MODEL_DATA],
-                [MessageType.PULL_MODEL], [MessageType.ERROR])
-            if conn in self.failing:
-                self.close(conn)
-            elif conn in self.open:
-                self.open[conn].unacked += types[0] is MessageType.PUSH_MODEL
-                self.open[conn].pulls += types[0] is MessageType.PULL_MODEL
-        for conn in set(drops) & self.open.keys():
-            self.close(conn)
-
-    def close(self, conn):
-        del self.open[conn]
-        self.closed.add(conn)
-        self.prompt.pop(conn, None)
-        self.failing.discard(conn)
-        self.rounds.disconnect(conn)
-
-    def model_data(self, conn, body, push=False):
-        (kind, at), device = body, self.open[conn]
-        values = np.random.default_rng(next(self.seeds)).standard_normal(10).astype(np.float32)
-        data = bytearray(model_data_body(ModelBlob(values, 4, 2)))
-        if kind == "shape":
-            data = WRONG_SHAPE_BODY
-        elif kind == "flip":
-            data[at % len(data)] ^= 0xFF
-        elif kind == "cut":
-            del data[at % len(data):]
-        else:
-            self.uploads[device.device_id].add(values.astype(np.float64).tobytes())
-            if push and device.unacked:
-                self.early.add(values.astype(np.float64).tobytes())
-        return Message(MessageType.MODEL_DATA, device.device_id, bytes(data))
-
-    def upload(self, conn, body):
-        msg = self.model_data(conn, body, push=True)
-        self.send(conn, Message(MessageType.PUSH_MODEL, self.open[conn].device_id), msg)
-
-    def pump(self):
-        """Prompt agents, highest id first, answer each global and each pull."""
-        for conn, uploads in sorted(self.prompt.items(), key=lambda p: -self.open[p[0]].device_id):
-            device, installed = self.open[conn], self.open[conn].unacked
-            while device.unacked:
-                device.unacked -= 1
-                device.acked = True
-                self.send(conn, ack(device.device_id))
-            if installed and uploads:
-                self.upload(conn, ("valid", 0))
-            while device.pulls:
-                device.pulls -= 1
-                self.send(conn, self.model_data(conn, ("valid", 0)))
-
-    @initialize(policy=st.sampled_from([RoundPolicy("count", 1), RoundPolicy("count", 3),
-                                        RoundPolicy("timer", 1.0)]))
-    def start(self, policy):
-        self.rounds = server_module.Rounds(make_blob(90, e=4), policy, FAULT_TIMEOUT, 0.0)
-
-    @rule(device_id=st.integers(0, 3), kind=st.sampled_from(["lazy", "sync", "pulled"]),
-          ack_first=st.booleans())
-    def connect(self, device_id, kind, ack_first):
-        conn = next(self.conns)  # an id another connection holds replaces that one
-        self.open[conn] = types.SimpleNamespace(device_id=device_id, unacked=0, pulls=0,
-                                                acked=False)
-        if kind != "lazy":
-            self.prompt[conn] = kind == "sync"
-        if ack_first:  # an ACK that answers no global
-            self.send(conn, ack(device_id))
-        self.send(conn, hello(device_id))
-        self.tick()
-
-    @rule(i=PICKS)
-    def ack_one(self, i):  # with more globals unanswered, a late ACK of an older one;
-        conn = self.pick(i)  # with none, an ACK that answers no global
-        if conn is not None:
-            device = self.open[conn]
-            device.acked |= device.unacked > 0
-            device.unacked = max(0, device.unacked - 1)
-            self.send(conn, ack(device.device_id))
-        self.tick()
-
-    @rule(i=PICKS, body=BODIES)
-    def push_model(self, i, body):
-        if (conn := self.pick(i)) is not None:
-            self.upload(conn, body)
-        self.tick()
-
-    @rule(i=PICKS, body=BODIES | st.none())
-    def answer_pull(self, i, body):  # with no pull to answer, a MODEL_DATA never asked for
-        if (conn := self.pick(i)) is not None:
-            device = self.open[conn]
-            device.pulls = max(0, device.pulls - 1)
-            self.send(conn, Message(MessageType.ERROR, device.device_id, b"NO_MODEL")
-                      if body is None else self.model_data(conn, body))
-        self.tick()
-
-    @rule(seed=st.integers(0, 3))
-    def push_before_hello(self, seed):  # from a new connection that never greets
-        conn = ("stranger", next(self.conns))
-        for msg in push(make_blob(seed, e=4), 7):
-            self.rounds.receive(conn, msg)
-        self.carry_out()
-        self.tick()
-
-    @rule(i=PICKS, device_id=st.integers(0, 3))
-    def hello_again(self, i, device_id):
-        if (conn := self.pick(i)) is not None:
-            self.send(conn, hello(device_id))
-        self.tick()
-
-    @rule(i=PICKS, at_once=st.booleans())
-    def disconnect(self, i, at_once):  # now, or at the next send to it
-        conn = self.pick(i, lazy=False)
-        if conn is not None and at_once:
-            self.close(conn)
-        elif conn is not None:
-            self.failing.add(conn)
-        self.tick()
-
-    def tick(self):
-        """What the server does after each message: tick the core at `now`."""
-        rounds = self.rounds
-        self.pump()
-        if rounds._expected is None:  # a round that starts now waits on these
-            self.waited_on = set(self.prompt)
-        deadline = math.inf if rounds._expected is None else rounds._deadline
-        averaged = len(self.averaged)
-        record = rounds.tick(self.now)
-        assert self.now < deadline or rounds._expected is None  # no round outlives its deadline
-        self.carry_out()
-        if record is not None:
-            (contributions,) = self.averaged[averaged:]
-            assert list(record.participants) == sorted(record.participants)
-            for device_id, blob in zip(record.participants, contributions, strict=True):
-                assert blob.values.tobytes() in self.uploads[device_id] - self.early
-            assert np.array_equal(record.blob.values, average_blobs(contributions).values)
-            # A device that answers every pull in time is never left out.
-            prompt_ids = {self.open[c].device_id for c in self.waited_on & self.prompt.keys()}
-            assert prompt_ids <= set(record.participants)
-        self.pump()
-
-    @rule(dt=st.sampled_from([0.5, FAULT_TIMEOUT]))
-    def advance(self, dt):
-        self.now += dt
-        self.tick()
-
-    @invariant()
-    def only_live_connections_hold_ids(self):
-        for device_id, conn in getattr(self.rounds, "_devices", {}).items():
-            assert conn in self.open and self.open[conn].device_id == device_id
-        if self.rounds is not None and self.rounds._expected is not None:
-            assert self.rounds._expected <= self.rounds._devices.keys()
-            # A round waits only on connections that have ACKed a global.
-            for device_id in self.rounds._expected:
-                assert self.open[self.rounds._devices[device_id]].acked
-
-    @invariant()
-    def only_open_connections_are_peers(self):
-        # A closed connection is forgotten, so `_peers` does not grow with reconnects.
-        assert getattr(self.rounds, "_peers", {}).keys() & self.closed == set()
-
-    @invariant()
-    def no_unregistered_peer_holds_a_blob(self):
-        for peer in getattr(self.rounds, "_peers", {}).values():
-            assert peer.device_id is not None or peer.pushed is None
-
-
-def test_round_core_keeps_its_invariants_under_faulty_peers():
-    run_state_machine_as_test(RoundFaults, settings=settings(
-        max_examples=100, stateful_step_count=40, deadline=None))
-
-
-# -- the device core, with no socket -------------------------------------------------
+# -- the device core by example, with no socket (DeviceFaults: tests/test_cores.py) ----
 
 
 def device(stream, device_id=0, **settings):
@@ -1111,52 +846,6 @@ def test_a_free_run_devices_memory_stays_flat():
     finally:
         tracemalloc.stop()
     assert abs(traced[1] - traced[0]) <= 2562 * 8, traced
-
-
-def test_device_and_round_cores_reproduce_offline_rounds():
-    # Two sync devices and a count:2 round core on a fake clock, each core's
-    # messages handed to the other unchanged, run the wire-rounded oracle's
-    # rounds bit for bit; the oracle stays within the wire's float32 rounding
-    # of the simulator's rounds, and the live run ends near its accuracy.
-    rounds, batch = 6, 5
-    for e, classes, seed in ((8, 2, 30), (1280, 10, 31)):
-        ds = synth_separable(e, classes, 90, 4.0, seed, val_fraction=1 / 3)
-        blob0 = make_blob(31, e, classes)
-        sim = run_training(
-            RoundConfig(num_devices=2, batch_size=batch, local_episodes=2,
-                        learning_rate=0.05, epochs=rounds),
-            partition(ds, 2, seed),
-            ds.validation_samples(),
-            "pretrained",
-            init_blob=blob0,
-        )
-        oracle = wire_rounded_rounds(partition(ds, 2, seed), blob0, batch, 0.05, 2, rounds)
-        server = server_module.Rounds(blob0, RoundPolicy("count", 2), 5.0, 0.0)
-        devices = [agent_module.Device(d, stream, learning_rate=0.05, local_episodes=2,
-                                       sync_batch=batch)
-                   for d, stream in enumerate(partition(ds, 2, seed))]
-        for dev in devices:
-            dev.connected()
-        sends = []
-        for _ in range(rounds + 1):  # the greetings, then one round per pass
-            for d, msgs in sends:
-                for msg in msgs:
-                    devices[d].receive(msg)
-            sends = []
-            for d, dev in enumerate(devices):
-                dev.step()
-                sends += deliver(server, d, *itertools.chain(*dev.output()))
-            sends += tick(server, 0.0)[1]
-
-        assert len(server.history) == rounds
-        for t, (record, want) in enumerate(zip(server.history, oracle, strict=True)):
-            assert record.participants == (0, 1)
-            assert np.array_equal(record.blob.values, want.values)
-            assert record.checksum == zlib.crc32(encode_model(want))
-            drift = np.max(np.abs(want.values - sim.round_blobs[t].values))
-            assert drift <= 1e-6, f"round {t + 1} drifted by {drift}"
-        live_acc = evaluate(server.history[-1].blob, ds.validation_samples())
-        assert abs(live_acc - sim.history[-1].val_accuracy) <= 0.1
 
 
 # -- the server over loopback sockets -----------------------------------------------
