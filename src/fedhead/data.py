@@ -134,6 +134,9 @@ def load_dataset(path) -> EmbeddingDataset:
                 f"file is {size} bytes, header implies {expected} "
                 f"({count} records of {record_size} bytes)"
             )
+        if 4 * dim > np.iinfo(np.intc).max:  # numpy's limit on a record's feature field
+            raise DatasetFormatError(f"header declares embedding_dim {dim}; numpy's C-int "
+                                     f"itemsize limit allows {np.iinfo(np.intc).max // 4}")
         records = np.fromfile(fh, dtype=_record_dtype(dim), count=count)
     bad_split = records["split"] > SPLIT_VALIDATION
     bad_label = records["label"] >= classes
@@ -267,6 +270,8 @@ def check_synth_task(embedding_dim: int, num_classes: int, n: int, margin: float
         raise ValueError(f"margin must be > 0, got {margin}")
     if num_classes < 2:
         raise ValueError(f"num_classes must be >= 2, got {num_classes}")
+    if embedding_dim < 1:
+        raise ValueError(f"embedding_dim must be >= 1, got {embedding_dim}")
     if active_dims is None:
         if num_classes > embedding_dim:
             raise ValueError("centroid construction needs num_classes <= embedding_dim")
@@ -275,7 +280,7 @@ def check_synth_task(embedding_dim: int, num_classes: int, n: int, margin: float
     elif num_classes > active_dims:
         raise ValueError("centroid construction needs num_classes <= active_dims")
     if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+        raise ValueError(f"samples must be >= 0, got {n}")
     if not 0 <= val_fraction < 1:
         raise ValueError(f"val_fraction must be in [0, 1), got {val_fraction}")
 

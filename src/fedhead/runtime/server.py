@@ -345,8 +345,7 @@ class Server:
         self.address: tuple[str, int] = self._listener.getsockname()
         self._sel.register(self._listener, selectors.EVENT_READ, None)
         self._stopped = False
-        # The core's own round list, and its registered devices' links by id.
-        self.history, self._devices = self._rounds.history, self._rounds._devices
+        self.history = self._rounds.history  # the core's own round list
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -269,6 +269,8 @@ def test_impossible_config_is_a_usage_error_before_any_repetition(
     (["simulate", "--kind", "sparse", "--dim", "8", "--sparse-dims", "40"],
      "active_dims must be in [1, 8], got 40"),
     (["simulate", "--val-fraction", "1.0"], "val_fraction must be in [0, 1), got 1.0"),
+    (["simulate", "--samples", "-5"], "samples must be >= 0, got -5"),
+    (["simulate", "--dim", "0"], "embedding_dim must be >= 1, got 0"),
 ])
 def test_usage_error_names_the_setting(argv, message, capsys):
     assert main([*argv, "-T", "2"]) == 1

@@ -1,4 +1,4 @@
-"""The socket-free runtime cores under one fault model each, and against each other.
+"""The socket-free runtime cores: by example, under one fault model each, and paired.
 
 `DeviceFaults` is a server that sends one `runtime.agent.Device` anything in
 any order over links that come and go: valid pushes, pushes with a byte
@@ -12,18 +12,25 @@ core must do and checks the core against it after every step; a round that
 only real devices trained, one step each from the previous global, must
 equal the wire-rounded oracle in `nn_reference` bit for bit. The paired-core test runs
 the two cores' rounds against each other and against the offline simulator.
+The examples script each core with messages and a fake clock: the exact sends
+and ERROR bodies of `Rounds` in the cases its fault model does not spell out,
+and the `Device` cases that guard mended defects or that `DeviceFaults` does
+not model, such as one blob built per step and memory that stays flat.
 
 Nothing here opens a socket, starts a thread or builds a `Server` or an
-`Agent` (tests/test_hygiene.py checks this file), so the fault models stay
+`Agent` (tests/test_hygiene.py checks this file), so every core test stays
 on the cores; tests/test_runtime.py keeps what only the I/O shells do.
 """
 import collections
 import functools
 import itertools
+import logging
+import tracemalloc
 import types
 import zlib
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -670,3 +677,351 @@ def test_device_and_round_cores_reproduce_offline_rounds():
             assert drift <= 1e-6, f"round {t + 1} drifted by {drift}"
         live_acc = evaluate(server.history[-1].blob, ds.validation_samples())
         assert abs(live_acc - sim.history[-1].val_accuracy) <= 0.1
+
+
+# -- the round core by example, on a fake clock ---------------------------------------
+
+
+def core(initial, policy, *device_ids, round_timeout=5.0):
+    """A `Rounds` at time 0 with a connection registered per id, keyed by the id."""
+    rounds = server_module.Rounds(initial, policy, round_timeout, 0.0)
+    for device_id in device_ids:
+        deliver(rounds, device_id, hello(device_id))
+    return rounds
+
+
+def count_calls(monkeypatch, names, module=server_module):
+    """Count the calls of each of `names` where `module` looks it up."""
+    calls = collections.Counter()
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+def test_server_single_device_round():
+    initial, mine = make_blob(1), make_blob(2)
+    rounds = core(initial, RoundPolicy("count", 1))
+    assert deliver(rounds, 3, hello(3)) == [(3, push(initial))]
+    # The push is the device's contribution: no PULL_MODEL comes first.
+    assert deliver(rounds, 3, ack(3), *push(mine, 3)) == []
+    record, sends = tick(rounds, 0.0)
+    assert sends == [(3, push(mine))]  # the averaged global comes back
+    assert rounds.history == [record] and record.participants == (3,)
+    assert np.array_equal(record.blob.values, mine.values)  # mean of one blob
+    assert record.checksum == zlib.crc32(encode_model(mine))
+    assert record.val_accuracy is None  # the server scores it, after the push
+
+
+def test_server_drops_corrupt_reply_from_round_then_forgives():
+    good = make_blob(6)
+    corrupt = bytearray(model_data_body(good))
+    corrupt[36] ^= 0xFF  # a model payload byte inside frame 4
+    rounds = core(make_blob(5), RoundPolicy("count", 1), 1, 2)
+    deliver(rounds, 2, ack(2))  # device 2 joins rounds once it has ACKed a global
+    bad = Message(MessageType.MODEL_DATA, 2, bytes(corrupt))
+    for answer, errors, participants in ((bad, [(2, error(b"CorruptionError"))], (1,)),
+                                         (reply(2, good), [], (1, 2))):
+        # Device 1 pushes its contribution; device 2 never pushes, so it is pulled.
+        deliver(rounds, 1, ack(1), *push(good, 1))
+        assert tick(rounds, 0.0) == (None, [(2, PULL)])
+        assert deliver(rounds, 2, answer) == errors
+        record, sends = tick(rounds, 0.0)
+        assert record.participants == participants and [c for c, _ in sends] == [1, 2]
+
+
+def test_server_marks_silent_device_stale_until_it_speaks():
+    mine = make_blob(8)
+    rounds = core(make_blob(7), RoundPolicy("count", 1), 1, 2, round_timeout=0.5)
+    deliver(rounds, 2, ack(2))  # live, then silent
+    deliver(rounds, 1, ack(1), *push(mine, 1))
+    assert tick(rounds, 1.0) == (None, [(2, PULL)])  # never answered
+    assert tick(rounds, 1.25) == (None, [])
+    for _ in range(2):  # round 1 closes at its deadline; round 2 does not pull device 2
+        record, sends = tick(rounds, 1.5)
+        assert record.participants == (1,) and [c for c, _ in sends] == [1, 2]
+        deliver(rounds, 1, ack(1), *push(mine, 1))
+    deliver(rounds, 2, ack(2))  # once it speaks again, the next round pulls it
+    assert tick(rounds, 1.5) == (None, [(2, PULL)])
+
+
+def test_a_peer_that_never_acks_a_global_holds_no_round():
+    # At the default round_timeout, a round that pulled such a peer would wait 5 s.
+    initial = make_blob(80)
+    rounds = core(initial, RoundPolicy("count", 2), 1, 2)
+    assert rounds.round_timeout == 5.0
+    assert deliver(rounds, 9, hello(9)) == [(9, push(initial))]  # then silence
+    deliver(rounds, 8, hello(8), Message(MessageType.ERROR, 8, b"ShapeError"))  # rejects it
+    # An ACK that answers no global, here one before the HELLO, vouches for nothing.
+    assert deliver(rounds, 7, ack(7), hello(7)) == [(7, push(initial))]  # then silence
+    for r in range(3):
+        for d in (1, 2):
+            deliver(rounds, d, ack(d), *push(make_blob(81 + 2 * r + d), d))
+        record, sends = tick(rounds, 0.0)
+        assert record.participants == (1, 2)
+        assert [c for c, _ in sends] == [1, 2, 9, 8, 7]  # each still gets every global
+
+
+def test_server_handles_no_model_reply():
+    rounds = core(make_blob(9), RoundPolicy("count", 1), 1, 2)
+    deliver(rounds, 2, ack(2))
+    deliver(rounds, 1, ack(1), *push(make_blob(10), 1))
+    assert tick(rounds, 0.0) == (None, [(2, PULL)])
+    assert deliver(rounds, 2, Message(MessageType.ERROR, 2, b"NO_MODEL")) == []
+    assert tick(rounds, 0.0)[0].participants == (1,)
+
+
+def test_server_counts_an_ack_that_reports_exhaustion_as_an_ack(caplog):
+    caplog.set_level(logging.INFO, logger="fedhead.runtime.server")
+    mine = make_blob(15)
+    rounds = core(make_blob(14), RoundPolicy("count", 1), 1)
+    assert deliver(rounds, 1, ack(1, STATUS_DATA_EXHAUSTED)) == []
+    assert "device 1 reports data exhausted" in [r.getMessage() for r in caplog.records]
+    # The ACK answered the global, so the push that follows is a contribution.
+    deliver(rounds, 1, *push(mine, 1))
+    record, sends = tick(rounds, 0.0)
+    assert record.participants == (1,) and sends == [(1, push(mine))]
+
+
+def test_server_ignores_a_pull_reply_that_arrives_after_its_round_closed():
+    rounds = core(make_blob(16), RoundPolicy("count", 1), 1, 2, round_timeout=0.5)
+    deliver(rounds, 2, ack(2))
+    deliver(rounds, 1, ack(1), *push(make_blob(17), 1))
+    assert tick(rounds, 0.0) == (None, [(2, PULL)])
+    record, _ = tick(rounds, 0.5)  # closes at its deadline without device 2
+    assert record.participants == (1,)
+    assert deliver(rounds, 2, reply(2, make_blob(18))) == []
+    assert rounds._collected == {} and rounds._peers[2].pulls == 0
+    assert rounds.history == [record]
+
+
+def test_server_timer_policy_runs_rounds_without_pushes():
+    mine = make_blob(12)
+    rounds = core(make_blob(11), RoundPolicy("timer", 0.5), 1)
+    deliver(rounds, 1, ack(1))
+    assert tick(rounds, 0.25) == (None, [])
+    assert tick(rounds, 0.5) == (None, [(1, PULL)])
+    deliver(rounds, 1, reply(1, mine))
+    assert tick(rounds, 0.75) == (rounds.history[0], [(1, push(mine))])
+    assert tick(rounds, 1.0) == (None, [])  # the next round is due 0.5 s after this one
+    assert tick(rounds, 1.25) == (None, [(1, PULL)])
+
+
+def test_server_rejects_out_of_context_messages():
+    initial = make_blob(13)
+    rounds = core(initial, RoundPolicy("timer", 999), 1)
+    pull = Message(MessageType.PULL_MODEL, 1)
+    assert deliver(rounds, 1, pull) == [(1, error(b"UNEXPECTED_MESSAGE"))]
+    assert deliver(rounds, 1, reply(1, initial)) == [(1, error(b"UNEXPECTED_MODEL_DATA"))]
+
+
+def test_a_connection_keeps_its_first_device_id():
+    initial, mine = make_blob(70), make_blob(71)
+    rounds = core(initial, RoundPolicy("count", 1), 1)
+    assert deliver(rounds, 1, hello(2)) == [(1, error(b"UNEXPECTED_MESSAGE"))]
+    assert rounds._devices == {1: 1}
+    assert deliver(rounds, 1, hello(1)) == [(1, push(initial))]  # its own id: greeted again
+    rounds.receive("again", hello(1))  # the id from another connection replaces this one
+    assert rounds.output() == ([("again", push(initial))], [1])
+    assert rounds._devices == {1: "again"}
+    rounds.disconnect("again")
+    # No id is left on a closed connection for a healthy device's round to wait on.
+    deliver(rounds, 3, hello(3), ack(3), *push(mine, 3))
+    assert tick(rounds, 0.0) == (rounds.history[0], [(3, push(mine))])
+
+
+def test_server_survives_a_failed_push_of_the_new_global():
+    blobs = {1: make_blob(16), 0: make_blob(17)}
+    # Device 1 registers first, so the post-round push reaches it first.
+    rounds = core(make_blob(15), RoundPolicy("count", 1), 1, 0)
+    deliver(rounds, 1, ack(1))
+    deliver(rounds, 0, ack(0), *push(blobs[0], 0))
+    assert tick(rounds, 0.0) == (None, [(1, PULL)])
+    deliver(rounds, 1, reply(1, blobs[1]))
+    assert [c for c, _ in tick(rounds, 0.0)[1]] == [1, 0]
+    rounds.disconnect(1)  # what the server does when that push fails
+    deliver(rounds, 0, ack(0), *push(blobs[0], 0))  # the survivor runs a round alone
+    assert tick(rounds, 0.0)[1] == [(0, push(blobs[0]))]
+    assert [r.participants for r in rounds.history] == [(0, 1), (0,)]
+
+
+def test_server_does_not_take_a_late_ack_of_an_older_global_for_the_newest():
+    mine, stale_push, answer = make_blob(36), make_blob(37), make_blob(38)
+    rounds = core(make_blob(35), RoundPolicy("count", 1), 1, 2, round_timeout=0.5)
+    deliver(rounds, 1, ack(1))  # device 1 ACKs global 0, then falls behind
+    deliver(rounds, 2, ack(2), *push(mine, 2))
+    assert tick(rounds, 0.0) == (None, [(1, PULL)])
+    assert tick(rounds, 0.5)[0].participants == (2,)  # closes without device 1: global 1
+    deliver(rounds, 2, ack(2), *push(mine, 2))
+    assert tick(rounds, 0.5)[0].participants == (2,)  # device 1 is stale: global 2
+    # Device 1 acknowledges global 1 only, then pushes a model trained on it:
+    # the push triggers round 3, but device 1 must be pulled.
+    deliver(rounds, 1, ack(1), *push(stale_push, 1))
+    assert tick(rounds, 1.0) == (None, [(1, PULL), (2, PULL)])  # 2: no push since global 2
+    deliver(rounds, 1, reply(1, answer))
+    deliver(rounds, 2, reply(2, mine))
+    record, _ = tick(rounds, 1.0)
+    assert record.participants == (1, 2)
+    assert np.array_equal(record.blob.values, (answer.values + mine.values) / 2)
+
+
+def test_server_takes_a_free_run_devices_latest_push():
+    first, latest = make_blob(40), make_blob(41)
+    rounds = core(make_blob(39), RoundPolicy("count", 2), 1)
+    deliver(rounds, 1, ack(1), *push(first, 1), *push(latest, 1))
+    # No PULL_MODEL: the latest push is the contribution.
+    assert tick(rounds, 0.0) == (rounds.history[0], [(1, push(latest))])
+
+
+def test_pushes_from_a_connection_that_never_sent_hello_start_no_count_round():
+    rounds = core(make_blob(95), RoundPolicy("count", 2), 0, 1)
+    deliver(rounds, 0, ack(0))
+    deliver(rounds, 1, ack(1))
+    deliver(rounds, "stranger", *push(make_blob(96), 7), *push(make_blob(97), 7))
+    assert tick(rounds, 0.0) == (None, [])  # no device is pulled
+    deliver(rounds, 0, *push(make_blob(98), 0), *push(make_blob(99), 0))
+    assert tick(rounds, 0.0) == (None, [(1, PULL)])
+
+
+def test_a_push_from_a_connection_that_never_sent_hello_is_refused_undecoded(monkeypatch):
+    rounds = core(make_blob(95), RoundPolicy("count", 1), 0)
+    calls = count_calls(monkeypatch, ("blob_from_model_data",))
+    assert deliver(rounds, "stranger", *push(make_blob(96), 7)) == [
+        ("stranger", error(b"UNEXPECTED_MODEL_DATA"))]
+    assert calls == {} and rounds._peers["stranger"].pushed is None
+
+
+def test_server_labels_a_push_that_crosses_its_pull():
+    m0, m1, m2, m3 = make_blob(46), make_blob(43), make_blob(44), make_blob(45)
+    rounds = core(make_blob(42), RoundPolicy("count", 1), 1)
+    deliver(rounds, 1, ack(1), *push(m0, 1))
+    assert tick(rounds, 0.0)[0].participants == (1,)  # global 1, not yet ACKed
+    deliver(rounds, 1, *push(m1, 1))  # counts toward count:1, but before the ACK: pulled
+    assert tick(rounds, 0.0) == (None, [(1, PULL)])
+    # A second push arrives after the PULL and before the reply, as when a
+    # device pushes before it reads the PULL.
+    deliver(rounds, 1, *push(m2, 1), reply(1, m3))
+    assert np.array_equal(tick(rounds, 0.0)[0].blob.values, m3.values)
+
+
+def test_server_builds_one_model_data_body_per_global(monkeypatch):
+    calls = count_calls(monkeypatch, ("encode_model", "frame_bytes", "model_data_body"))
+    initial = make_blob(60)
+    rounds = core(initial, RoundPolicy("count", 3))
+    for d in range(3):
+        assert deliver(rounds, d, hello(d)) == [(d, push(initial))]
+    for r in range(2):
+        for d in range(3):
+            deliver(rounds, d, ack(d), *push(make_blob(61 + 3 * r + d), d))
+        record, sends = tick(rounds, 0.0)
+        assert sends == [(d, push(record.blob)) for d in range(3)]  # the same bytes to each
+    assert calls == {"encode_model": 3, "frame_bytes": 3}  # the initial global + 2 rounds
+    for record in rounds.history:
+        assert record.checksum == zlib.crc32(encode_model(record.blob))
+
+
+# -- the device core by example ----------------------------------------------------------
+
+
+def make_stream(n, seed=0, e=8):
+    ds = synth_separable(e, 2, n, 4.0, seed, val_fraction=0.0)
+    (stream,) = partition(ds, 1, seed)
+    return stream
+
+
+def device(stream, device_id=0, **settings):
+    """A `Device` on a new link, its HELLO taken."""
+    dev = agent_module.Device(device_id, stream, **settings)
+    dev.connected()
+    assert dev.output() == [(hello(device_id),)]
+    return dev
+
+
+def tell(dev, *msgs):
+    """Feed `msgs` to the device; return the sends it queued."""
+    for msg in msgs:
+        dev.receive(msg)
+    return dev.output()
+
+
+@pytest.mark.parametrize("sync_batch", [None, 4])
+def test_agent_step_builds_one_blob_and_frames_that_blob(monkeypatch, sync_batch):
+    # The device's model is the ModelBlob train_batch returns; a push frames
+    # that object, with no copy into another blob, and goes out as one write.
+    dev = device(make_stream(8), local_episodes=2, sync_batch=sync_batch,
+                 push_every=1 if sync_batch is None else None)
+    tell(dev, *push(make_blob(26)))
+    built, framed = [], []
+    original_post_init, original_body = ModelBlob.__post_init__, agent_module.model_data_body
+
+    def counting(self):
+        built.append(self)
+        original_post_init(self)
+
+    def recording(blob):
+        framed.append(blob)
+        return original_body(blob)
+
+    monkeypatch.setattr(ModelBlob, "__post_init__", counting)
+    monkeypatch.setattr(agent_module, "model_data_body", recording)
+    assert dev.step()
+    assert len(built) == 1 and len(framed) == 1
+    assert framed[0] is built[0] is dev.head
+    assert len(dev.output()) == 1
+
+
+@pytest.mark.parametrize("e, classes", [(8, 3), (16, 2)])
+def test_agent_rejects_a_global_that_cannot_train_on_its_stream(e, classes):
+    # Installed, such a global (E = 8, C = 2) would kill the agent at its
+    # first training step; it replies ERROR ShapeError, sends no ACK, and
+    # keeps running.
+    ds = synth_separable(e, classes, 60, 4.0, 5, val_fraction=0.0)
+    (stream,) = partition(ds, 1, 5)
+    dev = device(stream, sync_batch=5)
+    assert tell(dev, *push(make_blob(40))) == [error(b"ShapeError")]
+    assert not dev.step()
+    assert dev.installs == 0 and dev.head is None
+    assert stream.samples_seen == 0
+
+
+def test_a_device_on_a_new_link_sends_nothing_meant_for_the_old_one():
+    blob = make_blob(27)
+    dev = device(make_stream(8), 2, sync_batch=2)
+    for msg in (*push(blob), *PULL, Message(MessageType.PUSH_MODEL, 0)):  # lost mid-transfer
+        dev.receive(msg)
+    assert dev.step()  # its push joins the ACK and the pull's reply in the queue
+    dev.connected()
+    assert dev.output() == [(hello(2),)]  # the first write on the new link
+    # The old link's announcement is forgotten: a MODEL_DATA on the new one is refused.
+    assert tell(dev, reply(0, blob)) == [error(b"UNEXPECTED_MODEL_DATA", 2)]
+    assert tell(dev, *push(blob)) == [(ack(2),)]
+    dev.disconnected()
+    assert dev.step() and dev.output() == []  # trains offline, pushes nothing
+    assert dev.samples_trained == 4
+
+
+def test_a_free_run_devices_memory_stays_flat():
+    # At E = 1280 a blob is 2,562 float64 values. A step keeps nothing but the
+    # head and this thread's training scratch, so 950 more steps, pushing every
+    # 10th head, leave memory where 50 left it, to within one blob.
+    ds = synth_separable(1280, 2, 1000, 4.0, 75, val_fraction=0.0)
+    (stream,) = partition(ds, 1, 75)
+    dev = device(stream, local_episodes=1, push_every=10)
+    tell(dev, *push(make_blob(76, e=1280)))
+    tracemalloc.start()
+    try:
+        traced = []
+        for steps in (50, 1000):
+            while dev.samples_trained < steps:
+                assert dev.step()
+                dev.output()
+            traced.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert abs(traced[1] - traced[0]) <= 2562 * 8, traced

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fedhead.data import (
-    DeviceStream,
     EmbeddingDataset,
     SPLIT_TRAIN,
     SPLIT_VALIDATION,
@@ -140,6 +139,15 @@ def test_a_header_declaring_more_dims_than_the_file_holds_names_both_sizes(tmp_p
     path.write_bytes(struct.pack("<4sIII", b"FTED", dim, 2, 3) + bytes(64))
     with pytest.raises(DatasetFormatError,
                        match=f"file is 80 bytes, header implies {16 + 3 * (4 + 4 * dim)} "):
+        load_dataset(path)
+
+
+def test_a_header_declaring_records_too_wide_for_numpy_names_the_dim_and_the_limit(tmp_path):
+    # No records, so the file size matches; numpy's own error would name neither.
+    path = tmp_path / "wide.ds"
+    path.write_bytes(struct.pack("<4sIII", b"FTED", 0x7FFFFFFF, 2, 0))
+    with pytest.raises(DatasetFormatError, match="embedding_dim 2147483647; numpy's C-int "
+                                                 "itemsize limit allows 536870911"):
         load_dataset(path)
 
 

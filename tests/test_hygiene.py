@@ -1,18 +1,27 @@
 """Source hygiene, checked with the standard library's `ast`: no module under
-src/ keeps an import it does not use or a private module-level name that
-nothing in it references, so a refactor cannot leave either behind; the
-server's round core and the agent's device core name no socket, selector,
-clock or link; the training modules hold no module-level state that
-threads could share: only nn binds a threading.local(), the train kernel's
-scratch; and the cores' fault models in tests/test_cores.py open no socket,
-start no thread and build no I/O shell."""
+src/ or tests/ keeps an import it does not use, no module under src/ keeps a
+private module-level name that nothing in it references, and no module-level
+helper in tests/ goes unreferenced by every test module, so a refactor or a
+retired test cannot leave any of these behind; the server's round core and
+the agent's device core name no socket, selector, clock or link; the
+training modules hold no module-level state that threads could share: only
+nn binds a threading.local(), the train kernel's scratch; and the core tests
+in tests/test_cores.py open no socket, start no thread and build no I/O
+shell."""
 import ast
+import collections
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 MODULES = sorted(SRC.rglob("*.py"))
+TEST_MODULES = sorted(TESTS.glob("*.py"))
+
+
+def module_id(path):
+    return str(path.relative_to(SRC if SRC in path.parents else TESTS.parent))
 
 
 def parse(path):
@@ -35,7 +44,7 @@ def exported_names(tree) -> set[str]:
     return set()
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=module_id)
 def test_every_import_is_used_exported_or_marked(path):
     # A `# noqa: F401` import is kept on purpose, for example as a name that
     # perfbench patches.
@@ -54,18 +63,41 @@ def test_every_import_is_used_exported_or_marked(path):
     assert unused == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def defined_names(node) -> set[str]:
+    """The module-level names a top-level statement binds by def, class or assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {t.id for t in targets if isinstance(t, ast.Name)}
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=module_id)
 def test_every_private_module_level_name_is_referenced(path):
     _, tree = parse(path)
-    defined = set()
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            defined.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+    defined = set().union(*map(defined_names, tree.body))
     private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
     assert sorted(private - loaded_names(tree)) == []
+
+
+def test_every_module_level_helper_in_tests_is_referenced():
+    # A helper that only its own definition names, such as the oracle of an
+    # example test that was retired, is dead code. A reference is a name read
+    # anywhere in tests/ outside that definition, or `module.helper` of a
+    # test module imported whole.
+    stems = {path.stem for path in TEST_MODULES}
+    statements = [node for path in TEST_MODULES for node in parse(path)[1].body]
+
+    def referenced(node):
+        return loaded_names(node) | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                                     and isinstance(n.value, ast.Name) and n.value.id in stems}
+
+    refs = [referenced(node) for node in statements]
+    counts = collections.Counter(name for names in refs for name in names)
+    dead = [name for node, own in zip(statements, refs) for name in defined_names(node)
+            if not name.startswith(("test_", "__")) and counts[name] == (name in own)]
+    assert sorted(dead) == []
 
 
 def test_the_round_core_uses_no_socket_selector_clock_or_link():
@@ -79,10 +111,11 @@ def test_the_round_core_uses_no_socket_selector_clock_or_link():
 
 
 def test_the_core_fault_models_use_no_socket_thread_or_shell():
-    # The fault models drive Rounds and Device alone, on a fake clock and a
-    # fake network; a socket, a selector, a thread, a Server or an Agent would
-    # put them back on the I/O shells, which tests/test_runtime.py covers.
-    _, tree = parse(pathlib.Path(__file__).resolve().parent / "test_cores.py")
+    # The core tests, examples and fault models alike, drive Rounds and Device
+    # alone, on a fake clock and a fake network; a socket, a selector, a
+    # thread, a Server or an Agent would put them back on the I/O shells,
+    # which tests/test_runtime.py covers.
+    _, tree = parse(TESTS / "test_cores.py")
     imported = {alias.name.split(".")[0] for node in ast.walk(tree)
                 if isinstance(node, ast.Import) for alias in node.names}
     imported |= {node.module.split(".")[0] for node in ast.walk(tree)

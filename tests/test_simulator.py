@@ -4,7 +4,6 @@ import csv
 import dataclasses
 import hashlib
 import importlib
-import io
 import os
 import tracemalloc
 
