@@ -219,6 +219,8 @@ def _cmd_agent(args) -> int:
         endpoint = parse_endpoint(args.connect)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    if args.num_devices < 1:
+        raise _UsageError(f"--num-devices must be >= 1, got {args.num_devices}")
     limit = min(args.num_devices, MAX_DEVICE_ID + 1)
     if not 0 <= args.device_id < limit:
         raise _UsageError(f"--device-id must be in [0, {limit}) to pick one of --num-devices "

@@ -80,10 +80,12 @@ class RoundPolicy:
 
     @classmethod
     def parse(cls, text: str) -> "RoundPolicy":
-        kind, sep, value = text.partition(":")
-        if not sep:
-            raise ValueError(f"policy must be count:K or timer:SECONDS, got {text!r}")
-        return cls(kind, float(value))
+        kind, _, value = text.partition(":")
+        try:
+            number = float(value)
+        except ValueError:  # no colon, or no number after it
+            raise ValueError(f"policy must be count:K or timer:SECONDS, got {text!r}") from None
+        return cls(kind, number)
 
 
 def check_round_limits(round_timeout: float, max_rounds: int | None) -> None:

@@ -401,6 +401,16 @@ def test_agent_device_id_beyond_header_byte_is_a_usage_error(tmp_path, capsys):
     assert "--device-id" in capsys.readouterr().err
 
 
+def test_agent_needs_at_least_one_device(tmp_path, capsys):
+    # Rejected before the dataset is read: the file does not exist.
+    rc = main([
+        "agent", "--connect", "127.0.0.1:1", "--data", str(tmp_path / "absent.ds"),
+        "--device-id", "0", "--num-devices", "0",
+    ])
+    assert rc == 1
+    assert "fedhead: error: --num-devices must be >= 1, got 0" in capsys.readouterr().err
+
+
 def logged_commands(caplog):
     return [json.loads(r.getMessage().split("resolved config: ", 1)[1])["command"]
             for r in caplog.records if "resolved config" in r.getMessage()]
@@ -459,6 +469,7 @@ def test_serve_rejects_a_model_too_large_to_frame(capsys):
     ("--rounds", "0"), ("--timeout", "0"), ("--timeout", "-1"), ("--timeout", "nan"),
     ("--timeout", "inf"), ("--policy", "count:0"), ("--policy", "timer"),
     ("--policy", "count:inf"), ("--policy", "timer:nan"), ("--classes", "1"), ("--dim", "0"),
+    ("--policy", "count:x"),
 ])
 def test_serve_round_settings_that_cannot_work_are_usage_errors(caplog, capsys, flags):
     caplog.set_level(logging.INFO, logger="fedhead.cli")

@@ -8,14 +8,15 @@ runs a `runtime.server.Rounds` on a fake clock against real sync and
 free-run `Device`s, joined to it by a network that delivers any prefix of
 each link's queued writes and may cut a link, and against bad peers that
 send anything in any order. Each machine keeps its own model of what the
-core must do and checks the core against it after every step; a round that
-only real devices trained, one step each from the previous global, must
-equal the wire-rounded oracle in `nn_reference` bit for bit. The paired-core test runs
-the two cores' rounds against each other and against the offline simulator.
-The examples script each core with messages and a fake clock: the exact sends
-and ERROR bodies of `Rounds` in the cases its fault model does not spell out,
-and the `Device` cases that guard mended defects or that `DeviceFaults` does
-not model, such as one blob built per step and memory that stays flat.
+core must do, down to every send, and checks the core against it after every
+step; a round that only real devices trained, one step each from the previous
+global, must equal the wire-rounded oracle in `nn_reference` bit for bit. The
+paired-core test runs the two cores' rounds against each other and against
+the offline simulator. The examples script each core with messages and a
+fake clock where its machine cannot see: the calls `Rounds` makes and a line
+it logs, and the `Device` cases that guard mended defects or that
+`DeviceFaults` does not model, such as one blob built per step and memory
+that stays flat.
 
 Nothing here opens a socket, starts a thread or builds a `Server` or an
 `Agent` (tests/test_hygiene.py checks this file), so every core test stays
@@ -107,7 +108,7 @@ class DeviceFaults(RuleBasedStateMachine):
     send it must queue, and checks each step's output against that model."""
 
     @initialize(sync=st.booleans(), push_every=st.sampled_from([None, 1, 3]),
-                samples=st.sampled_from([2, 5, 12]),  # few, so that steps exhaust them
+                samples=st.sampled_from([2, 7, 12]),  # few, so that steps exhaust them
                 installed=st.booleans())
     def start(self, sync, push_every, samples, installed):
         ds = synth_separable(8, 2, samples, 4.0, 0, val_fraction=0.0)
@@ -231,6 +232,12 @@ class DeviceFaults(RuleBasedStateMachine):
             else:
                 self.expect()
 
+    @precondition(lambda self: self.online and self.sync)
+    @rule(at=st.integers(0, 1 << 16))
+    def install_and_step_twice(self, at):  # a sync device trains one batch per install
+        self.push(("valid", at))
+        self.step(2)
+
     @invariant()
     def the_head_changes_only_on_an_install_or_a_step(self):
         assert self.dev.installs == self.installs
@@ -269,6 +276,18 @@ FAULT_DATA = synth_separable(4, 2, 160, 4.0, 92, val_fraction=0.0)
 FAULT_SYNC_BATCH, FAULT_LR, FAULT_EPISODES = 2, 0.05, 2
 
 
+def decoded(body):
+    """The blob a MODEL_DATA body carries at the session's E = 4, C = 2, or None
+    and the body of the ERROR that refuses it."""
+    try:
+        blob = blob_from_model_data(body)
+    except WireError as exc:
+        return None, type(exc).__name__.encode()
+    if (blob.embedding_dim, blob.num_classes) != (4, 2):
+        return None, b"ShapeError"
+    return blob, None
+
+
 class RoundFaults(RuleBasedStateMachine):
     """Real devices and bad peers against a `Rounds` on a fake clock.
 
@@ -278,74 +297,135 @@ class RoundFaults(RuleBasedStateMachine):
     cut the link, after which the device connects on a new one. A prompt
     device's link carries everything at once and the device steps, before
     and after each tick; any link may start or stop lagging. Bad peers send
-    anything in any order, and the core's sends reach them at once."""
+    anything in any order, and the core's sends reach them at once. Some
+    rules play a whole scene, such as an ACK and the pushes trained on the
+    global it answers, or a pull answered after its deadline, so that it
+    still comes up when hypothesis switches other rules off for an example.
+
+    The machine keeps its own model of the round protocol: what each
+    connection has told the core, the registered ids in registration order,
+    the global, the policy's count and clock, and the pending round. From it,
+    it predicts the exact sends and drops that `Rounds.output()` returns after
+    every message and tick, and the round that each tick finishes. Each run
+    ends with closing rounds (`teardown`), so that what the core holds of a
+    peer, and has not yet sent on, shows before the run is over."""
 
     def __init__(self):
         super().__init__()
         self.rounds, self.now = None, 0.0
-        # Per connection not yet closed: its first HELLO's id, the globals it
-        # was sent and has not ACKed, whether it has ACKed one, and for a real
-        # device, the device and the writes in flight each way.
-        self.open, self.closed = {}, set()  # closed: every connection closed so far
+        self.open, self.closed = {}, set()  # see `new_conn`; closed: every connection closed so far
         self.failing = set()
         self.real, self.prompt = {}, set()  # device id -> its real Device; the prompt ids
         self.link = {}  # device id -> the real device's connection
         self.installed = {}  # device id -> the body installed on its current link
         self.trained = {}  # device id -> (installed body, cursor, head) of its one step
-        self.uploads = collections.defaultdict(set)  # device id -> its valid models' values
-        self.early = set()  # values pushed while a global was not ACKed
-        self.pushes = 0  # valid pushes from registered connections since the last round
-        self.waited = {}  # the pending round's device ids at its start, with their connections
-        self.conns, self.seeds, self.averaged = itertools.count(), itertools.count(), []
-        self.average = server_module.average_blobs
-        server_module.average_blobs = self.recording_average
+        # The model: registered id -> connection, in registration order; the
+        # valid pushes from registered connections since the last round, its
+        # time and the rounds so far; the pending round's ids (None between
+        # rounds), their models and its deadline, and whom it waited on at its
+        # start; and the sends and drops the core must have queued.
+        self.devices, self.pushes, self.last, self.finished = {}, 0, 0.0, 0
+        self.expected, self.collected, self.deadline, self.waited = None, {}, None, {}
+        self.sends, self.drops = [], []
+        self.conns, self.seeds = itertools.count(), itertools.count()
 
-    def recording_average(self, blobs):
-        self.averaged.append(blobs)
-        return self.average(blobs)
-
-    def teardown(self):
-        server_module.average_blobs = self.average
-
-    def pick(self, i, real=False):
-        """An open connection of a bad peer, of a real device (True) or of either (None)."""
+    def pick(self, i, real=False, where=None):
+        """An open connection of a bad peer, of a real device (True) or of either (None),
+        whose model `where` holds for, if given."""
         conns = sorted(c for c, p in self.open.items()
-                       if real is None or (p.dev is not None) == real)
+                       if (real is None or (p.dev is not None) == real) and (not where or where(p)))
         return conns[i % len(conns)] if conns else None
+
+    def waits_on(self, peer):
+        """The pending round has pulled `peer` and waits on it."""
+        return peer.pulls and peer.id in (self.expected or ())
 
     def new_conn(self, device_id, dev=None):
         conn = next(self.conns)
+        # The id it sends, and what the core must know of it: its first
+        # HELLO's id, the globals it was sent and has not ACKed, whether it has
+        # ACKed one, whether it is stale, whether its last message was a
+        # PUSH_MODEL, its pulls unanswered and its contribution; for a real
+        # device, the device and the writes in flight each way.
         self.open[conn] = types.SimpleNamespace(
-            device_id=device_id, unacked=0, acked=False, dev=dev,
-            down=collections.deque(), up=collections.deque())
+            device_id=device_id, id=None, unacked=0, acked=False, stale=False, announced=False,
+            pulls=0, pushed=None, dev=dev, down=collections.deque(), up=collections.deque())
         return conn
 
     def send(self, conn, *msgs):
         """Deliver `msgs` from `conn` to the core, and do what the server does with its output."""
         for msg in msgs:
             if conn in self.open:  # a failed send closes it
-                peer = self.open[conn]
-                if msg.type is MessageType.ACK:  # with no global unanswered, it answers none
-                    peer.acked |= peer.unacked > 0
-                    peer.unacked = max(0, peer.unacked - 1)
                 self.rounds.receive(conn, msg)
-                assert not self.rounds._peers[conn].stale  # stale only until it speaks
+                self.receive(conn, self.open[conn], msg)
                 self.carry_out()
 
+    def receive(self, conn, peer, msg):
+        """What the core must do with `msg` from `conn`."""
+        peer.stale = False  # stale only until it speaks
+        # A MODEL_DATA that does not directly follow a PUSH_MODEL answers a pull.
+        announced, peer.announced = peer.announced, msg.type is MessageType.PUSH_MODEL
+        if msg.type is MessageType.HELLO and peer.id in (None, msg.device_id):
+            old = self.devices.get(msg.device_id, conn)
+            if old != conn:  # the id from another connection replaces that one
+                self.forget(old, self.open[old])
+                self.drops.append(old)
+            peer.id, self.devices[msg.device_id] = msg.device_id, conn
+            self.push_global(conn, peer)
+        elif msg.type in (MessageType.HELLO, MessageType.PULL_MODEL):  # a second id, or a PULL
+            self.sends.append((conn, error(b"UNEXPECTED_MESSAGE")))
+        elif msg.type is MessageType.MODEL_DATA:
+            self.receive_model(conn, peer, msg.body, announced)
+        elif msg.type is MessageType.ACK:  # with no global unanswered, it answers none
+            peer.acked |= peer.unacked > 0
+            peer.unacked = max(0, peer.unacked - 1)
+        elif msg.type is MessageType.ERROR and msg.body == b"NO_MODEL" and peer.pulls:
+            peer.pulls -= 1
+            self.leave_round(peer)
+
+    def receive_model(self, conn, peer, body, is_push):
+        # A push counts only from a registered connection, and a reply only to a pull.
+        if not (peer.id is not None if is_push else peer.pulls):
+            return self.sends.append((conn, error(b"UNEXPECTED_MODEL_DATA")))
+        peer.pulls -= not is_push
+        blob, refused = decoded(body)
+        if refused:
+            self.sends.append((conn, error(refused)))
+            if not is_push:
+                self.leave_round(peer)
+        elif is_push:
+            self.pushes += 1
+            if not peer.unacked:  # made after an ACK of the current global
+                peer.pushed = blob
+        elif self.expected is not None and peer.id in self.expected:
+            self.collected[peer.id] = blob  # a reply after its round closed is ignored
+
+    def leave_round(self, peer):
+        if self.expected is not None:
+            self.expected.discard(peer.id)
+
+    def forget(self, conn, peer):
+        """What the core must do when `conn` closes; a connection forgotten already is ignored."""
+        if self.devices.get(peer.id) == conn:
+            del self.devices[peer.id]
+            self.leave_round(peer)
+
+    def push_global(self, conn, peer):
+        # A pending push was trained on an older global.
+        peer.pushed, peer.unacked = None, peer.unacked + 1
+        self.sends.append((conn, push(self.global_)))
+
     def carry_out(self):
+        """Check the core's sends and drops against the model's, and do what the
+        server does with them."""
         sends, drops = self.rounds.output()
+        assert (sends, drops) == (self.sends, self.drops)
+        self.sends, self.drops = [], []
         for conn, msgs in sends:
-            types_ = [m.type for m in msgs]
-            assert types_ in (  # a PUSH_MODEL is one write with its MODEL_DATA
-                [MessageType.PUSH_MODEL, MessageType.MODEL_DATA],
-                [MessageType.PULL_MODEL], [MessageType.ERROR])
             if conn in self.failing:
                 self.close(conn)
-            elif conn in self.open:
-                peer = self.open[conn]
-                peer.unacked += types_[0] is MessageType.PUSH_MODEL
-                if peer.dev is not None:  # a bad peer gets its sends at once
-                    peer.down.append(msgs)
+            elif conn in self.open and self.open[conn].dev is not None:
+                self.open[conn].down.append(msgs)  # a bad peer gets its sends at once
         for conn in set(drops) & self.open.keys():
             self.close(conn)
 
@@ -354,6 +434,7 @@ class RoundFaults(RuleBasedStateMachine):
         self.closed.add(conn)
         self.failing.discard(conn)
         self.rounds.disconnect(conn)
+        self.forget(conn, peer)
         if peer.dev is not None:  # the device's shell connects again, on a new link
             self.link_up(peer.dev)
 
@@ -367,21 +448,6 @@ class RoundFaults(RuleBasedStateMachine):
     def collect(self, dev):
         """Queue the device's sends on its link."""
         self.open[self.link[dev.device_id]].up.extend(dev.output())
-
-    def note_upload(self, conn, values, is_push):
-        """Account for a valid model about to reach the core from `conn`."""
-        peer = self.open[conn]
-        self.uploads[peer.device_id].add(values.tobytes())
-        if is_push:
-            self.pushes += 1
-            if peer.unacked:
-                self.early.add(values.tobytes())
-
-    def deliver_up(self, conn, msgs):
-        if msgs[-1].type is MessageType.MODEL_DATA:  # a real device's models are all valid
-            blob = blob_from_model_data(msgs[-1].body)
-            self.note_upload(conn, blob.values, msgs[0].type is MessageType.PUSH_MODEL)
-        self.send(conn, *msgs)
 
     def deliver_down(self, dev, msgs):
         for msg in msgs:
@@ -406,11 +472,11 @@ class RoundFaults(RuleBasedStateMachine):
             if not queue:
                 return
             if up:
-                self.deliver_up(conn, queue.popleft())
+                self.send(conn, *queue.popleft())
             else:
                 self.deliver_down(peer.dev, queue.popleft())
 
-    def model_data(self, conn, body, push=False):
+    def model_data(self, conn, body):
         (kind, at), peer = body, self.open[conn]
         values = np.random.default_rng(next(self.seeds)).standard_normal(10).astype(np.float32)
         data = bytearray(model_data_body(ModelBlob(values, 4, 2)))
@@ -420,22 +486,24 @@ class RoundFaults(RuleBasedStateMachine):
             data[at % len(data)] ^= 0xFF
         elif kind == "cut":
             del data[at % len(data):]
-        else:
-            self.note_upload(conn, values.astype(np.float64), push)
         return Message(MessageType.MODEL_DATA, peer.device_id, bytes(data))
 
     def upload(self, conn, body):
-        msg = self.model_data(conn, body, push=True)
+        msg = self.model_data(conn, body)
         self.send(conn, Message(MessageType.PUSH_MODEL, self.open[conn].device_id), msg)
 
-    @initialize(policy=st.sampled_from([RoundPolicy("count", 1), RoundPolicy("count", 3),
+    @initialize(policy=st.sampled_from([RoundPolicy("count", 1), RoundPolicy("count", 2),
                                         RoundPolicy("timer", 1.0)]),
-                prompt_sync=st.integers(0, 2))
-    def start(self, policy, prompt_sync):
-        self.initial = make_blob(90, e=4)
-        self.rounds = server_module.Rounds(self.initial, policy, FAULT_TIMEOUT, 0.0)
+                prompt_sync=st.integers(0, 2), live=st.integers(1, 2), lazy=st.booleans())
+    def start(self, policy, prompt_sync, live, lazy):
+        self.global_ = make_blob(90, e=4)
+        self.rounds = server_module.Rounds(self.global_, policy, FAULT_TIMEOUT, 0.0)
         for device_id in range(prompt_sync):  # so that healthy rounds of several devices run
             self.connect(device_id, "sync", False, True)
+        for device_id in range(2, 2 + live):  # bad peers that rounds wait on
+            self.send(self.new_conn(device_id), hello(device_id), ack(device_id))
+        if lazy:  # and one whose only ACK, before its HELLO, answers no global: it falls behind
+            self.send(self.new_conn(5), ack(5), hello(5))
 
     @rule(device_id=st.integers(0, 3), kind=st.sampled_from(["lazy", "sync", "pulled"]),
           ack_first=st.booleans(), prompt=st.booleans())
@@ -474,10 +542,21 @@ class RoundFaults(RuleBasedStateMachine):
             self.prompt ^= {self.open[conn].device_id}
         self.tick()
 
-    @rule(i=PICKS)
-    def ack_one(self, i):  # with more globals unanswered, a late ACK of an older one;
-        if (conn := self.pick(i)) is not None:  # with none, an ACK that answers no global
+    @rule(i=PICKS, behind=st.booleans(), pushes=st.integers(0, 2))
+    def ack_one(self, i, behind, pushes):  # then pushes models trained on the global it answers:
+        # with none unanswered, the ACK answers no global; `behind`, with more than
+        # one, it is a late ACK of an older global, and its pushes contribute nothing
+        if (conn := self.pick(i, where=behind and (lambda p: p.unacked > 1))) is not None:
             self.send(conn, ack(self.open[conn].device_id))
+        for _ in range(pushes):
+            if conn in self.open:
+                self.upload(conn, ("valid", 0))
+        self.tick()
+
+    @rule(i=PICKS)
+    def pull(self, i):  # PULL_MODEL has no meaning in the device->server direction
+        if (conn := self.pick(i)) is not None:
+            self.send(conn, Message(MessageType.PULL_MODEL, self.open[conn].device_id))
         self.tick()
 
     @rule(i=PICKS, body=BODIES)
@@ -487,24 +566,31 @@ class RoundFaults(RuleBasedStateMachine):
         self.tick()
 
     @rule(i=PICKS, body=BODIES | st.none())
-    def answer_pull(self, i, body):  # with no pull to answer, a MODEL_DATA never asked for
-        if (conn := self.pick(i)) is not None:
+    def answer_pull(self, i, body):  # by a peer the pending round waits on; if there is none,
+        if (conn := self.pick(i, where=self.waits_on)) is None:  # any peer's, never asked for
+            conn = self.pick(i)
+        if conn is not None:
             self.send(conn, Message(MessageType.ERROR, self.open[conn].device_id, b"NO_MODEL")
                       if body is None else self.model_data(conn, body))
         self.tick()
 
-    @rule(seed=st.integers(0, 3))
-    def push_before_hello(self, seed):  # from a new connection that never greets
-        conn = ("stranger", next(self.conns))
-        for msg in push(make_blob(seed, e=4), 7):
-            self.rounds.receive(conn, msg)
-        self.carry_out()
+    @rule(i=PICKS)
+    def answer_late(self, i):  # the deadline passes, then a peer the round waited on answers
+        conn = self.pick(i, where=self.waits_on)
+        self.advance(FAULT_TIMEOUT)
+        if conn in self.open:  # with a model
+            self.send(conn, self.model_data(conn, ("valid", 0)))
         self.tick()
 
-    @rule(i=PICKS, device_id=st.integers(0, 3))
-    def hello_again(self, i, device_id):
+    @rule(body=BODIES)
+    def push_before_hello(self, body):  # from a new connection, which may greet later
+        self.upload(self.new_conn(7), body)
+        self.tick()
+
+    @rule(i=PICKS, device_id=st.none() | st.integers(0, 3))
+    def hello_again(self, i, device_id):  # None: its own id again, which greets it again
         if (conn := self.pick(i)) is not None:
-            self.send(conn, hello(device_id))
+            self.send(conn, hello(self.open[conn].device_id if device_id is None else device_id))
         self.tick()
 
     @rule(i=PICKS, at_once=st.booleans())
@@ -516,7 +602,7 @@ class RoundFaults(RuleBasedStateMachine):
             self.failing.add(conn)
         self.tick()
 
-    @rule(dt=st.sampled_from([0.5, FAULT_TIMEOUT]))
+    @rule(dt=st.sampled_from([0.5, 1.0, FAULT_TIMEOUT]))  # 1.0: the timer policy's interval
     def advance(self, dt):
         self.now += dt
         self.tick()
@@ -533,43 +619,65 @@ class RoundFaults(RuleBasedStateMachine):
                 self.step_device(self.real[d])
 
     def tick(self):
-        """What the server does after each message: tick the core at `now`."""
-        rounds = self.rounds
+        """What the server does after each message: tick the core at `now`, and check
+        the round it finishes against the model and, if real devices trained it, the oracle."""
         self.pump()
-        idle, averaged = rounds._expected is None, len(self.averaged)
-        previous = (rounds.history[-1].blob if rounds.history else self.initial, rounds.global_body)
-        record = rounds.tick(self.now)
-        if idle and (rounds._expected is not None or record is not None):
-            self.check_round_start(record)
-        self.carry_out()
+        previous = self.global_
+        record, want = self.rounds.tick(self.now), self.finish()
+        assert (record is None) == (want is None)
         if record is not None:
-            (contributions,) = self.averaged[averaged:]
-            self.check_contributions(record, contributions)
-            self.check_oracle(record, contributions, *previous)
-        if (record is not None or not idle) and rounds._expected is None:
-            self.check_no_answered_device_left_out(record)
-            self.pushes, self.waited = 0, {}
+            participants, contributions = want
+            history = self.rounds.history
+            assert history[-1] is record and record.index == len(history) == self.finished
+            assert (record.participants, record.val_accuracy) == (participants, None)
+            assert np.array_equal(record.blob.values, self.global_.values)
+            assert record.checksum == zlib.crc32(encode_model(self.global_))
+            self.check_oracle(record, contributions, previous)
+        self.carry_out()
         self.pump()
 
-    def check_round_start(self, record):
-        """A count:K round starts only after K valid pushes from registered devices;
-        note whom the round waits on."""
-        if self.rounds.policy.kind == "count":
-            assert self.pushes >= self.rounds.policy.value
-        waited = self.rounds._expected if record is None else record.participants
-        self.waited = {d: self.rounds._devices[d] for d in waited}
+    def finish(self):
+        """Start the round the policy calls for, and finish the pending round once it is
+        complete or `now` has reached its deadline: its participants and their models
+        in device-id order, or None."""
+        peers = {d: self.open[c] for d, c in self.devices.items()}
+        if self.expected is None:
+            policy = self.rounds.policy
+            due = (self.pushes >= policy.value if policy.kind == "count"
+                   else self.now - self.last >= policy.value)
+            # A round waits on the devices that have ACKed a global and are not stale.
+            live = [d for d in sorted(peers) if peers[d].acked and not peers[d].stale]
+            if not (due and live):
+                return None
+            self.expected, self.deadline = set(live), self.now + FAULT_TIMEOUT
+            self.waited = {d: self.devices[d] for d in live}
+            for d in live:  # a push made after the ACK is the contribution; the rest are pulled
+                if peers[d].pushed is not None:
+                    self.collected[d], peers[d].pushed = peers[d].pushed, None
+                else:
+                    peers[d].pulls += 1
+                    self.sends.append((self.devices[d], PULL))
+        missing = self.expected - self.collected.keys()
+        if missing and self.now < self.deadline:
+            return None
+        for d in missing:
+            peers[d].stale = True
+        collected = self.collected
+        self.check_no_answered_device_left_out(collected)
+        self.expected, self.collected, self.pushes, self.last = None, {}, 0, self.now
+        if not collected:  # no device contributed: the round is aborted
+            return None
+        participants = tuple(sorted(collected))
+        contributions = [collected[d] for d in participants]
+        self.global_, self.finished = average_blobs(contributions), self.finished + 1
+        for conn in self.devices.values():  # the new global, in registration order
+            self.push_global(conn, self.open[conn])
+        return participants, contributions
 
-    def check_contributions(self, record, contributions):
-        """Each global is the mean, in device-id order, of valid models made after an ACK."""
-        assert list(record.participants) == sorted(record.participants)
-        for device_id, blob in zip(record.participants, contributions, strict=True):
-            assert blob.values.tobytes() in self.uploads[device_id] - self.early
-        assert np.array_equal(record.blob.values, average_blobs(contributions).values)
-
-    def check_oracle(self, record, contributions, previous, previous_body):
+    def check_oracle(self, record, contributions, previous):
         """A round that only real sync devices trained, each one step from the
         previous global installed on its current link, is the oracle's round."""
-        streams = []
+        streams, previous_body = [], model_data_body(previous)
         for d, blob in zip(record.participants, contributions):
             trained = self.trained.get(d)
             if trained is None or trained[0] != previous_body or (
@@ -582,31 +690,35 @@ class RoundFaults(RuleBasedStateMachine):
         assert record.checksum == zlib.crc32(encode_model(want))
         ORACLE_ROUNDS.append(record.participants)
 
-    def check_no_answered_device_left_out(self, record):
+    def check_no_answered_device_left_out(self, collected):
         """A real device the round waited on is left out only if its link was cut
         or the network still holds the round's PULL or the device's answer."""
-        participants = () if record is None else record.participants
         for d, conn in self.waited.items():
             peer = self.open.get(conn)
-            if d in participants or peer is None or peer.dev is None:
+            if d in collected or peer is None or peer.dev is None:
                 continue
             assert any(m.type is MessageType.PULL_MODEL for w in peer.down for m in w) or any(
                 [m.type for m in w] == [MessageType.MODEL_DATA] for w in peer.up), d
 
-    @invariant()
-    def no_round_outlives_its_deadline(self):
-        if self.rounds is not None and self.rounds._expected is not None:
-            assert self.now < self.rounds._deadline
-
-    @invariant()
-    def only_live_connections_hold_ids(self):
-        for device_id, conn in getattr(self.rounds, "_devices", {}).items():
-            assert conn in self.open and self.open[conn].device_id == device_id
-        if self.rounds is not None and self.rounds._expected is not None:
-            assert self.rounds._expected <= self.rounds._devices.keys()
-            # A round waits only on connections that have ACKed a global.
-            for device_id in self.rounds._expected:
-                assert self.open[self.rounds._devices[device_id]].acked
+    def teardown(self):
+        # The run ends with rounds that show what the core holds of each peer.
+        # Once a pending round has closed, a new connection pushes before its
+        # HELLO, which counts for nothing, and greets. Then it pushes twice
+        # after each ACK, so that a count round falls due, and the clock runs on
+        # past a deadline, so that a pending round closes, then by exactly the
+        # timer's interval, so that a timer round falls due; twice, each checked.
+        if self.rounds is None:
+            return
+        self.advance(FAULT_TIMEOUT)
+        closer = self.new_conn(4)
+        self.upload(closer, ("valid", 0))
+        self.tick()
+        self.send(closer, hello(4))
+        for dt in (FAULT_TIMEOUT, 1.0) * 2:
+            self.send(closer, ack(4))
+            self.upload(closer, ("valid", 0))
+            self.upload(closer, ("valid", 0))
+            self.advance(dt)
 
     @invariant()
     def only_open_connections_are_peers(self):
@@ -705,78 +817,6 @@ def count_calls(monkeypatch, names, module=server_module):
     return calls
 
 
-def test_server_single_device_round():
-    initial, mine = make_blob(1), make_blob(2)
-    rounds = core(initial, RoundPolicy("count", 1))
-    assert deliver(rounds, 3, hello(3)) == [(3, push(initial))]
-    # The push is the device's contribution: no PULL_MODEL comes first.
-    assert deliver(rounds, 3, ack(3), *push(mine, 3)) == []
-    record, sends = tick(rounds, 0.0)
-    assert sends == [(3, push(mine))]  # the averaged global comes back
-    assert rounds.history == [record] and record.participants == (3,)
-    assert np.array_equal(record.blob.values, mine.values)  # mean of one blob
-    assert record.checksum == zlib.crc32(encode_model(mine))
-    assert record.val_accuracy is None  # the server scores it, after the push
-
-
-def test_server_drops_corrupt_reply_from_round_then_forgives():
-    good = make_blob(6)
-    corrupt = bytearray(model_data_body(good))
-    corrupt[36] ^= 0xFF  # a model payload byte inside frame 4
-    rounds = core(make_blob(5), RoundPolicy("count", 1), 1, 2)
-    deliver(rounds, 2, ack(2))  # device 2 joins rounds once it has ACKed a global
-    bad = Message(MessageType.MODEL_DATA, 2, bytes(corrupt))
-    for answer, errors, participants in ((bad, [(2, error(b"CorruptionError"))], (1,)),
-                                         (reply(2, good), [], (1, 2))):
-        # Device 1 pushes its contribution; device 2 never pushes, so it is pulled.
-        deliver(rounds, 1, ack(1), *push(good, 1))
-        assert tick(rounds, 0.0) == (None, [(2, PULL)])
-        assert deliver(rounds, 2, answer) == errors
-        record, sends = tick(rounds, 0.0)
-        assert record.participants == participants and [c for c, _ in sends] == [1, 2]
-
-
-def test_server_marks_silent_device_stale_until_it_speaks():
-    mine = make_blob(8)
-    rounds = core(make_blob(7), RoundPolicy("count", 1), 1, 2, round_timeout=0.5)
-    deliver(rounds, 2, ack(2))  # live, then silent
-    deliver(rounds, 1, ack(1), *push(mine, 1))
-    assert tick(rounds, 1.0) == (None, [(2, PULL)])  # never answered
-    assert tick(rounds, 1.25) == (None, [])
-    for _ in range(2):  # round 1 closes at its deadline; round 2 does not pull device 2
-        record, sends = tick(rounds, 1.5)
-        assert record.participants == (1,) and [c for c, _ in sends] == [1, 2]
-        deliver(rounds, 1, ack(1), *push(mine, 1))
-    deliver(rounds, 2, ack(2))  # once it speaks again, the next round pulls it
-    assert tick(rounds, 1.5) == (None, [(2, PULL)])
-
-
-def test_a_peer_that_never_acks_a_global_holds_no_round():
-    # At the default round_timeout, a round that pulled such a peer would wait 5 s.
-    initial = make_blob(80)
-    rounds = core(initial, RoundPolicy("count", 2), 1, 2)
-    assert rounds.round_timeout == 5.0
-    assert deliver(rounds, 9, hello(9)) == [(9, push(initial))]  # then silence
-    deliver(rounds, 8, hello(8), Message(MessageType.ERROR, 8, b"ShapeError"))  # rejects it
-    # An ACK that answers no global, here one before the HELLO, vouches for nothing.
-    assert deliver(rounds, 7, ack(7), hello(7)) == [(7, push(initial))]  # then silence
-    for r in range(3):
-        for d in (1, 2):
-            deliver(rounds, d, ack(d), *push(make_blob(81 + 2 * r + d), d))
-        record, sends = tick(rounds, 0.0)
-        assert record.participants == (1, 2)
-        assert [c for c, _ in sends] == [1, 2, 9, 8, 7]  # each still gets every global
-
-
-def test_server_handles_no_model_reply():
-    rounds = core(make_blob(9), RoundPolicy("count", 1), 1, 2)
-    deliver(rounds, 2, ack(2))
-    deliver(rounds, 1, ack(1), *push(make_blob(10), 1))
-    assert tick(rounds, 0.0) == (None, [(2, PULL)])
-    assert deliver(rounds, 2, Message(MessageType.ERROR, 2, b"NO_MODEL")) == []
-    assert tick(rounds, 0.0)[0].participants == (1,)
-
-
 def test_server_counts_an_ack_that_reports_exhaustion_as_an_ack(caplog):
     caplog.set_level(logging.INFO, logger="fedhead.runtime.server")
     mine = make_blob(15)
@@ -789,125 +829,12 @@ def test_server_counts_an_ack_that_reports_exhaustion_as_an_ack(caplog):
     assert record.participants == (1,) and sends == [(1, push(mine))]
 
 
-def test_server_ignores_a_pull_reply_that_arrives_after_its_round_closed():
-    rounds = core(make_blob(16), RoundPolicy("count", 1), 1, 2, round_timeout=0.5)
-    deliver(rounds, 2, ack(2))
-    deliver(rounds, 1, ack(1), *push(make_blob(17), 1))
-    assert tick(rounds, 0.0) == (None, [(2, PULL)])
-    record, _ = tick(rounds, 0.5)  # closes at its deadline without device 2
-    assert record.participants == (1,)
-    assert deliver(rounds, 2, reply(2, make_blob(18))) == []
-    assert rounds._collected == {} and rounds._peers[2].pulls == 0
-    assert rounds.history == [record]
-
-
-def test_server_timer_policy_runs_rounds_without_pushes():
-    mine = make_blob(12)
-    rounds = core(make_blob(11), RoundPolicy("timer", 0.5), 1)
-    deliver(rounds, 1, ack(1))
-    assert tick(rounds, 0.25) == (None, [])
-    assert tick(rounds, 0.5) == (None, [(1, PULL)])
-    deliver(rounds, 1, reply(1, mine))
-    assert tick(rounds, 0.75) == (rounds.history[0], [(1, push(mine))])
-    assert tick(rounds, 1.0) == (None, [])  # the next round is due 0.5 s after this one
-    assert tick(rounds, 1.25) == (None, [(1, PULL)])
-
-
-def test_server_rejects_out_of_context_messages():
-    initial = make_blob(13)
-    rounds = core(initial, RoundPolicy("timer", 999), 1)
-    pull = Message(MessageType.PULL_MODEL, 1)
-    assert deliver(rounds, 1, pull) == [(1, error(b"UNEXPECTED_MESSAGE"))]
-    assert deliver(rounds, 1, reply(1, initial)) == [(1, error(b"UNEXPECTED_MODEL_DATA"))]
-
-
-def test_a_connection_keeps_its_first_device_id():
-    initial, mine = make_blob(70), make_blob(71)
-    rounds = core(initial, RoundPolicy("count", 1), 1)
-    assert deliver(rounds, 1, hello(2)) == [(1, error(b"UNEXPECTED_MESSAGE"))]
-    assert rounds._devices == {1: 1}
-    assert deliver(rounds, 1, hello(1)) == [(1, push(initial))]  # its own id: greeted again
-    rounds.receive("again", hello(1))  # the id from another connection replaces this one
-    assert rounds.output() == ([("again", push(initial))], [1])
-    assert rounds._devices == {1: "again"}
-    rounds.disconnect("again")
-    # No id is left on a closed connection for a healthy device's round to wait on.
-    deliver(rounds, 3, hello(3), ack(3), *push(mine, 3))
-    assert tick(rounds, 0.0) == (rounds.history[0], [(3, push(mine))])
-
-
-def test_server_survives_a_failed_push_of_the_new_global():
-    blobs = {1: make_blob(16), 0: make_blob(17)}
-    # Device 1 registers first, so the post-round push reaches it first.
-    rounds = core(make_blob(15), RoundPolicy("count", 1), 1, 0)
-    deliver(rounds, 1, ack(1))
-    deliver(rounds, 0, ack(0), *push(blobs[0], 0))
-    assert tick(rounds, 0.0) == (None, [(1, PULL)])
-    deliver(rounds, 1, reply(1, blobs[1]))
-    assert [c for c, _ in tick(rounds, 0.0)[1]] == [1, 0]
-    rounds.disconnect(1)  # what the server does when that push fails
-    deliver(rounds, 0, ack(0), *push(blobs[0], 0))  # the survivor runs a round alone
-    assert tick(rounds, 0.0)[1] == [(0, push(blobs[0]))]
-    assert [r.participants for r in rounds.history] == [(0, 1), (0,)]
-
-
-def test_server_does_not_take_a_late_ack_of_an_older_global_for_the_newest():
-    mine, stale_push, answer = make_blob(36), make_blob(37), make_blob(38)
-    rounds = core(make_blob(35), RoundPolicy("count", 1), 1, 2, round_timeout=0.5)
-    deliver(rounds, 1, ack(1))  # device 1 ACKs global 0, then falls behind
-    deliver(rounds, 2, ack(2), *push(mine, 2))
-    assert tick(rounds, 0.0) == (None, [(1, PULL)])
-    assert tick(rounds, 0.5)[0].participants == (2,)  # closes without device 1: global 1
-    deliver(rounds, 2, ack(2), *push(mine, 2))
-    assert tick(rounds, 0.5)[0].participants == (2,)  # device 1 is stale: global 2
-    # Device 1 acknowledges global 1 only, then pushes a model trained on it:
-    # the push triggers round 3, but device 1 must be pulled.
-    deliver(rounds, 1, ack(1), *push(stale_push, 1))
-    assert tick(rounds, 1.0) == (None, [(1, PULL), (2, PULL)])  # 2: no push since global 2
-    deliver(rounds, 1, reply(1, answer))
-    deliver(rounds, 2, reply(2, mine))
-    record, _ = tick(rounds, 1.0)
-    assert record.participants == (1, 2)
-    assert np.array_equal(record.blob.values, (answer.values + mine.values) / 2)
-
-
-def test_server_takes_a_free_run_devices_latest_push():
-    first, latest = make_blob(40), make_blob(41)
-    rounds = core(make_blob(39), RoundPolicy("count", 2), 1)
-    deliver(rounds, 1, ack(1), *push(first, 1), *push(latest, 1))
-    # No PULL_MODEL: the latest push is the contribution.
-    assert tick(rounds, 0.0) == (rounds.history[0], [(1, push(latest))])
-
-
-def test_pushes_from_a_connection_that_never_sent_hello_start_no_count_round():
-    rounds = core(make_blob(95), RoundPolicy("count", 2), 0, 1)
-    deliver(rounds, 0, ack(0))
-    deliver(rounds, 1, ack(1))
-    deliver(rounds, "stranger", *push(make_blob(96), 7), *push(make_blob(97), 7))
-    assert tick(rounds, 0.0) == (None, [])  # no device is pulled
-    deliver(rounds, 0, *push(make_blob(98), 0), *push(make_blob(99), 0))
-    assert tick(rounds, 0.0) == (None, [(1, PULL)])
-
-
 def test_a_push_from_a_connection_that_never_sent_hello_is_refused_undecoded(monkeypatch):
     rounds = core(make_blob(95), RoundPolicy("count", 1), 0)
     calls = count_calls(monkeypatch, ("blob_from_model_data",))
     assert deliver(rounds, "stranger", *push(make_blob(96), 7)) == [
         ("stranger", error(b"UNEXPECTED_MODEL_DATA"))]
     assert calls == {} and rounds._peers["stranger"].pushed is None
-
-
-def test_server_labels_a_push_that_crosses_its_pull():
-    m0, m1, m2, m3 = make_blob(46), make_blob(43), make_blob(44), make_blob(45)
-    rounds = core(make_blob(42), RoundPolicy("count", 1), 1)
-    deliver(rounds, 1, ack(1), *push(m0, 1))
-    assert tick(rounds, 0.0)[0].participants == (1,)  # global 1, not yet ACKed
-    deliver(rounds, 1, *push(m1, 1))  # counts toward count:1, but before the ACK: pulled
-    assert tick(rounds, 0.0) == (None, [(1, PULL)])
-    # A second push arrives after the PULL and before the reply, as when a
-    # device pushes before it reads the PULL.
-    deliver(rounds, 1, *push(m2, 1), reply(1, m3))
-    assert np.array_equal(tick(rounds, 0.0)[0].blob.values, m3.values)
 
 
 def test_server_builds_one_model_data_body_per_global(monkeypatch):

@@ -339,10 +339,14 @@ def test_link_queues_what_the_socket_does_not_take_and_flushes_it_in_order():
 def test_round_policy_parsing():
     assert RoundPolicy.parse("count:3") == RoundPolicy("count", 3.0)
     assert RoundPolicy.parse("timer:0.5") == RoundPolicy("timer", 0.5)
-    for bad in ("count", "count:0", "count:2.5", "timer:-1", "often:3",
+    for bad in ("count:0", "count:2.5", "timer:-1", "often:3",
                 "count:inf", "count:nan", "timer:inf", "timer:nan"):
         with pytest.raises(ValueError):
             RoundPolicy.parse(bad)
+    for bad in ("count", "count:x", "timer:"):  # no number: the message names the text
+        with pytest.raises(ValueError) as caught:
+            RoundPolicy.parse(bad)
+        assert str(caught.value) == f"policy must be count:K or timer:SECONDS, got {bad!r}"
 
 
 def test_configure_logging_level_gate(monkeypatch):
