@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataExhaustedError, DatasetFormatError
+from .errors import DataExhaustedError, DatasetFormatError, check_at_least
 from .nn import EmbeddingSample, StackedSamples, check_finite_validation
 
 DATASET_MAGIC = b"FTED"
@@ -97,10 +97,15 @@ def _record_dtype(dim: int) -> np.dtype:
     return np.dtype([("split", "u1"), ("label", "u1"), ("pad", "<u2"), ("features", "<f4", (dim,))])
 
 
+def check_file_classes(num_classes: int) -> None:
+    """Raise ValueError unless the format's u8 labels can hold `num_classes` classes."""
+    if num_classes > 256:
+        raise ValueError(f"num_classes must be <= 256 for the file's u8 labels, got {num_classes}")
+
+
 def save_dataset(dataset: EmbeddingDataset, path) -> None:
     """Write a dataset in the binary format above."""
-    if dataset.num_classes > 256:
-        raise DatasetFormatError("file format stores labels as u8; num_classes must be <= 256")
+    check_file_classes(dataset.num_classes)
     records = np.zeros(len(dataset), dtype=_record_dtype(dataset.embedding_dim))
     records["split"] = dataset.splits
     records["label"] = dataset.labels
@@ -178,8 +183,7 @@ class DeviceStream:
 
     def _consume(self, count: int) -> np.ndarray:
         """The indices of the next `count` unseen samples; the cursor moves past them."""
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
+        check_at_least("count", count, 1)
         if self.remaining() < count:
             raise DataExhaustedError(
                 f"device {self.device_id}: requested {count} samples, "
@@ -209,8 +213,7 @@ class DeviceStream:
         last. This stream's cursor does not move, so each call shards the same
         samples: a sweep shuffles once per repetition and shards that order for
         every point."""
-        if num_devices < 1:
-            raise ValueError(f"num_devices must be >= 1, got {num_devices}")
+        check_at_least("num_devices", num_devices, 1)
         unseen = self.indices[self.cursor :]
         if num_devices > len(unseen):
             raise ValueError(
@@ -228,8 +231,7 @@ def partition(dataset: EmbeddingDataset, num_devices: int, seed=None) -> list[De
     A seeded shuffle, whose whole order is the one stream of
     `partition(dataset, 1, seed)`, then that order's `DeviceStream.shard`.
     """
-    if num_devices < 1:
-        raise ValueError(f"num_devices must be >= 1, got {num_devices}")
+    check_at_least("num_devices", num_devices, 1)
     train = dataset.train_indices()
     if len(train) == 0:
         raise ValueError("dataset has no training samples")
@@ -259,6 +261,12 @@ def _fill_clusters(out, cols, centroids, labels, sigma, rng) -> None:
         out[start : start + block.shape[0], cols] = noise
 
 
+# A feature of a margin-m task lies within m/sqrt(2) + (m/6)|z| of zero, z a
+# standard normal draw, so up to this margin every float32 feature is finite
+# unless |z| > 43, which numpy's sampler never draws.
+MAX_SYNTH_MARGIN = float(np.finfo(np.float32).max) / 8
+
+
 def check_synth_task(embedding_dim: int, num_classes: int, n: int, margin: float,
                      val_fraction: float, active_dims: int | None = None) -> None:
     """Raise ValueError unless the synthetic generators can build this task.
@@ -266,12 +274,10 @@ def check_synth_task(embedding_dim: int, num_classes: int, n: int, margin: float
     `active_dims` is the sparse task's signal-carrying dims; None is the
     separable task, whose signal spans all E dims.
     """
-    if margin <= 0:
-        raise ValueError(f"margin must be > 0, got {margin}")
-    if num_classes < 2:
-        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
-    if embedding_dim < 1:
-        raise ValueError(f"embedding_dim must be >= 1, got {embedding_dim}")
+    if not 0 < margin <= MAX_SYNTH_MARGIN:
+        raise ValueError(f"margin must be > 0 and <= {MAX_SYNTH_MARGIN:.4g}, got {margin}")
+    check_at_least("num_classes", num_classes, 2)
+    check_at_least("embedding_dim", embedding_dim, 1)
     if active_dims is None:
         if num_classes > embedding_dim:
             raise ValueError("centroid construction needs num_classes <= embedding_dim")
@@ -279,8 +285,7 @@ def check_synth_task(embedding_dim: int, num_classes: int, n: int, margin: float
         raise ValueError(f"active_dims must be in [1, {embedding_dim}], got {active_dims}")
     elif num_classes > active_dims:
         raise ValueError("centroid construction needs num_classes <= active_dims")
-    if n < 0:
-        raise ValueError(f"samples must be >= 0, got {n}")
+    check_at_least("samples", n, 0)
     if not 0 <= val_fraction < 1:
         raise ValueError(f"val_fraction must be in [0, 1), got {val_fraction}")
 

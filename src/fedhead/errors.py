@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rules that check a
+setting, each naming the setting by its config key or flag."""
+import math
 
 
 class ShapeError(ValueError):
@@ -35,3 +37,20 @@ class FrameSequenceError(WireError):
 
 class IncompleteStreamError(WireError):
     """A frame stream ended without a last-frame marker."""
+
+
+def check_at_least(key: str, value, low) -> None:
+    """Raise ValueError unless the setting `key` is >= `low` (NaN is not)."""
+    if not value >= low:
+        raise ValueError(f"{key} must be >= {low}, got {value}")
+
+
+def check_positive(key: str, value: float) -> None:
+    """Raise ValueError unless the setting `key` is finite and > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{key} must be finite and > 0, got {value}")
+
+
+def check_seed(key: str, seed: int) -> None:
+    """Raise ValueError unless the seed `key` can seed numpy, which needs it >= 0."""
+    check_at_least(key, seed, 0)

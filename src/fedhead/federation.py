@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DeviceStream
-from .errors import DataExhaustedError, ShapeError
+from .errors import DataExhaustedError, ShapeError, check_at_least, check_positive
 from .nn import (
     EmbeddingSample,
     ModelBlob,
@@ -99,10 +99,8 @@ class RoundConfig:
         # Messages name the config key; num_devices is set by `devices`.
         for key, value in (("devices", self.num_devices), ("batch_size", self.batch_size),
                            ("local_episodes", self.local_episodes), ("epochs", self.epochs)):
-            if value < 1:
-                raise ValueError(f"{key} must be >= 1, got {value}")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+            check_at_least(key, value, 1)
+        check_positive("learning_rate", self.learning_rate)
 
 
 def stack_validation(val, embedding_dim: int) -> StackedSamples:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, check_at_least, check_positive, check_seed
 
 # Probability clamp for the loss; keeps -log finite on confident mistakes.
 PROB_CLAMP = 1e-12
@@ -72,9 +72,9 @@ def check_classifier(model: ModelBlob) -> None:
 
 
 def check_sgd_settings(lr: float, local_episodes: int) -> None:
-    """Raise ValueError for training settings `train_batch` cannot run."""
-    if local_episodes < 1:
-        raise ValueError(f"local_episodes must be >= 1, got {local_episodes}")
+    """Raise ValueError for training settings `train_batch` cannot run. The
+    kernel trains at lr = 0; a run's learning rate setting must be > 0."""
+    check_at_least("local_episodes", local_episodes, 1)
     if not math.isfinite(lr) or lr < 0:
         raise ValueError(f"learning rate must be finite and >= 0, got {lr}")
 
@@ -391,16 +391,11 @@ def check_gradient_check_args(
     trials: int, seed: int, step: float, max_dim: int, max_classes: int
 ) -> None:
     """Raise ValueError for `gradient_check` arguments that cannot check anything."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if not (np.isfinite(step) and step > 0):
-        raise ValueError(f"step must be finite and > 0, got {step}")
-    if max_dim < 1:
-        raise ValueError(f"max_dim must be >= 1, got {max_dim}")
-    if max_classes < 2:
-        raise ValueError(f"max_classes must be >= 2, got {max_classes}")
+    check_at_least("trials", trials, 1)
+    check_seed("seed", seed)
+    check_positive("step", step)
+    check_at_least("max_dim", max_dim, 1)
+    check_at_least("max_classes", max_classes, 2)
 
 
 def gradient_check(

@@ -30,10 +30,10 @@ import selectors
 import socket
 import time
 
-from ..errors import ProtocolError, ShapeError, WireError
+from ..errors import ProtocolError, ShapeError, WireError, check_at_least, check_positive
 from ..federation import check_stream
 from ..federation import blob_from_head, head_from_blob  # noqa: F401 - perfbench's agent plan patches these
-from ..nn import ModelBlob, check_sgd_settings, train_batch
+from ..nn import ModelBlob, train_batch
 from .protocol import (
     MAX_DEVICE_ID,
     Link,
@@ -54,6 +54,20 @@ BACKOFF_BASE = 0.05
 BACKOFF_MAX = 2.0
 
 
+def check_device_settings(device_id: int, learning_rate: float, local_episodes: int,
+                          sync_batch: int | None, push_every: int | None) -> None:
+    """Raise ValueError for `Device` settings that cannot work."""
+    if not 0 <= device_id <= MAX_DEVICE_ID:
+        raise ValueError(f"device_id must be in [0, {MAX_DEVICE_ID}], got {device_id}")
+    check_positive("learning_rate", learning_rate)
+    check_at_least("local_episodes", local_episodes, 1)
+    for key, value in (("sync_batch", sync_batch), ("push_every", push_every)):
+        if value is not None:
+            check_at_least(key, value, 1)
+    if sync_batch is not None and push_every is not None:
+        raise ValueError("push_every is for free-run mode; a sync_batch step pushes every step")
+
+
 class Device:
     """The device protocol, driven by `receive`, `step`, `connected` and `disconnected`;
     `output()` takes the queued sends, each a tuple of messages for one write."""
@@ -68,15 +82,7 @@ class Device:
         sync_batch: int | None = None,
         push_every: int | None = None,
     ) -> None:
-        if sync_batch is not None and sync_batch < 1:
-            raise ValueError(f"sync_batch must be >= 1, got {sync_batch}")
-        if push_every is not None and push_every < 1:
-            raise ValueError(f"push_every must be >= 1, got {push_every}")
-        if sync_batch is not None and push_every is not None:
-            raise ValueError("push_every is for free-run mode; a sync_batch step pushes every step")
-        if not 0 <= device_id <= MAX_DEVICE_ID:
-            raise ValueError(f"device_id must be in [0, {MAX_DEVICE_ID}], got {device_id}")
-        check_sgd_settings(learning_rate, local_episodes)
+        check_device_settings(device_id, learning_rate, local_episodes, sync_batch, push_every)
         self.device_id = device_id
         self.stream = stream
         self.learning_rate = learning_rate

@@ -35,7 +35,6 @@ connection. No write blocks the loop: a peer that leaves more than
 from __future__ import annotations
 
 import logging
-import math
 import selectors
 import socket
 import time
@@ -43,7 +42,7 @@ import zlib
 from collections.abc import Hashable
 from dataclasses import dataclass
 
-from ..errors import ProtocolError, ShapeError, WireError
+from ..errors import ProtocolError, ShapeError, WireError, check_at_least, check_positive
 from ..federation import ModelBlob, average_blobs, evaluate, stack_validation
 from ..nn import StackedSamples
 from ..wire import encode_model, frame_bytes
@@ -71,12 +70,9 @@ class RoundPolicy:
     def __post_init__(self) -> None:
         if self.kind not in ("count", "timer"):
             raise ValueError(f"policy kind must be count or timer, got {self.kind!r}")
-        if not math.isfinite(self.value):  # no round would ever trigger
-            raise ValueError(f"policy value must be finite, got {self.value}")
-        if self.kind == "count" and (self.value != int(self.value) or self.value < 1):
+        check_positive(f"{self.kind} policy value", self.value)  # finite, or no round triggers
+        if self.kind == "count" and self.value != int(self.value):
             raise ValueError(f"count policy needs a positive integer, got {self.value}")
-        if self.kind == "timer" and self.value <= 0:
-            raise ValueError(f"timer policy needs a positive interval, got {self.value}")
 
     @classmethod
     def parse(cls, text: str) -> "RoundPolicy":
@@ -90,10 +86,9 @@ class RoundPolicy:
 
 def check_round_limits(round_timeout: float, max_rounds: int | None) -> None:
     """Raise ValueError for a collection deadline or round limit that cannot work."""
-    if not (math.isfinite(round_timeout) and round_timeout > 0):
-        raise ValueError(f"round timeout must be finite and > 0, got {round_timeout}")
-    if max_rounds is not None and max_rounds < 1:
-        raise ValueError(f"max rounds must be >= 1, got {max_rounds}")
+    check_positive("round_timeout", round_timeout)
+    if max_rounds is not None:
+        check_at_least("max_rounds", max_rounds, 1)
 
 
 @dataclass(eq=False)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import data as data_mod
-from .errors import DataExhaustedError
+from .errors import DataExhaustedError, check_at_least, check_seed
 from .federation import ModelBlob, RoundConfig, run_training
 from .nn import INIT_MODES, init_head
 
@@ -113,10 +113,8 @@ class ExperimentConfig:
             raise ValueError(f"sweep_param must be one of {SWEEP_AXES}, got {self.sweep_param!r}")
         if not self.sweep_values:
             raise ValueError("sweep_values must be non-empty")
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        check_at_least("repetitions", self.repetitions, 1)
+        check_seed("base_seed", self.base_seed)
         axis_type = _CONFIG_TYPES[self.sweep_param]
         self.sweep_values = [_typed(self.sweep_param, axis_type, v) for v in self.sweep_values]
         for value in self.sweep_values:

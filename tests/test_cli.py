@@ -4,6 +4,7 @@ All commands run in-process through main(argv), so stdout/stderr and exit
 codes are asserted without spawning interpreters.
 """
 import argparse
+import functools
 import json
 import logging
 import socket
@@ -16,7 +17,10 @@ import pytest
 from fedhead import cli, simulator
 from fedhead.cli import main
 from fedhead.data import load_dataset, synth_sparse
+from fedhead.federation import stack_validation
 from fedhead.nn import StackedSamples
+from fedhead.runtime import server as server_module
+from fedhead.runtime.agent import Device
 from fedhead.simulator import CSV_COLUMNS, CONFIG_KEYS, ExperimentConfig, parse_config_text
 from fedhead.wire import decode_model
 
@@ -220,22 +224,15 @@ def test_missing_config_file_is_a_runtime_error(capsys):
 IMPOSSIBLE_CONFIGS = [
     ["sweep", "--sweep", "batch_size", "--values", "5,0", "-R", "3"],
     ["sweep", "--sweep", "init_mode", "--values", "random,bogus", "-R", "3"],
-    ["simulate", "-B", "0"],
-    ["sweep", "--lr", "-1"],
-    ["simulate", "-R", "0"],
-    ["simulate", "-N", "0"],
-    ["sweep", "--seed", "-1"],
     ["sweep", "--preset", "fig2", "--sweep", "init_mode"],
     ["sweep", "--preset", "fig1", "--sweep", "devices"],
     ["simulate", "--config", "{bad_key_cfg}"],
     ["simulate", "--data", "{data}", "--dim", "16"],
     ["sweep", "--data", "{data}", "--kind", "sparse"],
     ["sweep", "--config", "{file_data_cfg}", "--margin", "2.0"],
-    ["simulate", "--samples", "0"],
     ["simulate", "--kind", "sparse", "--dim", "8", "--sparse-dims", "40"],
     ["simulate", "--init", "pretrained", "--val-fraction", "1.0"],
     ["sweep", "--dim", "8", "--samples", "300", "--values", "1,2,40", "-R", "1"],
-    ["simulate", "--val-fraction", "0"],
     ["simulate", "--samples", "1000", "--val-fraction", "0.0004"],
 ]
 
@@ -416,16 +413,13 @@ def logged_commands(caplog):
             for r in caplog.records if "resolved config" in r.getMessage()]
 
 
-@pytest.mark.parametrize("flags", [
-    ("--episodes", "0"), ("--lr", "-0.1"), ("--lr", "nan"), ("--sync-batch", "0"),
-    ("--push-every", "0"), ("--sync-batch", "4", "--push-every", "10"),
-])
-def test_agent_training_settings_that_cannot_work_are_usage_errors(tmp_path, caplog, capsys, flags):
+def test_agent_sync_batch_with_push_every_is_a_usage_error(tmp_path, caplog, capsys):
     # Rejected before the agent connects: nothing listens on port 1.
     data = tmp_path / "toy.ds"
     assert main(["gen-data", *TINY, "--out", str(data)]) == 0
     caplog.set_level(logging.INFO, logger="fedhead.cli")
-    rc = main(["agent", "--connect", "127.0.0.1:1", "--data", str(data), "--device-id", "0", *flags])
+    rc = main(["agent", "--connect", "127.0.0.1:1", "--data", str(data), "--device-id", "0",
+               "--sync-batch", "4", "--push-every", "10"])
     assert rc == 1
     assert "fedhead: error:" in capsys.readouterr().err
     assert "agent" not in logged_commands(caplog)
@@ -617,3 +611,146 @@ def test_serve_and_agent_commands_run_rounds(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert "served 2 rounds" in out
     assert "fedhead: ConnectionError" in err
+
+
+# -- the flag table: every numeric flag, at the values a setting rule must face ----------
+
+TABLE_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e308")
+# A base command line per subcommand, small enough that a valid value runs at once; the flag
+# under test comes after it, so it wins. serve and agent build their socket-free cores.
+TABLE_BASE = {
+    "gen-data": [*TINY, "--out", "{out}"],
+    "simulate": [*TINY, "-T", "2", "-R", "1", "--out", "{out}"],
+    "sweep": ["-T", "2", "-R", "1", "--out", "{out}"],  # the default task holds fig2's 8 devices
+    "gradcheck": ["--trials", "3"],
+    "serve": ["--dim", "8", "--data", "{data}"],
+    "agent": ["--device-id", "0", "--data", "{data}"],
+}
+
+
+def parses(kind, text) -> bool:
+    try:
+        kind(text)
+    except ValueError:
+        return False
+    return True
+
+
+def subcommands():
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# (subcommand, flag=value) for every int or float flag and every value its type parses (as
+# --flag=value, since argparse reads -inf as a flag), then settings beyond those values.
+FLAG_TABLE = [
+    (command, f"{action.option_strings[0]}={value}")
+    for command in ("gen-data", "simulate", "gradcheck", "serve", "agent")
+    for action in subcommands()[command]._actions if action.type in (int, float)
+    for value in TABLE_VALUES if parses(action.type, value)
+] + [
+    ("gen-data", "--classes", "300", "--dim", "400"),  # more classes than the file's u8 labels
+    ("sweep", "--preset", "fig2", "--margin", "nan"),
+]
+# Runs that start and then fail from their dynamics, not from a setting, after the config line.
+EXPECTED_EXIT_2 = {
+    ("simulate", "--lr=1e308"),  # the first round diverges: blob values must be finite
+    ("gradcheck", "--step=1e308"),  # such differences are no gradient: fails its tolerance
+    ("gradcheck", "--tol=0"),  # no finite-difference error is exactly 0
+}
+
+
+class CoreServer:
+    """Stands in for the Server: builds the round core and scores nothing, with no socket."""
+
+    history, address = [], ("127.0.0.1", 0)
+
+    def __init__(self, host, port, blob, policy, *, validation, round_timeout, max_rounds):
+        server_module.check_round_limits(round_timeout, max_rounds)
+        server_module.Rounds(blob, policy, round_timeout, 0.0)
+        if validation is not None:
+            stack_validation(validation, blob.embedding_dim)
+
+    def run(self):
+        pass
+
+
+class CoreAgent(Device):
+    """Stands in for the Agent: the device core it wraps, with no link."""
+
+    def __init__(self, host, port, device_id, stream, **settings):
+        super().__init__(device_id, stream, **settings)
+
+    def run(self):
+        pass
+
+
+@pytest.fixture(scope="module")
+def table_data(tmp_path_factory):
+    path = tmp_path_factory.mktemp("table") / "toy.ds"
+    assert main(["gen-data", *TINY, "--out", str(path)]) == 0
+    return path
+
+
+def run_case(case, data, out, caplog, capsys):
+    """Run one table case: its exit code, whether it logged its config line, stdout and stderr."""
+    command, *flags = case
+    caplog.clear()
+    rc = main([command, *[arg.format(out=out, data=data) for arg in TABLE_BASE[command]], *flags])
+    return (rc, command in logged_commands(caplog), *capsys.readouterr())
+
+
+@pytest.fixture
+def table_run(table_data, tmp_path, monkeypatch, caplog, capsys):
+    monkeypatch.setattr(cli, "Server", CoreServer)
+    monkeypatch.setattr(cli, "Agent", CoreAgent)
+    caplog.set_level(logging.INFO, logger="fedhead.cli")
+    return lambda case: run_case(case, table_data, tmp_path / "out", caplog, capsys)
+
+
+@pytest.mark.parametrize("case", FLAG_TABLE, ids=" ".join)
+def test_a_numeric_setting_exits_1_before_the_config_line_or_runs_to_finite_output(
+    case, table_run, tmp_path
+):
+    rc, logged, stdout, stderr = table_run(case)
+    if case in EXPECTED_EXIT_2:
+        assert (rc, logged) == (2, True), stderr
+        return
+    assert rc in (0, 1), stderr
+    assert logged == (rc == 0), stderr
+    out = tmp_path / "out"
+    if rc == 1:
+        assert "fedhead: error:" in stderr
+    elif case[0] == "gen-data":
+        assert np.isfinite(load_dataset(out).features).all()
+    elif case[0] in ("simulate", "sweep"):
+        rows = [line.split(",")[2:] for line in out.read_text().splitlines()[1:]]
+        assert rows and np.isfinite(np.asarray(rows, dtype=float)).all()
+    elif case[0] == "gradcheck":
+        assert np.isfinite(float(stdout.rsplit(": ", 1)[1]))
+
+
+def test_every_expected_exit_2_case_is_a_row_of_the_flag_table():
+    assert EXPECTED_EXIT_2 <= set(FLAG_TABLE)
+
+
+# The flags of one setting on each command that takes it.
+SHARED_SETTINGS = {
+    "learning_rate": [("simulate", "--lr"), ("agent", "--lr")],
+    "local_episodes": [("simulate", "--episodes"), ("agent", "--episodes")],
+    "devices": [("simulate", "--devices"), ("agent", "--num-devices")],
+    "embedding_dim": [("gen-data", "--dim"), ("simulate", "--dim"), ("serve", "--dim")],
+    "num_classes": [("gen-data", "--classes"), ("simulate", "--classes"), ("serve", "--classes")],
+    "seed": [("gen-data", "--seed"), ("simulate", "--seed"), ("gradcheck", "--seed"),
+             ("serve", "--seed"), ("agent", "--partition-seed")],
+}
+
+
+@pytest.mark.parametrize("setting", SHARED_SETTINGS)
+def test_a_setting_has_one_rule_on_every_command_that_takes_it(setting, table_run):
+    # One rule per setting: every command refuses a value (exit 1) or none does.
+    flags = SHARED_SETTINGS[setting]
+    kind = {a.option_strings[0]: a.type for a in subcommands()[flags[0][0]]._actions}[flags[0][1]]
+    for value in filter(functools.partial(parses, kind), TABLE_VALUES):
+        refused = {case: table_run((case[0], f"{case[1]}={value}"))[0] == 1 for case in flags}
+        assert len(set(refused.values())) == 1, (value, refused)

@@ -238,6 +238,13 @@ class DeviceFaults(RuleBasedStateMachine):
         self.push(("valid", at))
         self.step(2)
 
+    @precondition(lambda self: self.online and self.push_every is not None
+                  and self.twin.remaining() > self.push_every)
+    @rule(at=st.integers(0, 1 << 16))
+    def install_and_step_past_a_push(self, at):  # the push falls on the push_every-th step
+        self.push(("valid", at))
+        self.step(self.push_every + 1)
+
     @invariant()
     def the_head_changes_only_on_an_install_or_a_step(self):
         assert self.dev.installs == self.installs
@@ -719,6 +726,16 @@ class RoundFaults(RuleBasedStateMachine):
             self.upload(closer, ("valid", 0))
             self.upload(closer, ("valid", 0))
             self.advance(dt)
+        # Last, with no round pending, a new peer is greeted twice, so that it is
+        # two globals behind, ACKs once and pushes: the ACK answers the older
+        # global, so the round that falls due pulls the peer instead of taking
+        # its push.
+        self.advance(FAULT_TIMEOUT)
+        late = self.new_conn(6)
+        self.send(late, hello(6), hello(6), ack(6))
+        self.upload(late, ("valid", 0))
+        self.upload(late, ("valid", 0))
+        self.advance(FAULT_TIMEOUT)
 
     @invariant()
     def only_open_connections_are_peers(self):

@@ -8,12 +8,16 @@ the server's round core and the agent's device core name no socket, selector,
 clock or link; the training modules hold no module-level state that threads
 could share: only nn binds a threading.local(), the train kernel's scratch;
 and the core tests in tests/test_cores.py open no socket, start no thread and
-build no I/O shell."""
+build no I/O shell; and in the CLI only `main` turns an error into exit 1, around
+the resolve step, and no run step catches a ValueError."""
 import ast
+import builtins
 import collections
 import pathlib
 
 import pytest
+
+from fedhead import errors
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -184,3 +188,34 @@ def test_the_training_modules_bind_no_shared_buffers(name):
         imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                      for alias in node.names}
         assert "threading" not in imported
+
+
+def catches_value_error(handler) -> bool:
+    """The except clause is bare or names ValueError, a subclass or a base of it."""
+    if handler.type is None:
+        return True
+    names = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    kinds = [getattr(builtins, n.id, None) or getattr(errors, n.id) for n in names]
+    return any(issubclass(k, ValueError) or issubclass(ValueError, k) for k in kinds)
+
+
+def test_only_main_makes_a_usage_error_and_no_run_step_catches_a_value_error():
+    # Each command's resolve step raises ValueError for a setting that cannot
+    # work and returns its run step; main alone turns that into exit 1, in the
+    # handler of the try that runs the resolve step (the parser's `error` exits
+    # 1 for a usage argparse finds). No other function catches a ValueError, so
+    # no run step can make one a usage error, swallow one, or check a setting
+    # after the config line in a try block of its own.
+    _, tree = parse(SRC / "fedhead" / "cli.py")
+    functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    catching = sorted({f.name for f in functions for n in ast.walk(f)
+                       if isinstance(n, ast.ExceptHandler) and catches_value_error(n)})
+    assert catching == ["main"]
+    exits = sorted(f.name for f in functions for n in ast.walk(f)
+                   if ast.unparse(n) == "return 1" or isinstance(n, ast.Call) and n.args
+                   and ast.unparse(n.func).endswith(".exit") and ast.unparse(n.args[0]) == "1")
+    assert exits == ["error", "main"]
+    (main,) = [f for f in functions if f.name == "main"]
+    guarded = [ast.unparse(ast.Module(t.body, [])) for t in ast.walk(main) if isinstance(t, ast.Try)
+               for h in t.handlers if any(ast.unparse(r) == "return 1" for r in ast.walk(h))]
+    assert guarded == ["configure_logging()\nrun = args.resolve(args)"]
